@@ -31,7 +31,6 @@ from .groups import (
 )
 from .packing import (
     ElementSet,
-    _coord_add,
     clique_in_bset_of_size,
     difference_set,
     max_clique_in_bset,
@@ -264,10 +263,7 @@ class CoverageCheck:
 
 def check_property_3(bset: BSet, F: ElementSet, window: Window) -> CoverageCheck:
     """True iff F + elements does not cover the whole window universe."""
-    group = bset.group
-    bcoords = [e.coords for e in bset.elements.elements]
-    fcoords = [e.coords for e in F.elements]
-    covered = {_coord_add(group, f, b) for f in fcoords for b in bcoords}
+    covered = {(f + b).coords for f in F.elements for b in bset.elements.elements}
     universe = window.size()
     certificate = len(F) * len(bset.elements) < universe
     missing = None

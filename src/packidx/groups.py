@@ -23,7 +23,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ElementSyntaxError, GroupMismatchError, GroupSyntaxError
 
@@ -233,14 +233,19 @@ def iter_coords(f: Factor, bound: int | None) -> Iterator:
                     yield (a, k)
 
 
-def coord_in_bound(f: Factor, x, bound: int | None) -> bool:
+def coord_extent(f: Factor, x) -> int | None:
+    """Smallest window bound of the factor whose window holds the coordinate."""
     if f.kind == INFINITE_CYCLIC:
-        return abs(x) <= bound
+        return abs(x)
     if f.kind == CYCLIC:
-        return True
+        return None
     if f.kind == REPEATED_CYCLIC:
-        return len(x) <= bound
-    return x[1] <= bound
+        return len(x)
+    return x[1]
+
+
+def coord_in_bound(f: Factor, x, bound: int | None) -> bool:
+    return bound is None or coord_extent(f, x) <= bound
 
 
 def count_coords(f: Factor, bound: int | None) -> int:
@@ -506,6 +511,178 @@ def enumerate_window(window: Window) -> Iterator[Element]:
     ]
     for coords in itertools.product(*pools):
         yield Element(group, coords)
+
+
+# -- dense boxes -------------------------------------------------------------
+
+
+def extents(group: GroupSpec, elements: Iterable[Element]) -> tuple[int | None, ...]:
+    """Per-factor bounds of the smallest box holding every element."""
+    out = [None if f.kind == CYCLIC else 0 for f in group.factors]
+    for e in elements:
+        for i, (f, x) in enumerate(zip(group.factors, e.coords)):
+            if out[i] is not None:
+                out[i] = max(out[i], coord_extent(f, x))
+    return tuple(out)
+
+
+def hull_bounds(*bounds: tuple) -> tuple:
+    """Bounds of the smallest box holding each of the given boxes."""
+    return tuple(None if bs[0] is None else max(bs) for bs in zip(*bounds))
+
+
+def sum_bounds(group: GroupSpec, *bounds: tuple) -> tuple:
+    """Bounds of a box holding every sum x1 + x2 + ... with xi in box i:
+    ``Z`` radii add up, the other kinds are subgroups and take the largest."""
+    hull = hull_bounds(*bounds)
+    return tuple(
+        sum(bs) if f.kind == INFINITE_CYCLIC else h
+        for f, bs, h in zip(group.factors, zip(*bounds), hull)
+    )
+
+
+def _factor_digits(f: Factor, bound: int | None, x) -> list[int] | None:
+    """Digits of one coordinate in a box, ``Z`` without its offset; None
+    when a torsion coordinate lies outside the box."""
+    if f.kind == REPEATED_CYCLIC:
+        if len(x) > bound:
+            return None
+        return list(x) + [0] * (bound - len(x))
+    if f.kind == PRUFER:
+        a, k = x
+        if k > bound:
+            return None
+        return [a * f.param ** (bound - k)]
+    return [x]
+
+
+class DenseBox:
+    """A finite box of a group, coded so that a set in it is an int bitmask.
+
+    ``bounds`` read as :class:`Window` bounds, with a ``Z`` radius of 0
+    allowed. Each coordinate becomes mixed-radix digits, leftmost factor
+    most significant: ``Z`` with radius N is one digit x + N that does not
+    wrap, ``Z_n`` one digit mod n, ``Z_n^w`` one digit mod n per kept copy,
+    and ``Prufer(p)`` at level L one digit mod p^L, a/p^k being a*p^(L-k).
+    Bit c of a mask stands for the element with code c. Translating a set
+    is then one shift per ``Z`` digit and one masked rotation per other
+    digit, applied to the whole mask at once.
+    """
+
+    def __init__(self, group: GroupSpec, bounds: tuple):
+        self.group = group
+        self.bounds = tuple(bounds)
+        self._slices = []  # per factor, its range of digit positions
+        radix, wraps = [], []
+        for f, b in zip(group.factors, self.bounds):
+            start = len(radix)
+            if f.kind == INFINITE_CYCLIC:
+                radix.append(2 * b + 1)
+            elif f.kind == CYCLIC:
+                radix.append(f.param)
+            elif f.kind == REPEATED_CYCLIC:
+                radix += [f.param] * b
+            else:
+                radix.append(f.param**b)
+            wraps += [f.kind != INFINITE_CYCLIC] * (len(radix) - start)
+            self._slices.append(range(start, len(radix)))
+        self._radix = radix
+        self._wraps = wraps
+        self._offset = [0 if w else r // 2 for w, r in zip(wraps, radix)]
+        self._stride = [prod(radix[i + 1 :]) for i in range(len(radix))]
+        self.size = prod(radix)
+        self._below_cache: dict[tuple[int, int], int] = {}
+
+    def _factor_code(self, i: int, x) -> int | None:
+        """Part of the code carried by factor i's coordinate, or None outside."""
+        digits = _factor_digits(self.group.factors[i], self.bounds[i], x)
+        if digits is None:
+            return None
+        code = 0
+        for d, j in zip(digits, self._slices[i]):
+            d += self._offset[j]
+            if not 0 <= d < self._radix[j]:
+                return None
+            code += d * self._stride[j]
+        return code
+
+    def encode(self, e: Element) -> int | None:
+        """Code of the element, or None when it lies outside the box."""
+        code = 0
+        for i, x in enumerate(e.coords):
+            part = self._factor_code(i, x)
+            if part is None:
+                return None
+            code += part
+        return code
+
+    def decode(self, code: int) -> Element:
+        coords = []
+        for f, b, digits in zip(self.group.factors, self.bounds, self._slices):
+            ds = [code // self._stride[j] % self._radix[j] - self._offset[j] for j in digits]
+            if f.kind == REPEATED_CYCLIC:
+                coords.append(_strip(tuple(ds)))
+            elif f.kind == PRUFER:
+                coords.append(_prufer_reduce(ds[0], b, f.param))
+            else:
+                coords.append(ds[0])
+        return Element(self.group, tuple(coords))
+
+    def mask_of(self, elements: Iterable[Element]) -> int:
+        mask = 0
+        for e in elements:
+            code = self.encode(e)
+            if code is None:
+                raise ValueError(f"{e} lies outside the box {self.bounds} of {self.group}")
+            mask |= 1 << code
+        return mask
+
+    def codes(self, window: Window) -> list[int]:
+        """Codes of the window's elements, in :func:`enumerate_window` order."""
+        out = [0]
+        for i, (f, b) in enumerate(zip(self.group.factors, window.bounds)):
+            part = [self._factor_code(i, x) for x in iter_coords(f, b)]
+            if None in part:
+                raise ValueError(f"window {window.bounds} exceeds the box {self.bounds}")
+            out = [c + p for c in out for p in part]
+        return out
+
+    def _below(self, j: int, c: int) -> int:
+        """Mask of the box's codes whose digit j is less than c."""
+        run = (1 << c * self._stride[j]) - 1
+        if j == 0:
+            return run
+        mask = self._below_cache.get((j, c))
+        if mask is None:
+            mask, width = run, self._radix[j] * self._stride[j]
+            while width < self.size:
+                mask |= mask << width
+                width *= 2
+            mask = self._below_cache[(j, c)] = mask & ((1 << self.size) - 1)
+        return mask
+
+    def translate(self, mask: int, g: Element) -> int:
+        """Mask of {x + g : x in mask} that lies inside the box."""
+        shift = []
+        for f, b, x in zip(self.group.factors, self.bounds, g.coords):
+            digits = _factor_digits(f, b, x)
+            if digits is None:
+                return 0
+            shift += digits
+        for j, t in enumerate(shift):
+            if not t or not mask:
+                continue
+            r, s = self._radix[j], self._stride[j]
+            if self._wraps[j]:
+                low = self._below(j, r - t)
+                mask = ((mask & low) << t * s) | ((mask & ~low) >> (r - t) * s)
+            elif abs(t) >= r:
+                return 0
+            elif t > 0:
+                mask = (mask & self._below(j, r - t)) << t * s
+            else:
+                mask = (mask & ~self._below(j, -t)) >> -t * s
+        return mask
 
 
 # -- group-spec DSL ----------------------------------------------------------

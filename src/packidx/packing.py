@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -22,19 +23,24 @@ from .errors import (
     WindowTooLargeError,
 )
 from .groups import (
+    DenseBox,
     Element,
     GroupSpec,
     Window,
-    add_coord,
     enumerate_window,
+    extents,
     format_element,
     format_group,
-    neg_coord,
+    hull_bounds,
     parse_element,
     parse_group,
+    sum_bounds,
 )
 
 DEFAULT_MAX_VERTICES = 1024
+# Largest box, in bits, that difference_mask builds around a set; a set
+# spread wider gets its differences one pair at a time instead.
+MAX_BOX_BITS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -77,48 +83,39 @@ class ElementSet:
         return [format_element(e) for e in self.elements]
 
 
-def _coord_add(group: GroupSpec, x: tuple, y: tuple) -> tuple:
-    return tuple(add_coord(f, a, b) for f, a, b in zip(group.factors, x, y))
-
-
-def _coord_neg(group: GroupSpec, x: tuple) -> tuple:
-    return tuple(neg_coord(f, a) for f, a in zip(group.factors, x))
-
-
-def _coord_sub(group: GroupSpec, x: tuple, y: tuple) -> tuple:
-    return _coord_add(group, x, _coord_neg(group, y))
-
-
 def difference_set(A: ElementSet) -> ElementSet:
     """All pairwise differences a - a'; symmetric and contains zero."""
     if not A.elements:
         raise EmptySetError("difference set of an empty set is undefined")
-    group = A.group
-    coords = [e.coords for e in A.elements]
-    out = {}
-    for x in coords:
-        for y in coords:
-            d = _coord_sub(group, x, y)
-            out[d] = Element(group, d)
-    return ElementSet(group, tuple(sorted(out.values(), key=Element.sort_key)))
+    return ElementSet.of(A.group, (x - y for x in A.elements for y in A.elements))
 
 
-def _difference_coords(A: ElementSet) -> set:
+def difference_mask(A: ElementSet, region: tuple) -> tuple[DenseBox, int]:
+    """The differences a - a' lying in the box ``region``, as a mask over a
+    box that holds the region.
+
+    The mask is an OR of translates of A, so its box must hold A itself:
+    a translate drops what leaves the box, and only the region is exact.
+    """
     group = A.group
-    coords = [e.coords for e in A.elements]
-    negs = [_coord_neg(group, c) for c in coords]
-    return {_coord_add(group, x, ny) for x in coords for ny in negs}
+    box = DenseBox(group, hull_bounds(region, extents(group, A.elements)))
+    if box.size <= MAX_BOX_BITS:
+        amask = box.mask_of(A.elements)
+        diff = 0
+        for a in A.elements:
+            diff |= box.translate(amask, -a)
+        return box, diff
+    box = DenseBox(group, region)
+    diffs = (x - y for x in A.elements for y in A.elements)
+    return box, box.mask_of(d for d in diffs if box.encode(d) is not None)
 
 
 def translates_disjoint(A: ElementSet, b: Element, b2: Element) -> bool:
     """True iff (b + A) and (b2 + A) share no element."""
     if b.coords == b2.coords and b.group == b2.group:
         raise PreconditionError("shifts must be distinct")
-    group = A.group
-    left = {_coord_add(group, b.coords, a.coords) for a in A.elements}
-    return not any(
-        _coord_add(group, b2.coords, a.coords) in left for a in A.elements
-    )
+    left = {(b + a).coords for a in A.elements}
+    return not any((b2 + a).coords in left for a in A.elements)
 
 
 @dataclass(frozen=True)
@@ -135,28 +132,36 @@ class PackingFamily:
 
 
 def compatibility_graph(A: ElementSet, vertices: list[Element]) -> list[int]:
-    """Bit-packed adjacency of the shift-compatibility graph on ``vertices``."""
+    """Bit-packed adjacency of the shift-compatibility graph on ``vertices``.
+
+    Row i holds the vertices v with v - v_i outside the nonzero differences
+    of A, that is the vertices missing from the translate of D* by v_i.
+    """
+    if not vertices:
+        return []
     group = A.group
-    diff = _difference_coords(A)
-    zero = A.group.zero().coords
-    diff.discard(zero)
-    n = len(vertices)
-    coords = [v.coords for v in vertices]
-    adj = [0] * n
-    for i in range(n):
-        ci = coords[i]
-        for j in range(i + 1, n):
-            if _coord_sub(group, ci, coords[j]) not in diff:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
+    span = extents(group, vertices)
+    box, diff = difference_mask(A, sum_bounds(group, span, span))
+    dstar = diff & ~(1 << box.encode(group.zero()))
+    # format() writes bit c at string position size-1-c; vertex n-1 comes first
+    # so that the picked string reads as the row in binary
+    pick = itemgetter(*(box.size - 1 - box.encode(v) for v in reversed(vertices)))
+    width = f"0{box.size}b"
+    full = (1 << len(vertices)) - 1
+    return [
+        full ^ int("".join(pick(format(box.translate(dstar, v), width))), 2) ^ (1 << i)
+        for i, v in enumerate(vertices)
+    ]
 
 
 def _certify_family(A: ElementSet, shifts: list[Element]) -> bool:
-    for i, b in enumerate(shifts):
-        for b2 in shifts[i + 1 :]:
-            if not translates_disjoint(A, b, b2):
-                return False
+    """True iff the translates b + A are pairwise disjoint."""
+    covered: set = set()
+    for b in shifts:
+        translate = {(b + a).coords for a in A.elements}
+        if not covered.isdisjoint(translate):
+            return False
+        covered |= translate
     return True
 
 
@@ -195,15 +200,15 @@ def _bset_graph(B: ElementSet) -> tuple[list[Element], list[int]]:
     if zero.coords not in coords:
         raise PreconditionError("the base set must contain zero")
     for e in B.elements:
-        if _coord_neg(group, e.coords) not in coords:
+        if (-e).coords not in coords:
             raise PreconditionError("the base set must be symmetric")
     vertices = list(B.elements)
     n = len(vertices)
     adj = [0] * n
     for i in range(n):
-        ci = vertices[i].coords
+        vi = vertices[i]
         for j in range(i + 1, n):
-            if _coord_sub(group, ci, vertices[j].coords) in coords:
+            if (vi - vertices[j]).coords in coords:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return vertices, adj
@@ -211,12 +216,7 @@ def _bset_graph(B: ElementSet) -> tuple[list[Element], list[int]]:
 
 def _verify_in_bset(B: ElementSet, chosen: list[Element]) -> bool:
     coords = B.coords_set()
-    group = B.group
-    return all(
-        _coord_sub(group, a.coords, b.coords) in coords
-        for a in chosen
-        for b in chosen
-    )
+    return all((a - b).coords in coords for a in chosen for b in chosen)
 
 
 def max_clique_in_bset(B: ElementSet) -> CliqueResult:
@@ -245,8 +245,21 @@ def clique_in_bset_of_size(B: ElementSet, target: int) -> ElementSet | None:
 
 
 def read_set_file(path: str | Path) -> ElementSet:
-    """Load ``{"group": <DSL>, "elements": [...]}`` from a JSON file."""
+    """Load ``{"group": <DSL>, "elements": [...]}`` from a JSON file.
+
+    Raises ValueError when the file is not JSON of that shape with string
+    values.
+    """
     data = json.loads(Path(path).read_text())
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("group"), str)
+        and isinstance(data.get("elements"), list)
+        and all(isinstance(t, str) for t in data["elements"])
+    ):
+        raise ValueError(
+            f'{path}: expected {{"group": "<group spec>", "elements": ["<element>", ...]}}'
+        )
     group = parse_group(data["group"])
     return ElementSet.parse(group, data["elements"])
 

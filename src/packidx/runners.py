@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bsets, obstruction, pairmap as pairmap_mod, witness as witness_mod
-from .errors import ElementSyntaxError, GroupSyntaxError, PackError
+from .errors import ElementSyntaxError, GroupSyntaxError, PackError, WindowTooLargeError
 from .groups import Window, parse_group
-from .packing import max_packing_family, read_set_file
+from .packing import DEFAULT_MAX_VERTICES, max_packing_family, read_set_file
 from .reports import Report
 
 
@@ -118,6 +118,9 @@ def run_witness(cfg: RunConfig) -> Report:
         window = Window.for_group(
             group, bound=cfg.window, repeated_m=cfg.m, prufer_level=cfg.level
         )
+        # the index solve would refuse this window; say so before building
+        if cfg.verify and window.size() > DEFAULT_MAX_VERTICES:
+            raise WindowTooLargeError(window.size(), DEFAULT_MAX_VERTICES)
         w = witness_mod.build_witness(built, window)
         results = {
             "group": str(group),
@@ -158,7 +161,7 @@ def run_witness(cfg: RunConfig) -> Report:
                 {"check": "i2", "status": "pass" if report.i2_holds else "fail", "detail": ""}
             )
             if report.all_hold:
-                idx = witness_mod.windowed_sharp_index(w)
+                idx = witness_mod.max_family(w).size + 1
                 results["windowed_sharp_index"] = idx
                 summary.append(
                     {

@@ -13,6 +13,7 @@ Together they force the windowed sharp index of A to be exactly kappa.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .bsets import BSet
@@ -22,14 +23,17 @@ from .errors import (
     PreconditionError,
     PropertyThreeViolatedError,
 )
-from .groups import Element, GroupSpec, Window, enumerate_window
-from .packing import (
-    ElementSet,
-    PackingFamily,
-    _coord_add,
-    _coord_neg,
-    max_packing_family,
+from .groups import (
+    DenseBox,
+    Element,
+    GroupSpec,
+    Window,
+    enumerate_window,
+    extents,
+    hull_bounds,
+    sum_bounds,
 )
+from .packing import ElementSet, PackingFamily, difference_mask, max_packing_family
 
 
 @dataclass(frozen=True)
@@ -53,41 +57,58 @@ class WitnessSet:
     ambient: Window
 
 
+def _witness_box(bset: BSet, window: Window, ambient: Window) -> DenseBox:
+    """A box holding F - g for every target g. Anchors come from the ambient
+    and A gains a + g, so F = A + B lies in ambient + window + B, and F - g
+    in ambient + 2 window + B."""
+    group = bset.group
+    bext = extents(group, bset.elements)
+    return DenseBox(group, sum_bounds(group, ambient.bounds, window.bounds, window.bounds, bext))
+
+
 def build_witness(bset: BSet, window: Window, max_expansions: int = 8) -> WitnessSet:
     """Run the greedy construction over the window, expanding the candidate
-    search region (ambient) by doubling when it runs dry, up to the cap."""
+    search region (ambient) by doubling when it runs dry, up to the cap.
+
+    The forbidden region F = A + B is a bitmask over a box. The anchor for g
+    is the first ambient element outside F | (F - g); F only grows, so the
+    search starts after the leading run of ambient elements already in F.
+    """
     group = bset.group
     if window.group != group:
         raise GroupMismatchError("window group differs from the base set's group")
-    zero = group.zero().coords
-    bcoords = [e.coords for e in bset.elements]
-    if zero not in set(bcoords):
+    if group.zero().coords not in bset.elements.coords_set():
         raise PreconditionError("base set must contain zero")
-    bstar = {c for c in bcoords if c != zero}
+    bstar = {e.coords for e in bset.elements if not e.is_zero()}
 
     targets = [g for g in enumerate_window(window) if g.coords not in bstar]
 
     ambient = window
     expansions = 0
-    forbidden: set = set()  # F + B, grown incrementally
-    acoords: list = []
-    aset: set = set()
+    box = None
+    points: list[Element] = []
     trace: list[TraceStep] = []
 
     for g in targets:
-        gc = g.coords
-        neg_g = _coord_neg(group, gc)
         a = None
         while a is None:
-            for cand in enumerate_window(ambient):
-                cc = cand.coords
-                if cc in forbidden:
-                    continue
-                if _coord_add(group, cc, gc) in forbidden:
-                    continue
-                a = cand
-                break
-            if a is None:
+            if box is None:
+                box = _witness_box(bset, window, ambient)
+                codes = box.codes(ambient)
+                bmask = box.mask_of(bset.elements)
+                amask = box.mask_of(points)
+                forbidden = 0
+                for b in bset.elements:
+                    forbidden |= box.translate(amask, b)
+                cursor = 0
+            while cursor < len(codes) and forbidden >> codes[cursor] & 1:
+                cursor += 1
+            unsafe = forbidden | box.translate(forbidden, -g)
+            for c in itertools.islice(codes, cursor, None):
+                if not unsafe >> c & 1:
+                    a = box.decode(c)
+                    break
+            else:
                 bigger = ambient.expanded()
                 if bigger is None:
                     raise PropertyThreeViolatedError(
@@ -99,20 +120,18 @@ def build_witness(bset: BSet, window: Window, max_expansions: int = 8) -> Witnes
                         f"no anchor for g={g} after {max_expansions} ambient expansions"
                     )
                 ambient = bigger
+                box = None
 
-        shifted_extra = sum(
-            1 for c in forbidden if _coord_add(group, c, neg_g) not in forbidden
-        )
-        trace.append(TraceStep(g, a, len(forbidden) + shifted_extra))
+        trace.append(TraceStep(g, a, unsafe.bit_count()))
 
-        for fresh in (a.coords, _coord_add(group, a.coords, gc)):
-            if fresh not in aset:
-                acoords.append(fresh)
-                aset.add(fresh)
-                for b in bcoords:
-                    forbidden.add(_coord_add(group, fresh, b))
+        for fresh in (a, a + g):
+            bit = 1 << box.encode(fresh)
+            if not amask & bit:
+                amask |= bit
+                points.append(fresh)
+                forbidden |= box.translate(bmask, fresh)
 
-    elements = ElementSet.of(group, [Element(group, c) for c in acoords])
+    elements = ElementSet.of(group, points)
     return WitnessSet(
         group, bset.kappa, bset, window, elements, tuple(trace), ambient
     )
@@ -131,29 +150,30 @@ class InvariantReport:
 
 
 def verify_witness(w: WitnessSet) -> InvariantReport:
-    """Exhaustively check both defining invariants; failures carry witnesses."""
+    """Exhaustively check both defining invariants; failures carry witnesses.
+
+    Both read the differences D = A - A: I1 holds iff no beta in B* lies in
+    D, since beta + a = a' means beta = a' - a, and I2 asks every window
+    element outside B* to lie in D.
+    """
     group = w.group
-    zero = group.zero().coords
-    acoords = frozenset(e.coords for e in w.elements)
-    bstar = [e for e in w.bset.elements if e.coords != zero]
+    bstar = [e for e in w.bset.elements if not e.is_zero()]
+    region = hull_bounds(w.window.bounds, extents(group, bstar))
+    box, diff = difference_mask(w.elements, region)
 
     i1_counter = None
     for beta in bstar:
-        for a in w.elements:
-            if _coord_add(group, beta.coords, a.coords) in acoords:
-                i1_counter = (beta, a)
-                break
-        if i1_counter:
+        if diff >> box.encode(beta) & 1:
+            acoords = w.elements.coords_set()
+            a = next(a for a in w.elements if (beta + a).coords in acoords)
+            i1_counter = (beta, a)
             break
 
     i2_missing = None
-    bstar_coords = {e.coords for e in bstar}
-    for g in enumerate_window(w.window):
-        if g.coords in bstar_coords:
-            continue
-        gc = g.coords
-        if not any(_coord_add(group, gc, a) in acoords for a in acoords):
-            i2_missing = g
+    bstar_codes = {box.encode(e) for e in bstar}
+    for c in box.codes(w.window):
+        if c not in bstar_codes and not diff >> c & 1:
+            i2_missing = box.decode(c)
             break
 
     return InvariantReport(

@@ -50,6 +50,44 @@ class TestIndexCommand:
         assert data["results"]["windowed_sharp_index"] == 6
 
 
+class TestFailFast:
+    def test_witness_window_cap_is_checked_before_building(self, runner, monkeypatch):
+        from packidx import witness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a witness for a window past the cap")
+
+        monkeypatch.setattr(witness, "build_witness", refuse)
+        result = runner.invoke(
+            main, ["witness", "--group", "Z", "--kappa", "3", "--window", "600", "--verify"]
+        )
+        assert result.exit_code == 1
+        assert payload(result)["results"]["error"] == {
+            "type": "WindowTooLarge",
+            "message": "window has 1201 elements, limit is 1024",
+        }
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"elements": ["0"]}',
+            '{"group": "Z"}',
+            '{"group": 5, "elements": ["0"]}',
+            '{"group": "Z", "elements": "0"}',
+            '{"group": "Z", "elements": [0, 1]}',
+            '["Z", ["0"]]',
+            "not json",
+        ],
+        ids=["no-group", "no-elements", "group-type", "elements-type", "element-type", "not-object", "not-json"],
+    )
+    def test_malformed_set_file_is_usage_error(self, runner, tmp_path, content):
+        path = tmp_path / "a.json"
+        path.write_text(content)
+        result = runner.invoke(main, ["index", "--set", str(path), "--window", "4"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+
+
 class TestWitnessCommand:
     def test_verify_reports_index(self, runner):
         result = runner.invoke(

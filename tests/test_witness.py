@@ -47,6 +47,26 @@ class TestBuild:
             expected.add((s.g + s.a).coords)
         assert expected == set(w.elements.coords_set())
 
+    @pytest.mark.parametrize("text,kappa,kwargs", [
+        ("Z", 2, dict(bound=60)),
+        ("Z", 5, dict(bound=30)),
+        ("Z_2 + Z", 3, dict(bound=8)),
+        ("Z_3^w", 4, dict(repeated_m=3)),
+    ])
+    def test_trace_replays_with_element_arithmetic(self, text, kappa, kwargs):
+        # F = A + B grows by a + B and (a + g) + B; each step's anchor avoids
+        # F and F - g, and its forbidden size is |F u (F - g)|
+        group = parse_group(text)
+        w = build_witness(build_bset(group, kappa), Window.for_group(group, **kwargs))
+        B = list(w.bset.elements)
+        F = set()
+        for step in w.trace:
+            shifted = {f - step.g for f in F}
+            assert step.a not in F | shifted
+            assert step.forbidden_size == len(F | shifted)
+            for fresh in (step.a, step.a + step.g):
+                F |= {fresh + b for b in B}
+
     def test_deterministic(self):
         assert small_witness(5, 12) == small_witness(5, 12)
 
