@@ -52,7 +52,7 @@ INDEX_SETS = [
 
 
 def cells() -> dict:
-    """Cell name -> zero-argument function returning the RunConfig's report."""
+    """Cell name -> (runner, RunConfig)."""
     out = {}
     for text, kappa in ATTAINABILITY_CELLS:
         cfg = RunConfig(command="bset", group=text, kappa=kappa, check=True)
@@ -71,16 +71,18 @@ def cells() -> dict:
         out[f"index {name}"] = (run_index, cfg)
     cfg = RunConfig(command="witness", group="Z", kappa=3, window=600, verify=True)
     out["witness Z k=3 --window 600 --verify (window cap)"] = (run_witness, cfg)
-    return {name: (lambda fn=fn, cfg=cfg: fn(cfg).to_json()) for name, (fn, cfg) in out.items()}
+    return out
 
 
-def digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def digest(cell: tuple) -> str:
+    """sha256 of the cell's report bytes; run from the repository root."""
+    runner, cfg = cell
+    return hashlib.sha256(runner(cfg).to_json().encode()).hexdigest()
 
 
 def main() -> int:
     os.chdir(ROOT)
-    pins = {name: digest(run()) for name, run in cells().items()}
+    pins = {name: digest(cell) for name, cell in cells().items()}
     DIGESTS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     print(f"pinned {len(pins)} reports in {DIGESTS.relative_to(ROOT)}")
     return 0

@@ -22,5 +22,5 @@ def test_every_cell_is_pinned():
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_report_bytes_match_pin(name, monkeypatch):
     monkeypatch.chdir(ROOT)
-    got = pin_goldens.digest(CELLS[name]())
+    got = pin_goldens.digest(CELLS[name])
     assert got == PINS[name], f"report bytes changed for cell {name!r}"
