@@ -161,16 +161,16 @@ def verify_witness(w: WitnessSet) -> InvariantReport:
     region = hull_bounds(w.window.bounds, extents(group, bstar))
     box, diff = difference_mask(w.elements, region)
 
+    bstar_codes = [box.encode(e) for e in bstar]
     i1_counter = None
-    for beta in bstar:
-        if diff >> box.encode(beta) & 1:
+    for beta, code in zip(bstar, bstar_codes):
+        if diff >> code & 1:
             acoords = w.elements.coords_set()
             a = next(a for a in w.elements if (beta + a).coords in acoords)
             i1_counter = (beta, a)
             break
 
     i2_missing = None
-    bstar_codes = {box.encode(e) for e in bstar}
     for c in box.codes(w.window):
         if c not in bstar_codes and not diff >> c & 1:
             i2_missing = box.decode(c)

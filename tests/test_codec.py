@@ -39,6 +39,7 @@ MAX_BOUND = {INFINITE_CYCLIC: 4, REPEATED_CYCLIC: 3, PRUFER: 3}
 
 
 def _bounds(group, low: int):
+    # one bound less for base 3, which keeps every box within a few hundred codes
     return st.tuples(
         *(
             st.none() if f.kind == CYCLIC else st.integers(low, MAX_BOUND[f.kind] - (f.param == 3))
