@@ -5,8 +5,10 @@ The cells cover every report a refactor of the arithmetic layer could
 change: the 25 byte-compared cells of acceptance criterion 7, witnesses
 with invariants and index on the non-``Z`` carriers, ``index`` on one set
 file per factor kind plus a mixed sum, and the window-cap error report of
-an oversized ``witness --verify``. ``tests/test_golden.py`` recomputes each
-cell and compares it with ``tests/golden/digests.json``.
+an oversized ``witness --verify``; and the ``obstruct`` sweeps: the
+exhaustive ones of acceptance criteria 1 and 2, two seeded samples, and the
+32-element cap error. ``tests/test_golden.py`` recomputes each cell and
+compares it with ``tests/golden/digests.json``.
 
 Run this only to change the pinned bytes on purpose; it rewrites the file.
 Reports echo set-file paths, so cells run from the repository root.
@@ -23,11 +25,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from packidx.demo import ATTAINABILITY_CELLS, WITNESS_KAPPAS, WITNESS_WINDOW  # noqa: E402
+from packidx.demo import (  # noqa: E402
+    ATTAINABILITY_CELLS,
+    OBSTRUCTION_K3_GROUPS,
+    OBSTRUCTION_K4_GROUPS,
+    WITNESS_KAPPAS,
+    WITNESS_WINDOW,
+)
 from packidx.runners import (  # noqa: E402
     RunConfig,
     run_bset,
     run_index,
+    run_obstruct,
     run_pairmap,
     run_witness,
 )
@@ -50,6 +59,8 @@ INDEX_SETS = [
     ("mixed.json", {"window": 3, "m": 2}),
 ]
 
+SAMPLED_SWEEPS = [("Z_3^3", 3), ("Z_2^5", 4)]
+
 
 def cells() -> dict:
     """Cell name -> (runner, RunConfig)."""
@@ -71,6 +82,15 @@ def cells() -> dict:
         out[f"index {name}"] = (run_index, cfg)
     cfg = RunConfig(command="witness", group="Z", kappa=3, window=600, verify=True)
     out["witness Z k=3 --window 600 --verify (window cap)"] = (run_witness, cfg)
+    exhaustive = [(t, 3) for t in OBSTRUCTION_K3_GROUPS] + [(t, 4) for t in OBSTRUCTION_K4_GROUPS]
+    for text, kappa in exhaustive:
+        cfg = RunConfig(command="obstruct", group=text, kappa=kappa)
+        out[f"obstruct {text} k={kappa}"] = (run_obstruct, cfg)
+    for text, kappa in SAMPLED_SWEEPS:
+        cfg = RunConfig(command="obstruct", group=text, kappa=kappa, sample=500, seed=7)
+        out[f"obstruct {text} k={kappa} --sample 500 --seed 7"] = (run_obstruct, cfg)
+    cfg = RunConfig(command="obstruct", group="Z_2^6", kappa=4, sample=10)
+    out["obstruct Z_2^6 k=4 --sample 10 (element cap)"] = (run_obstruct, cfg)
     return out
 
 
