@@ -15,12 +15,11 @@ from packidx.demo import run_demo_matrix
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--only", type=int, default=None, choices=range(1, 8))
     args = parser.parse_args()
 
     started = time.time()
-    report = run_demo_matrix(seed=args.seed, threads=args.threads, only=args.only)
+    report = run_demo_matrix(seed=args.seed, only=args.only)
     for criterion in report.results["criteria"]:
         status = "PASS" if criterion["passed"] else "FAIL"
         print(f"criterion {criterion['id']}: {status}  {criterion['description']}")

@@ -56,7 +56,7 @@ def common_options(fn):
     fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
                       default="json", show_default=True)(fn)
     fn = click.option("--threads", type=int, default=1, envvar="PACK_THREADS",
-                      show_default=True, help="Worker cap for parallel sweeps.")(fn)
+                      show_default=True, help="Accepted; changes nothing, as every command runs serially.")(fn)
     fn = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                       default=None, help="Flat key=value defaults; flags override.")(fn)
     return fn
@@ -203,9 +203,7 @@ def demo(**params):
     """Run the full acceptance matrix and report one row per criterion."""
     params = apply_config(params)
     started = time.time()
-    report = run_demo_matrix(
-        seed=params["seed"], threads=params["threads"], only=params["only"]
-    )
+    report = run_demo_matrix(seed=params["seed"], only=params["only"])
     _deliver(report, params["fmt"], params["out"], started)
 
 

@@ -73,11 +73,11 @@ def solver_instances(seed: int, count: int = SOLVER_INSTANCES):
         yield A, window, vertices
 
 
-def criterion_1(threads: int = 1) -> CriterionOutcome:
+def criterion_1() -> CriterionOutcome:
     reports = {}
     ok = True
     for text in OBSTRUCTION_K3_GROUPS:
-        sweep = exhaustive_no_index_check(parse_group(text), 3, threads=threads)
+        sweep = exhaustive_no_index_check(parse_group(text), 3)
         reports[text] = {
             "subsets": sweep.subsets_examined,
             "families_found": sweep.families_found,
@@ -91,11 +91,11 @@ def criterion_1(threads: int = 1) -> CriterionOutcome:
     )
 
 
-def criterion_2(threads: int = 1) -> CriterionOutcome:
+def criterion_2() -> CriterionOutcome:
     reports = {}
     ok = True
     for text in OBSTRUCTION_K4_GROUPS:
-        sweep = exhaustive_no_index_check(parse_group(text), 4, threads=threads)
+        sweep = exhaustive_no_index_check(parse_group(text), 4)
         reports[text] = {
             "subsets": sweep.subsets_examined,
             "families_found": sweep.families_found,
@@ -196,7 +196,8 @@ def criterion_6(seed: int) -> CriterionOutcome:
     )
 
 
-def _deterministic_cells(threads: int) -> list[str]:
+def deterministic_cells(threads: int) -> list[str]:
+    """Report bytes of criterion 7's cells, run with ``RunConfig.threads`` set."""
     payloads = []
     for text, kappa in ATTAINABILITY_CELLS:
         cfg = RunConfig(command="bset", group=text, kappa=kappa, check=True, threads=threads)
@@ -218,8 +219,8 @@ def _deterministic_cells(threads: int) -> list[str]:
 
 
 def criterion_7() -> CriterionOutcome:
-    one = _deterministic_cells(threads=1)
-    eight = _deterministic_cells(threads=8)
+    one = deterministic_cells(threads=1)
+    eight = deterministic_cells(threads=8)
     diffs = [i for i, (x, y) in enumerate(zip(one, eight)) if x != y]
     return CriterionOutcome(
         7,
@@ -229,10 +230,10 @@ def criterion_7() -> CriterionOutcome:
     )
 
 
-def run_demo_matrix(seed: int = 0, threads: int = 1, only: int | None = None) -> Report:
+def run_demo_matrix(seed: int = 0, only: int | None = None) -> Report:
     runners = {
-        1: lambda: criterion_1(threads),
-        2: lambda: criterion_2(threads),
+        1: criterion_1,
+        2: criterion_2,
         3: criterion_3,
         4: criterion_4,
         5: criterion_5,

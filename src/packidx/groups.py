@@ -556,6 +556,10 @@ def _factor_digits(f: Factor, bound: int | None, x) -> list[int] | None:
     return [x]
 
 
+# a translation step that moves every code out of the box
+_NOWHERE = (0, 0, 0, 0)
+
+
 class DenseBox:
     """A finite box of a group, coded so that a set in it is an int bitmask.
 
@@ -661,28 +665,42 @@ class DenseBox:
             mask = self._below_cache[(j, c)] = mask & ((1 << self.size) - 1)
         return mask
 
-    def translate(self, mask: int, g: Element) -> int:
-        """Mask of {x + g : x in mask} that lies inside the box."""
+    def steps(self, g: Element) -> list[tuple[int, int, int, int]]:
+        """Translation by g as per-digit steps ``(low, up, high, down)`` for
+        :func:`apply_steps`: the codes in ``low`` move up, those in ``high``
+        move down, and the rest leave the box."""
         shift = []
         for f, b, x in zip(self.group.factors, self.bounds, g.coords):
             digits = _factor_digits(f, b, x)
             if digits is None:
-                return 0
+                return [_NOWHERE]
             shift += digits
+        steps = []
         for j, t in enumerate(shift):
-            if not t or not mask:
+            if not t:
                 continue
             r, s = self._radix[j], self._stride[j]
             if self._wraps[j]:
                 low = self._below(j, r - t)
-                mask = ((mask & low) << t * s) | ((mask & ~low) >> (r - t) * s)
+                steps.append((low, t * s, ~low, (r - t) * s))
             elif abs(t) >= r:
-                return 0
+                return [_NOWHERE]
             elif t > 0:
-                mask = (mask & self._below(j, r - t)) << t * s
+                steps.append((self._below(j, r - t), t * s, 0, 0))
             else:
-                mask = (mask & ~self._below(j, -t)) >> -t * s
-        return mask
+                steps.append((0, 0, ~self._below(j, -t), -t * s))
+        return steps
+
+    def translate(self, mask: int, g: Element) -> int:
+        """Mask of {x + g : x in mask} that lies inside the box."""
+        return apply_steps(mask, self.steps(g))
+
+
+def apply_steps(mask: int, steps: list[tuple[int, int, int, int]]) -> int:
+    """Translate a mask by the steps :meth:`DenseBox.steps` worked out."""
+    for low, up, high, down in steps:
+        mask = ((mask & low) << up) | ((mask & high) >> down)
+    return mask
 
 
 # -- group-spec DSL ----------------------------------------------------------

@@ -13,7 +13,6 @@ subset's maximum family size lands exactly on the forbidden value.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import (
@@ -24,9 +23,11 @@ from .errors import (
 from .groups import (
     CYCLIC,
     REPEATED_CYCLIC,
+    DenseBox,
     Element,
     GroupSpec,
     Window,
+    apply_steps,
     enumerate_window,
     zero_coord,
 )
@@ -168,7 +169,12 @@ def extend_triple(A: ElementSet, b1: Element, b2: Element) -> Element:
 
 
 class _GroupTables:
-    """Index arithmetic and mask-translation tables for one small finite group."""
+    """Index arithmetic for one small finite group, and the translation steps
+    of its elements on the group's dense box.
+
+    Element i has box code i, because a finite group's box numbers its codes
+    in window order; so a subset is a mask of element indices.
+    """
 
     def __init__(self, group: GroupSpec):
         if not group.is_finite:
@@ -189,33 +195,8 @@ class _GroupTables:
         self.neg = [index[(-a).coords] for a in self.elements]
         self.order = [a.order() for a in self.elements]
         self.full = (1 << self.n) - 1
-        # translation of a bitmask by +g_i, one byte-lookup table per element
-        nbytes = (self.n + 7) // 8
-        self._tables = []
-        for i in range(self.n):
-            row = self.add[i]
-            per_byte = []
-            for bp in range(nbytes):
-                tbl = [0] * 256
-                base = 8 * bp
-                for bv in range(256):
-                    m = 0
-                    rest = bv
-                    while rest:
-                        j = (rest & -rest).bit_length() - 1
-                        rest &= rest - 1
-                        if base + j < self.n:
-                            m |= 1 << row[base + j]
-                    tbl[bv] = m
-                per_byte.append(tbl)
-            self._tables.append(per_byte)
-        self._nbytes = nbytes
-
-    def translate(self, mask: int, i: int) -> int:
-        out = 0
-        for bp in range(self._nbytes):
-            out |= self._tables[i][bp][(mask >> (8 * bp)) & 0xFF]
-        return out
+        box = DenseBox(group, window.bounds)
+        self.steps = [box.steps(e) for e in self.elements]
 
     def diff_mask(self, mask: int) -> int:
         """Bitmask of all differences a - a' over the subset mask, zero included."""
@@ -224,7 +205,7 @@ class _GroupTables:
         while rest:
             i = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            d |= self.translate(mask, self.neg[i])
+            d |= apply_steps(mask, self.steps[self.neg[i]])
         return d
 
     def z4_coords(self) -> list[int]:
@@ -247,7 +228,7 @@ def _find_triple(
         b1 = (rest & -rest).bit_length() - 1
         rest &= rest - 1
         # b2 compatible with both 0 and b1, above b1 for determinism
-        m = pool & ~t.translate(dstar, b1) & ~((1 << (b1 + 1)) - 1)
+        m = pool & ~apply_steps(dstar, t.steps[b1]) & ~((1 << (b1 + 1)) - 1)
         if m:
             return b1, (m & -m).bit_length() - 1
     return None
@@ -294,9 +275,9 @@ def _family_disjoint(t: _GroupTables, dstar: int, family: list[int]) -> bool:
     return True
 
 
-def _sweep_range(
-    t: _GroupTables, kappa: int, masks, stride: int, z4: list[int]
-) -> dict:
+def _sweep(t: _GroupTables, kappa: int, masks: list[int], stride: int, z4: list[int]) -> dict:
+    """SweepReport's counting fields; ascending masks keep violations in
+    subset order."""
     found = certified = nofam = checks = 0
     cases: dict[str, int] = {}
     violations: list[dict] = []
@@ -362,12 +343,12 @@ def _sweep_range(
                 )
 
     return {
-        "found": found,
-        "certified": certified,
-        "nofam": nofam,
-        "checks": checks,
-        "cases": cases,
-        "violations": violations,
+        "families_found": found,
+        "extensions_certified": certified,
+        "no_family": nofam,
+        "case_counts": tuple(sorted(cases.items())),
+        "cross_checks": checks,
+        "violations": tuple(violations),
     }
 
 
@@ -389,7 +370,6 @@ def exhaustive_no_index_check(
     mode: str = "exhaustive",
     sample: int | None = None,
     seed: int = 0,
-    threads: int = 1,
     stride: int | None = None,
 ) -> SweepReport:
     """Sweep subsets of a finite group, extending every found (kappa-1)-family
@@ -423,30 +403,6 @@ def exhaustive_no_index_check(
     if stride is None:
         stride = max(1, len(masks) // 128)
 
-    threads = max(1, threads)
-    if threads == 1 or len(masks) < 2 * threads:
-        parts = [_sweep_range(t, kappa, masks, stride, z4)]
-    else:
-        chunk = (len(masks) + threads - 1) // threads
-        pieces = [masks[i : i + chunk] for i in range(0, len(masks), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda ms: _sweep_range(t, kappa, ms, stride, z4), pieces)
-            )
-
-    cases: dict[str, int] = {}
-    violations: list[dict] = []
-    found = certified = nofam = checks = 0
-    for p in parts:
-        found += p["found"]
-        certified += p["certified"]
-        nofam += p["nofam"]
-        checks += p["checks"]
-        violations.extend(p["violations"])
-        for k, v in p["cases"].items():
-            cases[k] = cases.get(k, 0) + v
-    violations.sort(key=lambda v: v["subset"])
-
     return SweepReport(
         group=str(group),
         kappa=kappa,
@@ -454,10 +410,5 @@ def exhaustive_no_index_check(
         seed=seed_used,
         sample=sample if mode == "sampled" else None,
         subsets_examined=len(masks),
-        families_found=found,
-        extensions_certified=certified,
-        no_family=nofam,
-        case_counts=tuple(sorted(cases.items())),
-        cross_checks=checks,
-        violations=tuple(violations),
+        **_sweep(t, kappa, masks, stride, z4),
     )

@@ -18,8 +18,9 @@ from .reports import Report
 
 @dataclass
 class RunConfig:
-    """Flags of one CLI invocation. ``threads``, ``fmt`` and ``out`` steer
-    execution and delivery only and never appear in report bytes."""
+    """Flags of one CLI invocation. ``fmt`` and ``out`` steer delivery only
+    and never appear in report bytes; ``threads`` is accepted and read by
+    nothing, since every runner is serial."""
 
     command: str
     group: str | None = None
@@ -221,14 +222,9 @@ def run_obstruct(cfg: RunConfig) -> Report:
     config = cfg.echo_config()
     try:
         group = parse_group(cfg.group)
-        mode = "sampled" if cfg.sample else "exhaustive"
+        mode = "exhaustive" if cfg.sample is None else "sampled"
         sweep = obstruction.exhaustive_no_index_check(
-            group,
-            cfg.kappa,
-            mode=mode,
-            sample=cfg.sample,
-            seed=cfg.seed,
-            threads=cfg.threads,
+            group, cfg.kappa, mode=mode, sample=cfg.sample, seed=cfg.seed
         )
         results = {
             "group": sweep.group,
@@ -267,7 +263,7 @@ def run_obstruct(cfg: RunConfig) -> Report:
 def run_pairmap(cfg: RunConfig) -> Report:
     config = cfg.echo_config()
     try:
-        budget = cfg.budget or pairmap_mod.DEFAULT_NODE_BUDGET
+        budget = pairmap_mod.DEFAULT_NODE_BUDGET if cfg.budget is None else cfg.budget
         found, nodes = pairmap_mod.search_pairmap(cfg.a, cfg.b, node_budget=budget)
         results: dict = {
             "a": cfg.a,

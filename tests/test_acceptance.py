@@ -13,7 +13,15 @@ import pytest
 
 from packidx.bsets import build_bset, check_property_1, check_property_2
 from packidx.clique import exhaustive_max_clique_size
-from packidx.demo import solver_instances
+from packidx.demo import (
+    ATTAINABILITY_CELLS,
+    OBSTRUCTION_K3_GROUPS,
+    OBSTRUCTION_K4_GROUPS,
+    WITNESS_KAPPAS,
+    WITNESS_WINDOW,
+    deterministic_cells,
+    solver_instances,
+)
 from packidx.groups import Window, enumerate_window, parse_group
 from packidx.obstruction import exhaustive_no_index_check
 from packidx.packing import (
@@ -23,10 +31,12 @@ from packidx.packing import (
     max_packing_family,
 )
 from packidx.pairmap import common_point, search_pairmap, validate_pairmap
-from packidx.runners import RunConfig, run_bset, run_pairmap, run_witness
 from packidx.witness import build_witness, verify_witness, windowed_sharp_index
 
 Z = parse_group("Z")
+
+# every nonempty subset of each swept group
+SWEEP_SUBSETS = {"Z_3^2": 511, "Z_2^4": 65535, "Z_4 + Z_2": 255, "Z_4 + Z_2^2": 65535}
 
 
 def report(cid: int, ok: bool, detail: str = ""):
@@ -36,49 +46,43 @@ def report(cid: int, ok: bool, detail: str = ""):
 
 def test_criterion_1_exceptional_family_k3():
     started = time.time()
-    sweep = exhaustive_no_index_check(parse_group("Z_3^2"), 3)
+    totals, found, violations = {}, 0, 0
+    ok = True
+    for text in OBSTRUCTION_K3_GROUPS:
+        sweep = exhaustive_no_index_check(parse_group(text), 3)
+        totals[text] = sweep.subsets_examined
+        found += sweep.families_found
+        violations += len(sweep.violations)
+        ok &= sweep.subsets_examined == SWEEP_SUBSETS[text] and not sweep.violations
+        ok &= sweep.extensions_certified >= sweep.families_found
     elapsed = time.time() - started
-    ok = (
-        sweep.subsets_examined == 511
-        and not sweep.violations
-        and sweep.extensions_certified >= sweep.families_found
-        and elapsed <= 10.0
-    )
+    ok &= elapsed <= 10.0
     report(
         1,
         ok,
-        f"511 subsets, {sweep.families_found} pairs extended, "
-        f"{len(sweep.violations)} violations, {elapsed:.1f}s",
+        f"subsets {totals}, {found} pairs extended, {violations} violations, {elapsed:.1f}s",
     )
 
 
 def test_criterion_2_exceptional_family_k4():
     started = time.time()
     totals, violations = {}, 0
-    expected = {"Z_2^4": 65535, "Z_4 + Z_2": 255, "Z_4 + Z_2^2": 65535}
     ok = True
-    for text, subsets in expected.items():
+    for text in OBSTRUCTION_K4_GROUPS:
         sweep = exhaustive_no_index_check(parse_group(text), 4)
         totals[text] = sweep.subsets_examined
         violations += len(sweep.violations)
-        ok &= sweep.subsets_examined == subsets and not sweep.violations
+        ok &= sweep.subsets_examined == SWEEP_SUBSETS[text] and not sweep.violations
         ok &= sweep.extensions_certified >= sweep.families_found
     elapsed = time.time() - started
     ok &= elapsed <= 300.0
     report(2, ok, f"subsets {totals}, {violations} violations, {elapsed:.1f}s")
 
 
-ATTAINABILITY = (
-    [("Z", k) for k in range(2, 10)]
-    + [("Z_5^w", 4), ("Z_3^w", 4)]
-    + [("Prufer(2)", 5), ("Prufer(2)", 6), ("Z_3^w", 5), ("Z_3^w", 6)]
-)
-
-
 def test_criterion_3_attainability_matrix():
     ok = True
     worst = 0.0
-    for text, kappa in ATTAINABILITY:
+    for text, kappa in ATTAINABILITY_CELLS:
         started = time.time()
         built = build_bset(parse_group(text), kappa)
         witness = check_property_1(built)
@@ -92,16 +96,16 @@ def test_criterion_3_attainability_matrix():
         if not cell_ok:
             report(3, False, f"cell ({text}, {kappa}): clique {exact}, {elapsed:.1f}s")
         ok &= cell_ok
-    report(3, ok, f"{len(ATTAINABILITY)} cells, worst cell {worst:.1f}s")
+    report(3, ok, f"{len(ATTAINABILITY_CELLS)} cells, worst cell {worst:.1f}s")
 
 
 def test_criterion_4_witness_construction():
     ok = True
     worst = 0.0
-    for kappa in range(2, 10):
+    for kappa in WITNESS_KAPPAS:
         started = time.time()
         built = build_bset(Z, kappa)
-        w = build_witness(built, Window.for_group(Z, 200))
+        w = build_witness(built, Window.for_group(Z, WITNESS_WINDOW))
         inv = verify_witness(w)
         idx = windowed_sharp_index(w) if inv.all_hold else None
         elapsed = time.time() - started
@@ -110,7 +114,8 @@ def test_criterion_4_witness_construction():
         if not cell_ok:
             report(4, False, f"kappa={kappa}: i1={inv.i1_holds} i2={inv.i2_holds} index={idx}")
         ok &= cell_ok
-    report(4, ok, f"kappa 2..9 on [-200,200], worst cell {worst:.1f}s")
+    cells = f"kappa {WITNESS_KAPPAS[0]}..{WITNESS_KAPPAS[-1]} on [-{WITNESS_WINDOW},{WITNESS_WINDOW}]"
+    report(4, ok, f"{cells}, worst cell {worst:.1f}s")
 
 
 def test_criterion_5_pairmap_boundary():
@@ -151,32 +156,8 @@ def test_criterion_6_solver_soundness():
     report(6, agree == total == 200, f"{agree}/{total} instances agree")
 
 
-def _matrix_reports(threads: int) -> list[str]:
-    out = []
-    for text, kappa in ATTAINABILITY:
-        out.append(
-            run_bset(
-                RunConfig(command="bset", group=text, kappa=kappa, check=True, threads=threads)
-            ).to_json()
-        )
-    for kappa in range(2, 10):
-        out.append(
-            run_witness(
-                RunConfig(
-                    command="witness", group="Z", kappa=kappa, window=200,
-                    verify=True, threads=threads,
-                )
-            ).to_json()
-        )
-    for a, b in [(5, 4), (5, 3), (5, 5)]:
-        out.append(
-            run_pairmap(RunConfig(command="pairmap", a=a, b=b, threads=threads)).to_json()
-        )
-    return out
-
-
 def test_criterion_7_determinism_across_threads():
-    one = _matrix_reports(threads=1)
-    eight = _matrix_reports(threads=8)
+    one = deterministic_cells(threads=1)
+    eight = deterministic_cells(threads=8)
     same = len(one) == len(eight) and all(x == y for x, y in zip(one, eight))
     report(7, same, f"{len(one)} reports byte-compared")

@@ -120,6 +120,35 @@ class TestObstructCommand:
         assert data["config"]["seed"] == 5
 
 
+class TestZeroCounts:
+    """A zero sample or budget is an error report, as a negative one is,
+    whether it comes from a flag or from a config file."""
+
+    CASES = [
+        (["obstruct", "--group", "Z_2^4", "--kappa", "4"], "sample", "Precondition"),
+        (["pairmap", "--a", "5", "--b", "5"], "budget", "SearchBudgetExceeded"),
+    ]
+
+    @pytest.mark.parametrize("argv, key, kind", CASES, ids=["sample", "budget"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_flag(self, runner, argv, key, kind, value):
+        result = runner.invoke(main, argv + [f"--{key}", value])
+        assert result.exit_code == 1
+        data = payload(result)
+        assert data["results"]["error"]["type"] == kind
+        assert data["config"][key] == int(value)
+
+    @pytest.mark.parametrize("argv, key, kind", CASES, ids=["sample", "budget"])
+    def test_config_file(self, runner, tmp_path, argv, key, kind):
+        cfg = tmp_path / "pack.cfg"
+        cfg.write_text(f"{key}=0\n")
+        result = runner.invoke(main, argv + ["--config", str(cfg)])
+        assert result.exit_code == 1
+        data = payload(result)
+        assert data["results"]["error"]["type"] == kind
+        assert data["config"][key] == 0
+
+
 class TestEmission:
     def test_json_is_canonical(self, runner):
         a = runner.invoke(main, ["pairmap", "--a", "4", "--b", "4"])

@@ -34,6 +34,9 @@ GROUPS = [
     "Z + Prufer(2)",
     "Z_3 + Z_2^w",
     "Z + Z",
+    "Z_2^4",
+    "Z_4 + Z_2^2",
+    "Z_3^3",
 ]
 MAX_BOUND = {INFINITE_CYCLIC: 4, REPEATED_CYCLIC: 3, PRUFER: 3}
 
@@ -101,6 +104,9 @@ def test_codes_follow_window_enumeration(data):
     codes = box.codes(window)
     assert sorted(codes) == list(range(box.size))
     assert [box.decode(c) for c in codes] == list(enumerate_window(window))
+    if group.is_finite:
+        # the obstruction sweep numbers a finite group's elements by code
+        assert codes == list(range(box.size))
 
 
 @settings(max_examples=150, deadline=None)

@@ -169,11 +169,6 @@ class TestSweeps:
         with pytest.raises(NotApplicableError):
             exhaustive_no_index_check(parse_group("Z_3^3"), 3)
 
-    def test_threads_do_not_change_the_report(self):
-        one = exhaustive_no_index_check(Z42, 4, threads=1)
-        eight = exhaustive_no_index_check(Z42, 4, threads=8)
-        assert one == eight
-
     def test_family_checks(self):
         with pytest.raises(NotApplicableError):
             exhaustive_no_index_check(parse_group("Z_5"), 3)
