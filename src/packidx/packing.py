@@ -23,6 +23,7 @@ from .errors import (
     WindowTooLargeError,
 )
 from .groups import (
+    INFINITE_CYCLIC,
     DenseBox,
     Element,
     GroupSpec,
@@ -168,7 +169,16 @@ def _certify_family(A: ElementSet, shifts: list[Element]) -> bool:
 def max_packing_family(
     A: ElementSet, window: Window, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> PackingFamily:
-    """Exact maximum family of shifts inside the window, ties broken canonically."""
+    """Exact maximum family of shifts inside the window, ties broken canonically.
+
+    A window with no ``Z`` factor is a subgroup H (a whole ``Z_n``, the first
+    m copies of ``Z_n^w``, ``Prufer(p)`` up to level L). Compatibility of b, b'
+    depends only on b - b' in H, so the graph is the Cayley graph of H with
+    connection set H minus (A - A); translation by h in H is an automorphism,
+    so every vertex lies in a maximum clique, and the one root branch at
+    vertex 0 proves the clique number. A window with a ``Z`` factor is no
+    subgroup and gets the full search.
+    """
     if not A.elements:
         raise EmptySetError("packing index of the empty set is undefined")
     if window.group != A.group:
@@ -178,7 +188,10 @@ def max_packing_family(
         raise WindowTooLargeError(size, max_vertices)
     vertices = list(enumerate_window(window))
     adj = compatibility_graph(A, vertices)
-    _, picked = clique.first_max_clique(adj)
+    if any(f.kind == INFINITE_CYCLIC for f in A.group.factors):
+        _, picked = clique.first_max_clique(adj)
+    else:
+        picked = clique.clique_of_size(adj, 1 + clique.max_clique_size(adj, adj[0]))
     shifts = [vertices[i] for i in picked]
     certified = _certify_family(A, shifts)
     return PackingFamily(A, ElementSet.of(A.group, shifts), certified)

@@ -5,11 +5,7 @@ Each test prints one `ACCEPTANCE <n>: PASS/FAIL` line; run with `pytest -s`
 matrix from the command line.
 """
 
-import dataclasses
-import itertools
 import time
-
-import pytest
 
 from packidx.bsets import build_bset, check_property_1, check_property_2
 from packidx.clique import exhaustive_max_clique_size
@@ -22,10 +18,9 @@ from packidx.demo import (
     deterministic_cells,
     solver_instances,
 )
-from packidx.groups import Window, enumerate_window, parse_group
+from packidx.groups import Window, parse_group
 from packidx.obstruction import exhaustive_no_index_check
 from packidx.packing import (
-    ElementSet,
     compatibility_graph,
     max_clique_in_bset,
     max_packing_family,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from packidx.clique import (
+    _by_degree,
     clique_of_size,
     exhaustive_max_clique_size,
     exists_clique,
@@ -102,3 +103,66 @@ def test_determinism_across_repeats(seed, n):
 def test_oracle_vertex_cap():
     with pytest.raises(ValueError):
         exhaustive_max_clique_size([0] * 21)
+
+
+def induced(adj, P):
+    """The subgraph induced by the mask P, renumbered 0.. in index order."""
+    keep = [v for v in range(len(adj)) if P >> v & 1]
+    return [
+        sum(1 << j for j, u in enumerate(keep) if adj[v] >> u & 1) for v in keep
+    ]
+
+
+def planted_graph(rng, n, k, p):
+    """A k-clique on random vertices, plus sparse noise of density p."""
+    adj = random_graph(rng, n, p)
+    members = rng.sample(range(n), k)
+    for u, v in itertools.combinations(members, 2):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def assert_matches_oracle(adj, rng):
+    n = len(adj)
+    full = (1 << n) - 1
+    omega = exhaustive_max_clique_size(adj)
+    assert max_clique_size(adj) == omega
+    assert exists_clique(adj, full, omega)
+    assert not exists_clique(adj, full, omega + 1)
+    # a proper subset searched in the caller's numbering
+    P = rng.randrange(1, full)
+    sub = exhaustive_max_clique_size(induced(adj, P))
+    assert max_clique_size(adj, P) == sub
+    assert exists_clique(adj, P, sub)
+    assert not exists_clique(adj, P, sub + 1)
+
+
+@pytest.mark.parametrize("density", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("seed", range(4))
+def test_mid_size_graphs_match_oracle(seed, density):
+    rng = random.Random(1000 * seed + int(10 * density))
+    assert_matches_oracle(random_graph(rng, rng.randint(14, 20), density), rng)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_planted_clique_matches_oracle(seed):
+    # the planted vertices have the top degrees, so the degree order moves them
+    rng = random.Random(seed)
+    n = rng.randint(14, 20)
+    adj = planted_graph(rng, n, rng.randint(5, 8), 0.15)
+    assert _by_degree(adj) != adj
+    assert_matches_oracle(adj, rng)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_degree_order_is_a_relabelling(seed):
+    rng = random.Random(seed)
+    adj = planted_graph(rng, rng.randint(6, 20), 5, 0.2)
+    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+    renamed = _by_degree(adj)
+    for i, u in enumerate(order):
+        for j, v in enumerate(order):
+            assert renamed[i] >> j & 1 == adj[u] >> v & 1
+    degrees = [row.bit_count() for row in renamed]
+    assert degrees == sorted(degrees, reverse=True)

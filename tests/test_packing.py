@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packidx.clique import exhaustive_max_clique_size
+from packidx.clique import (
+    exhaustive_max_clique_size,
+    first_max_clique,
+    max_clique_size,
+)
 from packidx.errors import (
     EmptySetError,
     PreconditionError,
@@ -148,6 +152,45 @@ class TestMaxPackingFamily:
         vertices = list(enumerate_window(window))
         oracle = exhaustive_max_clique_size(compatibility_graph(A, vertices))
         assert max_packing_family(A, window).size == oracle
+
+
+# windows with no Z factor: each is a subgroup H of at most 20 elements; A is
+# drawn from a larger window, so it need not lie in H
+SUBGROUP_WINDOWS = [
+    (parse_group("Z_12"), {}, {}),
+    (parse_group("Z_4 + Z_2"), {}, {}),
+    (parse_group("Z_3 + Z_3"), {}, {}),
+    *((parse_group("Z_2^w"), {"repeated_m": m}, {"repeated_m": m + 1}) for m in range(1, 5)),
+    *((parse_group("Prufer(2)"), {"prufer_level": L}, {"prufer_level": L + 1}) for L in range(1, 5)),
+]
+
+
+class TestSubgroupRoot:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SUBGROUP_WINDOWS), st.data())
+    def test_matches_oracle_and_first_max_clique(self, case, data):
+        group, window_args, pool_args = case
+        window = Window.for_group(group, **window_args)
+        pool = list(enumerate_window(Window.for_group(group, **pool_args)))
+        picks = data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=5))
+        A = ElementSet.of(group, picks)
+        vertices = list(enumerate_window(window))
+        adj = compatibility_graph(A, vertices)
+        family = max_packing_family(A, window)
+        size, picked = first_max_clique(adj)
+        assert family.size == size == exhaustive_max_clique_size(adj)
+        assert family.shifts == ElementSet.of(group, [vertices[i] for i in picked])
+        assert family.certified
+
+    def test_z_window_needs_the_full_search(self):
+        # the rule is wrong off subgroups: no maximum family holds the root 0
+        A = ElementSet.parse(Z, ["0", "2", "-6"])
+        window = Window.for_group(Z, 2)
+        adj = compatibility_graph(A, list(enumerate_window(window)))
+        assert 1 + max_clique_size(adj, adj[0]) == 2
+        family = max_packing_family(A, window)
+        assert family.size == exhaustive_max_clique_size(adj) == 3
+        assert family.shifts.to_texts() == ["1", "2", "-2"]
 
 
 class TestMaxCliqueInBset:
