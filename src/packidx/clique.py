@@ -13,7 +13,9 @@ Segundo et al., Comput. Oper. Res. 2011) cut its cost:
   vertices by descending degree first, so the greedy coloring takes the
   dense part of the graph first and finds a large clique early.
 
-Only ``max_clique_size`` without a mask relabels; it returns a size alone.
+``max_clique_size`` and ``exists_clique`` are one search, ``_search``; the
+decision stops at its first clique of the target size. Only
+``max_clique_size`` without a mask relabels; it returns a size alone.
 ``exists_clique`` and ``clique_of_size`` keep the caller's numbering, so the
 lexicographically-first witness is the same under any search schedule. A
 separate subset-DP oracle re-derives the clique number by brute force so the
@@ -75,6 +77,34 @@ def color_sort(P: int, adj: list[int], kmin: int) -> tuple[list[int], list[int]]
     return order, colors
 
 
+def _search(adj: list[int], P: int, best: int, stop: int) -> int:
+    """The clique number of the subgraph induced by P if it exceeds ``best``,
+    else ``best``; the search ends at the first clique of ``stop`` vertices.
+    """
+
+    def expand(size: int, cand: int) -> bool:
+        nonlocal best
+        order, colors = color_sort(cand, adj, best - size + 1)
+        for i in range(len(order) - 1, -1, -1):
+            if size + colors[i] <= best:
+                return False
+            v = order[i]
+            sub = cand & adj[v]
+            if sub and size + 1 < stop:
+                if expand(size + 1, sub):
+                    return True
+            elif size + 1 > best:
+                best = size + 1
+                if best >= stop:
+                    return True
+            cand &= ~(1 << v)
+        return False
+
+    if P:
+        expand(0, P)
+    return best
+
+
 def max_clique_size(adj: list[int], P: int | None = None) -> int:
     """Exact clique number of the subgraph induced by the mask P.
 
@@ -84,62 +114,25 @@ def max_clique_size(adj: list[int], P: int | None = None) -> int:
     if P is None:
         adj = _by_degree(adj)
         P = (1 << len(adj)) - 1
-    best = 0
-
-    def expand(size: int, cand: int):
-        nonlocal best
-        order, colors = color_sort(cand, adj, best - size + 1)
-        for i in range(len(order) - 1, -1, -1):
-            if size + colors[i] <= best:
-                return
-            v = order[i]
-            sub = cand & adj[v]
-            if sub:
-                expand(size + 1, sub)
-            elif size + 1 > best:
-                best = size + 1
-            cand &= ~(1 << v)
-
-    if P:
-        expand(0, P)
-    return best
+    return _search(adj, P, 0, len(adj) + 1)
 
 
 def exists_clique(adj: list[int], P: int, target: int) -> bool:
     """Exact decision: does the subgraph induced by P contain a target-clique?"""
-    if target <= 0:
-        return True
-
-    def search(size: int, cand: int) -> bool:
-        order, colors = color_sort(cand, adj, target - size)
-        for i in range(len(order) - 1, -1, -1):
-            if size + colors[i] < target:
-                return False
-            v = order[i]
-            if size + 1 >= target:
-                return True
-            sub = cand & adj[v]
-            if sub and search(size + 1, sub):
-                return True
-            cand &= ~(1 << v)
-        return False
-
-    return bool(P) and search(0, P)
+    return target <= 0 or _search(adj, P, target - 1, target) >= target
 
 
 def clique_of_size(adj: list[int], target: int, P: int | None = None) -> list[int] | None:
     """Lexicographically-first clique of exactly ``target`` vertices, or None.
 
     The extraction is a deterministic pass over vertex indices in ascending
-    order, so the witness does not depend on the search schedule that
-    established feasibility.
+    order, so the witness does not depend on any search schedule. It also
+    decides feasibility: when no vertex extends the clique, there is none.
     """
     if P is None:
         P = (1 << len(adj)) - 1
     if target == 0:
         return []
-    if not exists_clique(adj, P, target):
-        return None
     chosen: list[int] = []
     needed = target
     while needed:
@@ -154,6 +147,8 @@ def clique_of_size(adj: list[int], target: int, P: int | None = None) -> list[in
                 needed -= 1
                 break
             P &= ~(1 << v)
+        else:
+            return None
     return chosen
 
 

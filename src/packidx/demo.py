@@ -138,7 +138,7 @@ def criterion_4() -> CriterionOutcome:
         built = bsets.build_bset(group, kappa)
         w = witness_mod.build_witness(built, Window.for_group(group, WITNESS_WINDOW))
         inv = witness_mod.verify_witness(w)
-        idx = witness_mod.windowed_sharp_index(w) if inv.all_hold else None
+        idx = witness_mod.max_family(w).size + 1 if inv.all_hold else None
         cells[f"k={kappa}"] = {
             "set_size": len(w.elements),
             "i1": inv.i1_holds,

@@ -81,22 +81,6 @@ class Factor:
         return f"Prufer({self.param})"
 
 
-def Zf() -> Factor:
-    return Factor(INFINITE_CYCLIC)
-
-
-def Zn(n: int) -> Factor:
-    return Factor(CYCLIC, n)
-
-
-def ZnW(n: int) -> Factor:
-    return Factor(REPEATED_CYCLIC, n)
-
-
-def PruferF(p: int) -> Factor:
-    return Factor(PRUFER, p)
-
-
 # -- per-factor coordinate arithmetic ---------------------------------------
 #
 # Coordinate representations:

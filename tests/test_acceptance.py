@@ -1,34 +1,15 @@
 """Acceptance matrix: every criterion at its stated tolerance.
 
-Each test prints one `ACCEPTANCE <n>: PASS/FAIL` line; run with `pytest -s`
-(or read captured output) to see the roll-up. `pack demo` drives the same
-matrix from the command line.
+Each test runs one ``packidx.demo.criterion_N`` and asserts on its outcome,
+so the matrix and its logic live in ``demo.py`` alone. Each test prints one
+`ACCEPTANCE <n>: PASS/FAIL` line; run with `pytest -s` (or read captured
+output) to see the roll-up. `pack demo` drives the same matrix from the
+command line. A time bound covers the whole criterion call.
 """
 
 import time
 
-from packidx.bsets import build_bset, check_property_1, check_property_2
-from packidx.clique import exhaustive_max_clique_size
-from packidx.demo import (
-    ATTAINABILITY_CELLS,
-    OBSTRUCTION_K3_GROUPS,
-    OBSTRUCTION_K4_GROUPS,
-    WITNESS_KAPPAS,
-    WITNESS_WINDOW,
-    deterministic_cells,
-    solver_instances,
-)
-from packidx.groups import Window, parse_group
-from packidx.obstruction import exhaustive_no_index_check
-from packidx.packing import (
-    compatibility_graph,
-    max_clique_in_bset,
-    max_packing_family,
-)
-from packidx.pairmap import common_point, search_pairmap, validate_pairmap
-from packidx.witness import build_witness, verify_witness, windowed_sharp_index
-
-Z = parse_group("Z")
+from packidx import demo
 
 # every nonempty subset of each swept group
 SWEEP_SUBSETS = {"Z_3^2": 511, "Z_2^4": 65535, "Z_4 + Z_2": 255, "Z_4 + Z_2^2": 65535}
@@ -39,120 +20,107 @@ def report(cid: int, ok: bool, detail: str = ""):
     assert ok, f"criterion {cid} failed: {detail}"
 
 
-def test_criterion_1_exceptional_family_k3():
+def timed(criterion, *args):
     started = time.time()
-    totals, found, violations = {}, 0, 0
-    ok = True
-    for text in OBSTRUCTION_K3_GROUPS:
-        sweep = exhaustive_no_index_check(parse_group(text), 3)
-        totals[text] = sweep.subsets_examined
-        found += sweep.families_found
-        violations += len(sweep.violations)
-        ok &= sweep.subsets_examined == SWEEP_SUBSETS[text] and not sweep.violations
-        ok &= sweep.extensions_certified >= sweep.families_found
-    elapsed = time.time() - started
+    outcome = criterion(*args)
+    return outcome, time.time() - started
+
+
+def sweeps_ok(outcome, groups) -> bool:
+    """Every group swept over all its subsets, each family extended."""
+    cells = outcome.details
+    return list(cells) == list(groups) and all(
+        cells[g]["subsets"] == SWEEP_SUBSETS[g]
+        and cells[g]["violations"] == 0
+        and cells[g]["extensions_certified"] >= cells[g]["families_found"]
+        for g in groups
+    )
+
+
+def test_criterion_1_exceptional_family_k3():
+    outcome, elapsed = timed(demo.criterion_1)
+    ok = outcome.passed and sweeps_ok(outcome, demo.OBSTRUCTION_K3_GROUPS)
     ok &= elapsed <= 10.0
+    cells = outcome.details.values()
+    found = sum(c["families_found"] for c in cells)
+    violations = sum(c["violations"] for c in cells)
+    subsets = {g: c["subsets"] for g, c in outcome.details.items()}
     report(
         1,
         ok,
-        f"subsets {totals}, {found} pairs extended, {violations} violations, {elapsed:.1f}s",
+        f"subsets {subsets}, {found} pairs extended, {violations} violations, {elapsed:.1f}s",
     )
 
 
 def test_criterion_2_exceptional_family_k4():
-    started = time.time()
-    totals, violations = {}, 0
-    ok = True
-    for text in OBSTRUCTION_K4_GROUPS:
-        sweep = exhaustive_no_index_check(parse_group(text), 4)
-        totals[text] = sweep.subsets_examined
-        violations += len(sweep.violations)
-        ok &= sweep.subsets_examined == SWEEP_SUBSETS[text] and not sweep.violations
-        ok &= sweep.extensions_certified >= sweep.families_found
-    elapsed = time.time() - started
+    outcome, elapsed = timed(demo.criterion_2)
+    ok = outcome.passed and sweeps_ok(outcome, demo.OBSTRUCTION_K4_GROUPS)
     ok &= elapsed <= 300.0
-    report(2, ok, f"subsets {totals}, {violations} violations, {elapsed:.1f}s")
+    violations = sum(c["violations"] for c in outcome.details.values())
+    subsets = {g: c["subsets"] for g, c in outcome.details.items()}
+    report(2, ok, f"subsets {subsets}, {violations} violations, {elapsed:.1f}s")
 
 
 def test_criterion_3_attainability_matrix():
-    ok = True
-    worst = 0.0
-    for text, kappa in ATTAINABILITY_CELLS:
-        started = time.time()
-        built = build_bset(parse_group(text), kappa)
-        witness = check_property_1(built)
-        prop2 = check_property_2(built)
-        exact = max_clique_in_bset(built.elements).size
-        elapsed = time.time() - started
-        worst = max(worst, elapsed)
+    outcome, elapsed = timed(demo.criterion_3)
+    assert len(demo.ATTAINABILITY_CELLS) == 14
+    ok = outcome.passed and elapsed <= 60.0
+    ok &= list(outcome.details) == [f"{t} k={k}" for t, k in demo.ATTAINABILITY_CELLS]
+    for (text, kappa), cell in zip(demo.ATTAINABILITY_CELLS, outcome.details.values()):
         cell_ok = (
-            len(witness) == kappa - 1 and prop2 and exact == kappa - 1 and elapsed <= 60.0
+            cell["witness_size"] == kappa - 1
+            and cell["property_2"]
+            and cell["max_clique"] == kappa - 1
         )
         if not cell_ok:
-            report(3, False, f"cell ({text}, {kappa}): clique {exact}, {elapsed:.1f}s")
-        ok &= cell_ok
-    report(3, ok, f"{len(ATTAINABILITY_CELLS)} cells, worst cell {worst:.1f}s")
+            report(3, False, f"cell ({text}, {kappa}): clique {cell['max_clique']}")
+    report(3, ok, f"{len(outcome.details)} cells in {elapsed:.1f}s")
 
 
 def test_criterion_4_witness_construction():
-    ok = True
-    worst = 0.0
-    for kappa in WITNESS_KAPPAS:
-        started = time.time()
-        built = build_bset(Z, kappa)
-        w = build_witness(built, Window.for_group(Z, WITNESS_WINDOW))
-        inv = verify_witness(w)
-        idx = windowed_sharp_index(w) if inv.all_hold else None
-        elapsed = time.time() - started
-        worst = max(worst, elapsed)
-        cell_ok = inv.i1_holds and inv.i2_holds and idx == kappa and elapsed <= 60.0
-        if not cell_ok:
-            report(4, False, f"kappa={kappa}: i1={inv.i1_holds} i2={inv.i2_holds} index={idx}")
-        ok &= cell_ok
-    cells = f"kappa {WITNESS_KAPPAS[0]}..{WITNESS_KAPPAS[-1]} on [-{WITNESS_WINDOW},{WITNESS_WINDOW}]"
-    report(4, ok, f"{cells}, worst cell {worst:.1f}s")
+    outcome, elapsed = timed(demo.criterion_4)
+    assert list(demo.WITNESS_KAPPAS) == list(range(2, 10))
+    ok = outcome.passed and elapsed <= 60.0
+    ok &= list(outcome.details) == [f"k={k}" for k in demo.WITNESS_KAPPAS]
+    for kappa, cell in zip(demo.WITNESS_KAPPAS, outcome.details.values()):
+        idx = cell["windowed_sharp_index"]
+        if not (cell["i1"] and cell["i2"] and idx == kappa):
+            report(4, False, f"kappa={kappa}: i1={cell['i1']} i2={cell['i2']} index={idx}")
+    kappas = demo.WITNESS_KAPPAS
+    cells = f"kappa {kappas[0]}..{kappas[-1]} on [-{demo.WITNESS_WINDOW},{demo.WITNESS_WINDOW}]"
+    report(4, ok, f"{cells} in {elapsed:.1f}s")
 
 
 def test_criterion_5_pairmap_boundary():
-    started = time.time()
-    at_54, n54 = search_pairmap(5, 4)
-    t54 = time.time() - started
-
-    started = time.time()
-    at_53, n53 = search_pairmap(5, 3)
-    t53 = time.time() - started
-
-    found, _ = search_pairmap(5, 5)
-    commons = [common_point(found, a0) for a0 in range(5)] if found else []
+    outcome, elapsed = timed(demo.criterion_5)
+    d = outcome.details
+    found = d.get("(5,5)", {})
     ok = (
-        at_54 is None
-        and at_53 is None
-        and t54 <= 300.0
-        and t53 <= 300.0
-        and found is not None
-        and validate_pairmap(found).valid
-        and all(c is not None for c in commons)
+        outcome.passed
+        and d["(5,4)"]["outcome"] == "none"
+        and d["(5,3)"]["outcome"] == "none"
+        and elapsed <= 300.0
+        and found.get("outcome") == "found"
+        and found["valid"]
+        and all(c is not None for c in found["common_points"])
     )
     report(
         5,
         ok,
-        f"(5,4) none in {n54} nodes {t54:.1f}s; (5,3) none in {n53} nodes {t53:.1f}s; "
-        f"(5,5) witness with pivots {commons}",
+        f"(5,4) none in {d['(5,4)']['nodes']} nodes; (5,3) none in {d['(5,3)']['nodes']} "
+        f"nodes; (5,5) witness with pivots {found.get('common_points')}; {elapsed:.1f}s",
     )
 
 
 def test_criterion_6_solver_soundness():
-    agree = total = 0
-    for A, window, vertices in solver_instances(seed=0, count=200):
-        total += 1
-        solver = max_packing_family(A, window).size
-        oracle = exhaustive_max_clique_size(compatibility_graph(A, vertices))
-        agree += solver == oracle
-    report(6, agree == total == 200, f"{agree}/{total} instances agree")
+    outcome = demo.criterion_6(seed=0)
+    agree, total = outcome.details["agree"], outcome.details["total"]
+    ok = outcome.passed and agree == total == 200
+    report(6, ok, f"{agree}/{total} instances agree")
 
 
 def test_criterion_7_determinism_across_threads():
-    one = deterministic_cells(threads=1)
-    eight = deterministic_cells(threads=8)
-    same = len(one) == len(eight) and all(x == y for x, y in zip(one, eight))
-    report(7, same, f"{len(one)} reports byte-compared")
+    outcome = demo.criterion_7()
+    cells = outcome.details["cells"]
+    ok = outcome.passed and cells == 25 and not outcome.details["differing"]
+    report(7, ok, f"{cells} reports byte-compared")

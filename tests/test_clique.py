@@ -123,6 +123,15 @@ def planted_graph(rng, n, k, p):
     return adj
 
 
+def first_clique(adj, P, size):
+    """The first size-clique inside P in itertools.combinations order."""
+    keep = [v for v in range(len(adj)) if P >> v & 1]
+    for combo in itertools.combinations(keep, size):
+        if all(adj[u] >> v & 1 for u, v in itertools.combinations(combo, 2)):
+            return list(combo)
+    return None
+
+
 def assert_matches_oracle(adj, rng):
     n = len(adj)
     full = (1 << n) - 1
@@ -130,12 +139,16 @@ def assert_matches_oracle(adj, rng):
     assert max_clique_size(adj) == omega
     assert exists_clique(adj, full, omega)
     assert not exists_clique(adj, full, omega + 1)
+    assert clique_of_size(adj, omega) == first_clique(adj, full, omega)
+    assert clique_of_size(adj, omega + 1) is None
     # a proper subset searched in the caller's numbering
     P = rng.randrange(1, full)
     sub = exhaustive_max_clique_size(induced(adj, P))
     assert max_clique_size(adj, P) == sub
     assert exists_clique(adj, P, sub)
     assert not exists_clique(adj, P, sub + 1)
+    assert clique_of_size(adj, sub, P) == first_clique(adj, P, sub)
+    assert clique_of_size(adj, sub + 1, P) is None
 
 
 @pytest.mark.parametrize("density", [0.3, 0.5, 0.8])
