@@ -8,8 +8,13 @@ underlying combinatorial statement cannot be lowered.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from packidx.pairmap import common_point, search_pairmap, validate_pairmap
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from packidx.pairmap import common_point, search_pairmap, validate_pairmap  # noqa: E402
 
 
 def main() -> None:

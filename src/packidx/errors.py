@@ -81,9 +81,11 @@ class CertificationError(PackError):
 
 
 class SearchBudgetExceededError(PackError):
-    """Backtracking search hit its configured node budget before finishing."""
+    """Backtracking search hit its configured node budget before finishing;
+    ``depth`` is the deepest level it reached, counting the last node."""
 
-    def __init__(self, nodes: int, budget: int):
+    def __init__(self, nodes: int, budget: int, depth: int):
         super().__init__(f"search visited {nodes} nodes, budget is {budget}")
         self.nodes = nodes
         self.budget = budget
+        self.depth = depth

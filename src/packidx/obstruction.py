@@ -13,6 +13,8 @@ subset's maximum family size lands exactly on the forbidden value.
 from __future__ import annotations
 
 import random
+from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -208,6 +210,28 @@ class _GroupTables:
             d |= apply_steps(mask, self.steps[self.neg[i]])
         return d
 
+    def exhaustive_diff_masks(self) -> Iterator[int]:
+        """``diff_mask(m)`` for m = 1, 2, ..., 2^n - 1 in turn.
+
+        With x the top element of m and m' = m without x,
+        D(m) = D(m') | (m - x) | (x - m'), so each mask costs two translates
+        whatever its size. D and -m' are kept in 16-bit tables of 2^n
+        entries, which ``EXHAUSTIVE_LIMIT`` allows.
+        """
+        size = 1 << self.n
+        diffs = array("H", [0]) * size
+        negs = array("H", [0]) * size
+        steps, neg = self.steps, self.neg
+        for x in range(self.n):
+            top = 1 << x
+            by_x, by_minus_x, minus_x = steps[x], steps[neg[x]], 1 << neg[x]
+            for rest in range(top):
+                m = top | rest
+                d = diffs[rest] | apply_steps(m, by_minus_x) | apply_steps(negs[rest], by_x)
+                diffs[m] = d
+                negs[m] = negs[rest] | minus_x
+                yield d
+
     def z4_coords(self) -> list[int]:
         i4 = _z4_factor_index(self.group)
         if i4 is None:
@@ -275,9 +299,11 @@ def _family_disjoint(t: _GroupTables, dstar: int, family: list[int]) -> bool:
     return True
 
 
-def _sweep(t: _GroupTables, kappa: int, masks: list[int], stride: int, z4: list[int]) -> dict:
-    """SweepReport's counting fields; ascending masks keep violations in
-    subset order."""
+def _sweep(
+    t: _GroupTables, kappa: int, masks: Iterable[int], diffs: Iterable[int], stride: int, z4: list[int]
+) -> dict:
+    """SweepReport's counting fields; ``diffs`` holds each mask's difference
+    mask, and ascending masks keep violations in subset order."""
     found = certified = nofam = checks = 0
     cases: dict[str, int] = {}
     violations: list[dict] = []
@@ -288,8 +314,7 @@ def _sweep(t: _GroupTables, kappa: int, masks: list[int], stride: int, z4: list[
         if o == 4:
             order4 |= 1 << i
 
-    for mask in masks:
-        d = t.diff_mask(mask)
+    for mask, d in zip(masks, diffs):
         dstar = d & ~1
         compat0 = ~dstar & t.full & ~1
 
@@ -389,13 +414,15 @@ def exhaustive_no_index_check(
                 f"group has {t.n} elements; exhaustive sweeps stop at "
                 f"{EXHAUSTIVE_LIMIT}, use sampled mode"
             )
-        masks = list(range(1, 1 << t.n))
+        masks = range(1, 1 << t.n)
+        diffs = t.exhaustive_diff_masks()
         seed_used = None
     elif mode == "sampled":
         if not sample or sample < 1:
             raise PreconditionError("sampled mode needs a positive sample count")
         rng = random.Random(seed)
         masks = sorted({rng.randrange(1, 1 << t.n) for _ in range(sample)})
+        diffs = map(t.diff_mask, masks)
         seed_used = seed
     else:
         raise PreconditionError(f"unknown sweep mode {mode!r}")
@@ -410,5 +437,5 @@ def exhaustive_no_index_check(
         seed=seed_used,
         sample=sample if mode == "sampled" else None,
         subsets_examined=len(masks),
-        **_sweep(t, kappa, masks, stride, z4),
+        **_sweep(t, kappa, masks, diffs, stride, z4),
     )

@@ -4,9 +4,10 @@ A map f from the 2-element subsets of {0..a-1} into the 2-element subsets
 of {0..b-1} is *separately injective* when fixing one index makes it
 injective in the other, and *preserves intersections* when images of pairs
 sharing an index always intersect. Backtracking over the pair table with
-early pruning decides, exhaustively, whether any map has both properties
-for given sizes; the combinatorial fact being exercised is that none exists
-once a >= 5 and b < a.
+early pruning, on image bitmasks and an explicit stack, decides,
+exhaustively, whether any map has both properties for given sizes; the
+combinatorial fact being exercised is that none exists once a >= 5 and
+b < a.
 """
 
 from __future__ import annotations
@@ -102,6 +103,12 @@ class _Search:
     images must differ yet intersect. Pairs sharing no index are free, so
     checking each new assignment against its overlapping predecessors prunes
     every violation as early as it can appear.
+
+    Images are bits: ``compat[p]`` holds the images that differ from image p
+    but meet it, so a level's candidates are the AND of ``compat`` over the
+    images of its overlapping predecessors. Levels keep their untried
+    candidates on an explicit stack and are walked low bit first, which is
+    lexicographic image order.
     """
 
     def __init__(self, size_a: int, size_b: int, node_budget: int):
@@ -109,7 +116,11 @@ class _Search:
             raise PreconditionError("both sizes must be at least 2")
         self.pairs = domain_pairs(size_a)
         self.images = codomain_pairs(size_b)
-        self.masks = [(1 << k) | (1 << l) for k, l in self.images]
+        through = [0] * size_b
+        for s, (k, l) in enumerate(self.images):
+            through[k] |= 1 << s
+            through[l] |= 1 << s
+        self.compat = [(through[k] | through[l]) & ~(1 << s) for s, (k, l) in enumerate(self.images)]
         self.overlaps: list[list[int]] = []
         for idx, (i, j) in enumerate(self.pairs):
             self.overlaps.append(
@@ -123,42 +134,49 @@ class _Search:
         self.size_b = size_b
         self.node_budget = node_budget
         self.nodes = 0
-        self.assignment = [0] * len(self.pairs)
 
     def run(self, limit: int) -> list[PairMap]:
+        """Up to ``limit`` (at least one) valid maps in canonical order.
+
+        ``nodes`` counts accepted candidates. A budget error also carries
+        the most domain pairs placed at once; both count the placement that
+        runs over the budget.
+        """
         found: list[PairMap] = []
-
-        def place(idx: int) -> bool:
-            if idx == len(self.pairs):
-                found.append(
-                    PairMap(
-                        self.size_a,
-                        self.size_b,
-                        tuple(self.images[s] for s in self.assignment),
-                    )
-                )
-                return len(found) >= limit
-            masks = self.masks
-            assignment = self.assignment
-            for s in range(len(self.images)):
-                mask = masks[s]
-                ok = True
-                for prev in self.overlaps[idx]:
-                    p = assignment[prev]
-                    if p == s or not masks[p] & mask:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                self.nodes += 1
-                if self.nodes > self.node_budget:
-                    raise SearchBudgetExceededError(self.nodes, self.node_budget)
-                assignment[idx] = s
-                if place(idx + 1):
-                    return True
-            return False
-
-        place(0)
+        images, compat, overlaps = self.images, self.compat, self.overlaps
+        last = len(self.pairs)
+        assignment = [0] * last
+        budget = self.node_budget
+        full = (1 << len(images)) - 1
+        nodes = depth = 0
+        cand = [0] * last
+        cand[0] = full
+        idx = 0
+        while idx >= 0:
+            c = cand[idx]
+            if not c:
+                idx -= 1
+                continue
+            low = c & -c
+            cand[idx] = c ^ low
+            nodes += 1
+            if idx >= depth:
+                depth = idx + 1
+            if nodes > budget:
+                raise SearchBudgetExceededError(nodes, budget, depth)
+            assignment[idx] = low.bit_length() - 1
+            idx += 1
+            if idx == last:
+                found.append(PairMap(self.size_a, self.size_b, tuple(images[s] for s in assignment)))
+                if len(found) >= limit:
+                    break
+                idx -= 1
+                continue
+            c = full
+            for prev in overlaps[idx]:
+                c &= compat[assignment[prev]]
+            cand[idx] = c
+        self.nodes = nodes
         return found
 
 

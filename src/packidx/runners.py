@@ -10,7 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bsets, obstruction, pairmap as pairmap_mod, witness as witness_mod
-from .errors import ElementSyntaxError, GroupSyntaxError, PackError, WindowTooLargeError
+from .errors import (
+    ElementSyntaxError,
+    GroupSyntaxError,
+    PackError,
+    SearchBudgetExceededError,
+    WindowTooLargeError,
+)
 from .groups import Window, parse_group
 from .packing import DEFAULT_MAX_VERTICES, max_packing_family, read_set_file
 from .reports import Report
@@ -71,11 +77,16 @@ def _error_report(cfg: RunConfig, exc: PackError) -> Report:
     # syntax problems are usage errors (exit 2), not report payloads
     if isinstance(exc, (GroupSyntaxError, ElementSyntaxError)):
         raise exc
+    # a search stopped by its budget says how far it got
+    timing = {}
+    if isinstance(exc, SearchBudgetExceededError):
+        timing = {"nodes_visited": exc.nodes, "depth": exc.depth}
     return Report(
         command=cfg.command,
         config=cfg.echo_config(),
         results={"error": {"type": exc.kind, "message": str(exc)}},
         summary=[{"check": cfg.command, "status": "fail", "detail": exc.kind}],
+        timing=timing,
     )
 
 

@@ -137,6 +137,11 @@ class TestZeroCounts:
         data = payload(result)
         assert data["results"]["error"]["type"] == kind
         assert data["config"][key] == int(value)
+        if key == "budget":
+            # the first placed pair already runs over the budget
+            assert data["timing"] == {"nodes_visited": 1, "depth": 1}
+        else:
+            assert data["timing"] == {}
 
     @pytest.mark.parametrize("argv, key, kind", CASES, ids=["sample", "budget"])
     def test_config_file(self, runner, tmp_path, argv, key, kind):
@@ -147,6 +152,14 @@ class TestZeroCounts:
         data = payload(result)
         assert data["results"]["error"]["type"] == kind
         assert data["config"][key] == 0
+
+
+def test_budget_error_reports_progress(runner):
+    argv = ["pairmap", "--a", "46", "--b", "46", "--budget", "200000"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1
+    # depth as the recursive reference search in test_pairmap reaches it
+    assert payload(result)["timing"] == {"nodes_visited": 200001, "depth": 510}
 
 
 class TestEmission:

@@ -13,6 +13,7 @@ from packidx.obstruction import (
     OPPOSITE_G,
     ORDER_TWO,
     SAME_G,
+    _GroupTables,
     classify_triple,
     exhaustive_no_index_check,
     extend_pair_exponent3,
@@ -164,6 +165,12 @@ class TestSweeps:
         assert a == b
         assert a != c
         assert not a.violations
+
+    @pytest.mark.parametrize("text", ["Z_3^2", "Z_2^4", "Z_4 + Z_2", "Z_4 + Z_2^2"])
+    def test_exhaustive_diffs_match_diff_mask(self, text):
+        t = _GroupTables(parse_group(text))
+        masks = range(1, 1 << t.n)
+        assert list(t.exhaustive_diff_masks()) == [t.diff_mask(m) for m in masks]
 
     def test_exhaustive_refuses_large_groups(self):
         with pytest.raises(NotApplicableError):

@@ -14,6 +14,53 @@ from packidx.pairmap import (
 )
 
 
+def reference_search(size_a, size_b, limit, node_budget=10**9):
+    """The recursive search the bitset walk replaced: every codomain image
+    in lexicographic order is tested against every overlapping predecessor.
+
+    Returns (maps, nodes, depth) and raises SearchBudgetExceededError with
+    the same fields; a node is an accepted image, and depth is the most
+    domain pairs placed at once, both counting the placement that runs over
+    the budget.
+    """
+    pairs = domain_pairs(size_a)
+    images = codomain_pairs(size_b)
+    overlaps = [
+        [prev for prev in range(idx) if len(set(pair) & set(pairs[prev])) == 1]
+        for idx, pair in enumerate(pairs)
+    ]
+    masks = [(1 << k) | (1 << l) for k, l in images]
+    assignment = [0] * len(pairs)
+    found = []
+    stats = {"nodes": 0, "depth": 0}
+
+    def place(idx):
+        if idx == len(pairs):
+            found.append(PairMap(size_a, size_b, tuple(images[s] for s in assignment)))
+            return len(found) >= limit
+        for s in range(len(images)):
+            mask = masks[s]
+            ok = True
+            for prev in overlaps[idx]:
+                p = assignment[prev]
+                if p == s or not masks[p] & mask:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            stats["nodes"] += 1
+            stats["depth"] = max(stats["depth"], idx + 1)
+            if stats["nodes"] > node_budget:
+                raise SearchBudgetExceededError(stats["nodes"], node_budget, stats["depth"])
+            assignment[idx] = s
+            if place(idx + 1):
+                return True
+        return False
+
+    place(0)
+    return found, stats["nodes"], stats["depth"]
+
+
 def brute_force_validate(f):
     """Literal quantifier translation of both predicates; stays independent
     of the table-index bookkeeping inside validate_pairmap."""
@@ -109,6 +156,29 @@ class TestSearch:
     def test_sizes_below_two_rejected(self):
         with pytest.raises(PreconditionError):
             search_pairmap(1, 5)
+
+
+GRID = [(a, b) for a in range(2, 8) for b in range(2, 8)]
+
+
+@pytest.mark.parametrize("size_a,size_b", GRID)
+def test_search_matches_recursive_reference(size_a, size_b):
+    maps, nodes, _ = reference_search(size_a, size_b, limit=1)
+    assert search_pairmap(size_a, size_b) == ((maps[0] if maps else None), nodes)
+    assert iter_valid_maps(size_a, size_b, limit=50) == reference_search(size_a, size_b, limit=50)[0]
+    for budget in (1, 10, 1000):
+        try:
+            reference_search(size_a, size_b, limit=1, node_budget=budget)
+        except SearchBudgetExceededError as exc:
+            expected = (exc.nodes, exc.depth)
+        else:
+            expected = None
+        try:
+            search_pairmap(size_a, size_b, node_budget=budget)
+        except SearchBudgetExceededError as exc:
+            assert (exc.nodes, exc.depth) == expected
+        else:
+            assert expected is None
 
 
 class TestCommonPoint:
