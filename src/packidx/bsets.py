@@ -145,8 +145,6 @@ def _order3_generator(group: GroupSpec) -> Element | None:
             if f.kind == CYCLIC:
                 return _unit_at(group, i, step)
             return _unit_at(group, i, (step,))
-        if f.kind == PRUFER and f.param == 3:
-            return _unit_at(group, i, (1, 1))
     return None
 
 

@@ -64,9 +64,6 @@ def common_options(fn):
 
 _CONFIG_KEY_TO_PARAM = {"format": "fmt", "set": "set_path", "config": None, "out": "out"}
 _PARAM_TO_FLAG = {"fmt": "--format", "set_path": "--set"}
-_INT_PARAMS = {"kappa", "window", "m", "level", "threads", "seed", "sample",
-               "budget", "a", "b", "only"}
-_BOOL_PARAMS = {"check", "verify"}
 
 
 def _require(params: dict, *names: str) -> None:
@@ -76,21 +73,15 @@ def _require(params: dict, *names: str) -> None:
             raise click.UsageError(f"Missing option '{flag}'.")
 
 
-def _coerce(name: str, value: str):
-    if name in _BOOL_PARAMS:
-        return value.lower() in ("1", "true", "yes", "on")
-    if name in _INT_PARAMS:
-        return int(value)
-    return value
-
-
 def apply_config(params: dict) -> dict:
     """Fill in values from the key=value config file for every flag the
-    user did not pass explicitly."""
+    user did not pass explicitly. Each value goes through its option's own
+    type, so a bad value is a usage error, as it is on the command line."""
     path = params.pop("config_path", None)
     if not path:
         return params
     ctx = click.get_current_context()
+    options = {p.name: p for p in ctx.command.params}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -106,11 +97,9 @@ def apply_config(params: dict) -> dict:
             continue  # keys for other subcommands are ignored
         if ctx.get_parameter_source(name) == ParameterSource.DEFAULT:
             try:
-                params[name] = _coerce(name, value)
-            except ValueError:
-                raise click.UsageError(
-                    f"{path}:{lineno}: bad value {value!r} for {key}"
-                ) from None
+                params[name] = options[name].type_cast_value(ctx, value)
+            except click.BadParameter as exc:
+                raise click.UsageError(f"{path}:{lineno}: {exc.format_message()}") from None
     return params
 
 

@@ -24,6 +24,8 @@ two routes can be cross-checked against each other.
 
 from __future__ import annotations
 
+ORACLE_LIMIT = 20
+
 
 def _lsb(x: int) -> int:
     return (x & -x).bit_length() - 1
@@ -159,14 +161,14 @@ def first_max_clique(adj: list[int]) -> tuple[int, list[int]]:
     return size, witness
 
 
-def exhaustive_max_clique_size(adj: list[int], limit: int = 20) -> int:
+def exhaustive_max_clique_size(adj: list[int]) -> int:
     """Brute-force clique number via subset DP; independent of the solver.
 
-    Enumerates all 2^n vertex subsets, so n is capped at ``limit``.
+    Enumerates all 2^n vertex subsets, so n is capped at ``ORACLE_LIMIT``.
     """
     n = len(adj)
-    if n > limit:
-        raise ValueError(f"exhaustive oracle supports at most {limit} vertices, got {n}")
+    if n > ORACLE_LIMIT:
+        raise ValueError(f"exhaustive oracle supports at most {ORACLE_LIMIT} vertices, got {n}")
     if n == 0:
         return 0
     is_clique = bytearray(1 << n)

@@ -45,21 +45,6 @@ EXHAUSTIVE_LIMIT = 16
 # -- case analysis -----------------------------------------------------------
 
 
-def _classify_parts(o1: int, o2: int, g1: int, g2: int) -> tuple[str, bool]:
-    """Shared case split on (order, Z_4-coordinate) data of the two shifts.
-
-    Returns (variant, swapped); ``swapped`` means the order-2 shift was the
-    second argument and takes the first role.
-    """
-    if o1 == 2:
-        return ORDER_TWO, False
-    if o2 == 2:
-        return ORDER_TWO, True
-    if g1 == g2:
-        return SAME_G, False
-    return OPPOSITE_G, False
-
-
 def _z4_factor_index(group: GroupSpec) -> int | None:
     """Index of the single Z_4 summand in a covered group, if present."""
     fours = [i for i, f in enumerate(group.factors) if f.kind == CYCLIC and f.param == 4]
@@ -77,17 +62,14 @@ def _z4_factor_index(group: GroupSpec) -> int | None:
 
 @dataclass(frozen=True)
 class TripleCase:
-    """Case classification of a disjoint triple {0, b1, b2}, with the
-    decomposition data the extension formulas consume."""
+    """Case classification of a disjoint triple {0, b1, b2}."""
 
     variant: str
-    swapped: bool
+    swapped: bool  # the order-2 shift was the second argument
     b1: Element  # post-swap first shift (order 2 in the OrderTwo case)
     b2: Element
     g1: int  # Z_4 coordinates of b1, b2 (0 when the group has no Z_4 part)
     g2: int
-    x: Element  # b1, b2 with the Z_4 coordinate zeroed out
-    y: Element
 
 
 def classify_triple(group: GroupSpec, b1: Element, b2: Element) -> TripleCase:
@@ -95,35 +77,29 @@ def classify_triple(group: GroupSpec, b1: Element, b2: Element) -> TripleCase:
     if b1.is_zero() or b2.is_zero() or b1 == b2:
         raise PreconditionError("shifts must be nonzero and distinct")
     i4 = _z4_factor_index(group)
-    o1, o2 = b1.order(), b2.order()
-    g1 = b1.coords[i4] if i4 is not None else 0
-    g2 = b2.coords[i4] if i4 is not None else 0
-    variant, swapped = _classify_parts(o1, o2, g1, g2)
+    swapped = b1.order() != 2 and b2.order() == 2
     if swapped:
         b1, b2 = b2, b1
-        g1, g2 = g2, g1
+    g1 = b1.coords[i4] if i4 is not None else 0
+    g2 = b2.coords[i4] if i4 is not None else 0
+    if b1.order() == 2:
+        variant = ORDER_TWO
+    elif g1 == g2:
+        variant = SAME_G
+    else:
+        variant = OPPOSITE_G
+    return TripleCase(variant, swapped, b1, b2, g1, g2)
 
-    def drop_four(e: Element) -> Element:
-        if i4 is None:
-            return e
-        coords = list(e.coords)
-        coords[i4] = 0
-        return Element(group, tuple(coords))
 
-    return TripleCase(variant, swapped, b1, b2, g1, g2, drop_four(b1), drop_four(b2))
-
-
-def _fourth_shift(case: TripleCase, group: GroupSpec) -> Element:
+def _fourth_shift(case: TripleCase) -> Element:
+    """b1 + b2, b2 - b1 or b1 - b2 by variant. Outside the Z_4 coordinate
+    every element has order 2, so the two differences agree with b1 + b2
+    there; on it they give 0 (SameG) and g1 - g2 = 2 g1 (OppositeG)."""
     if case.variant == ORDER_TWO:
         return case.b1 + case.b2
-    i4 = _z4_factor_index(group)
-    two_block = case.x + case.y
-    coords = list(two_block.coords)
     if case.variant == SAME_G:
-        coords[i4] = 0
-    else:
-        coords[i4] = (2 * case.g1) % 4
-    return Element(group, tuple(coords))
+        return case.b2 - case.b1
+    return case.b1 - case.b2
 
 
 def _certify(A: ElementSet, shifts: list[Element]) -> None:
@@ -162,7 +138,7 @@ def extend_triple(A: ElementSet, b1: Element, b2: Element) -> Element:
         if not translates_disjoint(A, u, v):
             raise PreconditionError(f"translates by {u} and {v} are not disjoint")
     case = classify_triple(group, b1, b2)
-    b3 = _fourth_shift(case, group)
+    b3 = _fourth_shift(case)
     _certify(A, [zero, b1, b2, b3])
     return b3
 
@@ -188,7 +164,7 @@ class _GroupTables:
         self.n = len(self.elements)
         if self.n > 32:
             raise NotApplicableError(f"sweep supports at most 32 elements, got {self.n}")
-        index = {e.coords: i for i, e in enumerate(self.elements)}
+        self.index = index = {e.coords: i for i, e in enumerate(self.elements)}
         zero = tuple(zero_coord(f) for f in group.factors)
         assert index[zero] == 0
         self.add = [
@@ -199,6 +175,7 @@ class _GroupTables:
         self.full = (1 << self.n) - 1
         box = DenseBox(group, window.bounds)
         self.steps = [box.steps(e) for e in self.elements]
+        self._families: dict[tuple[int, int], tuple[str, tuple[int, ...]]] = {}
 
     def diff_mask(self, mask: int) -> int:
         """Bitmask of all differences a - a' over the subset mask, zero included."""
@@ -232,15 +209,16 @@ class _GroupTables:
                 negs[m] = negs[rest] | minus_x
                 yield d
 
-    def z4_coords(self) -> list[int]:
-        i4 = _z4_factor_index(self.group)
-        if i4 is None:
-            return [0] * self.n
-        return [e.coords[i4] for e in self.elements]
-
-
-def _find_pair(t: _GroupTables, compat0: int) -> int | None:
-    return (compat0 & -compat0).bit_length() - 1 if compat0 else None
+    def family(self, b1: int, b2: int) -> tuple[str, tuple[int, ...]]:
+        """Variant and element indices of the quadruple {0, b1, b2, b3} that
+        ``classify_triple`` and ``_fourth_shift`` make from shifts b1, b2."""
+        hit = self._families.get((b1, b2))
+        if hit is None:
+            case = classify_triple(self.group, self.elements[b1], self.elements[b2])
+            shifts = (case.b1, case.b2, _fourth_shift(case))
+            hit = case.variant, (0, *(self.index[b.coords] for b in shifts))
+            self._families[b1, b2] = hit
+        return hit
 
 
 def _find_triple(
@@ -274,21 +252,7 @@ class SweepReport:
     violations: tuple[dict, ...]
 
 
-def _index_family(t: _GroupTables, z4: list[int], b1: int, b2: int) -> tuple[str, list[int]]:
-    add, neg, order = t.add, t.neg, t.order
-    variant, swapped = _classify_parts(order[b1], order[b2], z4[b1], z4[b2])
-    if swapped:
-        b1, b2 = b2, b1
-    if variant == ORDER_TWO:
-        b3 = add[b1][b2]
-    elif variant == SAME_G:
-        b3 = add[b2][neg[b1]]
-    else:
-        b3 = add[b1][neg[b2]]
-    return variant, [0, b1, b2, b3]
-
-
-def _family_disjoint(t: _GroupTables, dstar: int, family: list[int]) -> bool:
+def _family_disjoint(t: _GroupTables, dstar: int, family: tuple[int, ...]) -> bool:
     if len(set(family)) != len(family):
         return False
     add, neg = t.add, t.neg
@@ -300,7 +264,7 @@ def _family_disjoint(t: _GroupTables, dstar: int, family: list[int]) -> bool:
 
 
 def _sweep(
-    t: _GroupTables, kappa: int, masks: Iterable[int], diffs: Iterable[int], stride: int, z4: list[int]
+    t: _GroupTables, kappa: int, masks: Iterable[int], diffs: Iterable[int], stride: int
 ) -> dict:
     """SweepReport's counting fields; ``diffs`` holds each mask's difference
     mask, and ascending masks keep violations in subset order."""
@@ -318,25 +282,25 @@ def _sweep(
         dstar = d & ~1
         compat0 = ~dstar & t.full & ~1
 
-        families: list[tuple[str, list[int]]] = []
+        families: list[tuple[str, tuple[int, ...]]] = []
         if kappa == 3:
-            b = _find_pair(t, compat0)
-            if b is not None:
+            if compat0:
+                b = (compat0 & -compat0).bit_length() - 1
                 if order[b] != 3:
                     violations.append({"subset": mask, "reason": "shift order is not 3"})
                 else:
-                    families.append(("Exponent3", [0, b, add[b][b]]))
+                    families.append(("Exponent3", (0, b, add[b][b])))
         else:
             hit = _find_triple(t, dstar, compat0)
             if hit is not None:
-                variant, fam = _index_family(t, z4, *hit)
+                variant, fam = t.family(*hit)
                 families.append((variant, fam))
                 if variant == ORDER_TWO and order4:
                     # also certify the first triple with both shifts of
                     # order 4, so the four-coordinate cases get exercised
                     hit4 = _find_triple(t, dstar, compat0, restrict=order4)
                     if hit4 is not None:
-                        families.append(_index_family(t, z4, *hit4))
+                        families.append(t.family(*hit4))
 
         if not families:
             nofam += 1
@@ -392,7 +356,6 @@ def _validate_family_membership(group: GroupSpec, kappa: int) -> None:
 def exhaustive_no_index_check(
     group: GroupSpec,
     kappa: int,
-    mode: str = "exhaustive",
     sample: int | None = None,
     seed: int = 0,
     stride: int | None = None,
@@ -400,15 +363,16 @@ def exhaustive_no_index_check(
     """Sweep subsets of a finite group, extending every found (kappa-1)-family
     to a certified kappa-family; reports must contain zero violations.
 
-    Every ``stride``-th subset is additionally cross-checked against the
-    exact solver; by default roughly 128 subsets per sweep get that
-    treatment.
+    Every nonzero subset is swept, or ``sample`` seeded random ones when a
+    sample count is given. Every ``stride``-th subset is additionally
+    cross-checked against the exact solver; by default roughly 128 subsets
+    per sweep get that treatment.
     """
     _validate_family_membership(group, kappa)
     t = _GroupTables(group)
-    z4 = t.z4_coords() if kappa == 4 else [0] * t.n
 
-    if mode == "exhaustive":
+    if sample is None:
+        mode = "exhaustive"
         if t.n > EXHAUSTIVE_LIMIT:
             raise NotApplicableError(
                 f"group has {t.n} elements; exhaustive sweeps stop at "
@@ -417,15 +381,14 @@ def exhaustive_no_index_check(
         masks = range(1, 1 << t.n)
         diffs = t.exhaustive_diff_masks()
         seed_used = None
-    elif mode == "sampled":
-        if not sample or sample < 1:
+    else:
+        mode = "sampled"
+        if sample < 1:
             raise PreconditionError("sampled mode needs a positive sample count")
         rng = random.Random(seed)
         masks = sorted({rng.randrange(1, 1 << t.n) for _ in range(sample)})
         diffs = map(t.diff_mask, masks)
         seed_used = seed
-    else:
-        raise PreconditionError(f"unknown sweep mode {mode!r}")
 
     if stride is None:
         stride = max(1, len(masks) // 128)
@@ -435,7 +398,7 @@ def exhaustive_no_index_check(
         kappa=kappa,
         mode=mode,
         seed=seed_used,
-        sample=sample if mode == "sampled" else None,
+        sample=sample,
         subsets_examined=len(masks),
-        **_sweep(t, kappa, masks, diffs, stride, z4),
+        **_sweep(t, kappa, masks, diffs, stride),
     )

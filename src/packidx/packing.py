@@ -166,9 +166,7 @@ def _certify_family(A: ElementSet, shifts: list[Element]) -> bool:
     return True
 
 
-def max_packing_family(
-    A: ElementSet, window: Window, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> PackingFamily:
+def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     """Exact maximum family of shifts inside the window, ties broken canonically.
 
     A window with no ``Z`` factor is a subgroup H (a whole ``Z_n``, the first
@@ -184,8 +182,8 @@ def max_packing_family(
     if window.group != A.group:
         raise GroupMismatchError("window and set belong to different groups")
     size = window.size()
-    if size > max_vertices:
-        raise WindowTooLargeError(size, max_vertices)
+    if size > DEFAULT_MAX_VERTICES:
+        raise WindowTooLargeError(size, DEFAULT_MAX_VERTICES)
     vertices = list(enumerate_window(window))
     adj = compatibility_graph(A, vertices)
     if any(f.kind == INFINITE_CYCLIC for f in A.group.factors):

@@ -136,13 +136,16 @@ class _Search:
         self.nodes = 0
 
     def run(self, limit: int) -> list[PairMap]:
-        """Up to ``limit`` (at least one) valid maps in canonical order.
+        """Up to ``limit`` valid maps in canonical order; none when ``limit``
+        is below 1.
 
         ``nodes`` counts accepted candidates. A budget error also carries
         the most domain pairs placed at once; both count the placement that
         runs over the budget.
         """
         found: list[PairMap] = []
+        if limit < 1:
+            return found
         images, compat, overlaps = self.images, self.compat, self.overlaps
         last = len(self.pairs)
         assignment = [0] * last

@@ -233,9 +233,8 @@ def run_obstruct(cfg: RunConfig) -> Report:
     config = cfg.echo_config()
     try:
         group = parse_group(cfg.group)
-        mode = "exhaustive" if cfg.sample is None else "sampled"
         sweep = obstruction.exhaustive_no_index_check(
-            group, cfg.kappa, mode=mode, sample=cfg.sample, seed=cfg.seed
+            group, cfg.kappa, sample=cfg.sample, seed=cfg.seed
         )
         results = {
             "group": sweep.group,

@@ -35,6 +35,9 @@ from .groups import (
 )
 from .packing import ElementSet, PackingFamily, difference_mask, max_packing_family
 
+# ambient doublings build_witness tries before it gives up on a target
+MAX_EXPANSIONS = 8
+
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -66,9 +69,10 @@ def _witness_box(bset: BSet, window: Window, ambient: Window) -> DenseBox:
     return DenseBox(group, sum_bounds(group, ambient.bounds, window.bounds, window.bounds, bext))
 
 
-def build_witness(bset: BSet, window: Window, max_expansions: int = 8) -> WitnessSet:
+def build_witness(bset: BSet, window: Window) -> WitnessSet:
     """Run the greedy construction over the window, expanding the candidate
-    search region (ambient) by doubling when it runs dry, up to the cap.
+    search region (ambient) by doubling when it runs dry, up to
+    ``MAX_EXPANSIONS`` times.
 
     The forbidden region F = A + B is a bitmask over a box. The anchor for g
     is the first ambient element outside F | (F - g); F only grows, so the
@@ -115,9 +119,9 @@ def build_witness(bset: BSet, window: Window, max_expansions: int = 8) -> Witnes
                         f"no anchor left for g={g} in the finite group {group}"
                     )
                 expansions += 1
-                if expansions > max_expansions:
+                if expansions > MAX_EXPANSIONS:
                     raise CandidateExhaustedError(
-                        f"no anchor for g={g} after {max_expansions} ambient expansions"
+                        f"no anchor for g={g} after {MAX_EXPANSIONS} ambient expansions"
                     )
                 ambient = bigger
                 box = None

@@ -161,7 +161,9 @@ class TestProperties:
     @pytest.mark.parametrize(
         "text,kappa",
         [("Z", k) for k in range(2, 11)]
-        + [("Prufer(2)", 5), ("Prufer(3)", 7), ("Z_3^w", 5), ("Z_5^w", 4), ("Z_4^w", 4)],
+        + [("Prufer(2)", 5), ("Prufer(3)", 7), ("Z_3^w", 5), ("Z_5^w", 4), ("Z_4^w", 4)]
+        # the Prufer, order > 5 and cyclic Z_3 carriers at kappa 3 and 4
+        + [("Prufer(2)", 3), ("Prufer(3)", 4), ("Z_7^w", 4), ("Z_3 + Z_3^w", 4), ("Z_3^w + Z_7", 4)],
     )
     def test_clique_number_is_exactly_kappa_minus_1(self, text, kappa):
         b = build_bset(parse_group(text), kappa)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -66,6 +67,14 @@ class TestFailFast:
             "type": "WindowTooLarge",
             "message": "window has 1201 elements, limit is 1024",
         }
+
+    def test_index_window_cap_is_an_error_report(self, runner):
+        set_path = Path(__file__).parent / "golden" / "sets" / "z.json"
+        result = runner.invoke(main, ["index", "--set", str(set_path), "--window", "600"])
+        assert result.exit_code == 1
+        data = payload(result)
+        assert data["results"]["error"]["type"] == "WindowTooLarge"
+        assert data["timing"] == {}
 
     @pytest.mark.parametrize(
         "content",
@@ -258,6 +267,25 @@ class TestConfigFile:
         cfg.write_text("kappa 5\n")
         result = runner.invoke(main, ["bset", "--config", str(cfg), "--group", "Z", "--kappa", "3"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "line, argv",
+        [
+            ("only=9", ["demo"]),
+            ("set=/nonexistent.json", ["index"]),
+            ("kappa=7", ["obstruct", "--group", "Z_2^4"]),
+            ("format=xml", ["bset", "--group", "Z", "--kappa", "3"]),
+            ("verify=maybe", ["witness", "--group", "Z", "--kappa", "3", "--window", "3"]),
+        ],
+        ids=["range", "path", "obstruct-kappa", "choice", "bool"],
+    )
+    def test_bad_value_is_usage_error(self, runner, tmp_path, line, argv):
+        # config values get the checks the flag would get
+        cfg = tmp_path / "pack.cfg"
+        cfg.write_text(line + "\n")
+        result = runner.invoke(main, argv + ["--config", str(cfg)])
+        assert result.exit_code == 2
+        assert f"{cfg}:1: Invalid value for '--{line.partition('=')[0]}'" in result.stderr
 
 
 class TestDemoCommand:

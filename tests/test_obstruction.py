@@ -159,9 +159,9 @@ class TestSweeps:
 
     def test_sampled_mode_is_seeded(self):
         g = parse_group("Z_3^3")
-        a = exhaustive_no_index_check(g, 3, mode="sampled", sample=300, seed=11)
-        b = exhaustive_no_index_check(g, 3, mode="sampled", sample=300, seed=11)
-        c = exhaustive_no_index_check(g, 3, mode="sampled", sample=300, seed=12)
+        a = exhaustive_no_index_check(g, 3, sample=300, seed=11)
+        b = exhaustive_no_index_check(g, 3, sample=300, seed=11)
+        c = exhaustive_no_index_check(g, 3, sample=300, seed=12)
         assert a == b
         assert a != c
         assert not a.violations

@@ -149,6 +149,10 @@ class TestSearch:
         for f in maps:
             assert validate_pairmap(f).valid
 
+    @pytest.mark.parametrize("limit", [0, -2])
+    def test_limit_below_one_gives_no_maps(self, limit):
+        assert iter_valid_maps(5, 5, limit=limit) == []
+
     def test_budget_is_enforced(self):
         with pytest.raises(SearchBudgetExceededError):
             search_pairmap(5, 5, node_budget=10)
