@@ -5,10 +5,11 @@ The cells cover every report a refactor of the arithmetic layer could
 change: the 25 byte-compared cells of acceptance criterion 7, witnesses
 with invariants and index on the non-``Z`` carriers, ``index`` on one set
 file per factor kind plus a mixed sum, and the window-cap error report of
-an oversized ``witness --verify``; and the ``obstruct`` sweeps: the
+an oversized ``witness --verify``; the ``obstruct`` sweeps: the
 exhaustive ones of acceptance criteria 1 and 2, two seeded samples, and the
-32-element cap error. ``tests/test_golden.py`` recomputes each cell and
-compares it with ``tests/golden/digests.json``.
+32-element cap error; the pair-map budget error; and the ``pack demo``
+report of each acceptance criterion alone at seed 0. ``tests/test_golden.py``
+recomputes each cell and compares it with ``tests/golden/digests.json``.
 
 Run this only to change the pinned bytes on purpose; it rewrites the file.
 Reports echo set-file paths, so cells run from the repository root.
@@ -16,6 +17,7 @@ Reports echo set-file paths, so cells run from the repository root.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -29,8 +31,10 @@ from packidx.demo import (  # noqa: E402
     ATTAINABILITY_CELLS,
     OBSTRUCTION_K3_GROUPS,
     OBSTRUCTION_K4_GROUPS,
+    PAIRMAP_CELLS,
     WITNESS_KAPPAS,
     WITNESS_WINDOW,
+    run_demo_matrix,
 )
 from packidx.runners import (  # noqa: E402
     RunConfig,
@@ -63,7 +67,7 @@ SAMPLED_SWEEPS = [("Z_3^3", 3), ("Z_2^5", 4)]
 
 
 def cells() -> dict:
-    """Cell name -> (runner, RunConfig)."""
+    """Cell name -> (runner, argument); the report is ``runner(argument)``."""
     out = {}
     for text, kappa in ATTAINABILITY_CELLS:
         cfg = RunConfig(command="bset", group=text, kappa=kappa, check=True)
@@ -71,7 +75,7 @@ def cells() -> dict:
     for kappa in WITNESS_KAPPAS:
         cfg = RunConfig(command="witness", group="Z", kappa=kappa, window=WITNESS_WINDOW, verify=True)
         out[f"witness Z k={kappa} --window {WITNESS_WINDOW} --verify"] = (run_witness, cfg)
-    for a, b in [(5, 4), (5, 3), (5, 5)]:
+    for a, b in PAIRMAP_CELLS:
         out[f"pairmap {a},{b}"] = (run_pairmap, RunConfig(command="pairmap", a=a, b=b))
     for text, kappa, opts in CARRIER_WITNESSES:
         cfg = RunConfig(command="witness", group=text, kappa=kappa, verify=True, **opts)
@@ -91,13 +95,17 @@ def cells() -> dict:
         out[f"obstruct {text} k={kappa} --sample 500 --seed 7"] = (run_obstruct, cfg)
     cfg = RunConfig(command="obstruct", group="Z_2^6", kappa=4, sample=10)
     out["obstruct Z_2^6 k=4 --sample 10 (element cap)"] = (run_obstruct, cfg)
+    cfg = RunConfig(command="pairmap", a=5, b=5, budget=10)
+    out["pairmap 5,5 --budget 10 (budget error)"] = (run_pairmap, cfg)
+    for cid in range(1, 8):
+        out[f"demo --only {cid}"] = (functools.partial(run_demo_matrix, 0), cid)
     return out
 
 
 def digest(cell: tuple) -> str:
     """sha256 of the cell's report bytes; run from the repository root."""
-    runner, cfg = cell
-    return hashlib.sha256(runner(cfg).to_json().encode()).hexdigest()
+    runner, arg = cell
+    return hashlib.sha256(runner(arg).to_json().encode()).hexdigest()
 
 
 def main() -> int:

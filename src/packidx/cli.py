@@ -41,10 +41,17 @@ def _deliver(report: Report, fmt: str, out: str | None, started: float) -> None:
     sys.exit(0 if report.passed else 1)
 
 
-def _run(builder, cfg: RunConfig) -> None:
+def _run(runner, command: str, params: dict, *required: str) -> None:
+    """Fill flags from the config file, insist on ``required``, run, deliver."""
+    params = apply_config(params)
+    for name in required:
+        if params.get(name) is None:
+            flag = "--set" if name == "set_path" else f"--{name}"
+            raise click.UsageError(f"Missing option '{flag}'.")
+    cfg = RunConfig(command=command, **params)
     started = time.time()
     try:
-        report = builder(cfg)
+        report = runner(cfg)
     except (GroupSyntaxError, ElementSyntaxError, ValueError) as exc:
         raise click.UsageError(str(exc)) from exc
     _deliver(report, cfg.fmt, cfg.out, started)
@@ -63,14 +70,6 @@ def common_options(fn):
 
 
 _CONFIG_KEY_TO_PARAM = {"format": "fmt", "set": "set_path", "config": None, "out": "out"}
-_PARAM_TO_FLAG = {"fmt": "--format", "set_path": "--set"}
-
-
-def _require(params: dict, *names: str) -> None:
-    for name in names:
-        if params.get(name) is None:
-            flag = _PARAM_TO_FLAG.get(name, "--" + name.replace("_", "-"))
-            raise click.UsageError(f"Missing option '{flag}'.")
 
 
 def apply_config(params: dict) -> dict:
@@ -125,9 +124,7 @@ def main():
 @common_options
 def bset(**params):
     """Construct the base set pinning sharp index kappa in a group."""
-    params = apply_config(params)
-    _require(params, "group", "kappa")
-    _run(run_bset, RunConfig(command="bset", **params))
+    _run(run_bset, "bset", params, "group", "kappa")
 
 
 @main.command()
@@ -139,9 +136,7 @@ def bset(**params):
 @common_options
 def witness(**params):
     """Greedily build a set whose windowed sharp index is kappa."""
-    params = apply_config(params)
-    _require(params, "group", "kappa", "window")
-    _run(run_witness, RunConfig(command="witness", **params))
+    _run(run_witness, "witness", params, "group", "kappa", "window")
 
 
 @main.command()
@@ -152,9 +147,7 @@ def witness(**params):
 @common_options
 def index(**params):
     """Exact windowed packing index of a set loaded from a file."""
-    params = apply_config(params)
-    _require(params, "set_path")
-    _run(run_index, RunConfig(command="index", **params))
+    _run(run_index, "index", params, "set_path")
 
 
 @main.command()
@@ -166,9 +159,7 @@ def index(**params):
 @common_options
 def obstruct(**params):
     """Sweep subsets of a finite group; extensions must leave no gap at kappa-1."""
-    params = apply_config(params)
-    _require(params, "group", "kappa")
-    _run(run_obstruct, RunConfig(command="obstruct", **params))
+    _run(run_obstruct, "obstruct", params, "group", "kappa")
 
 
 @main.command()
@@ -178,9 +169,7 @@ def obstruct(**params):
 @common_options
 def pairmap(**params):
     """Search for a separately-injective, intersection-preserving pair map."""
-    params = apply_config(params)
-    _require(params, "a", "b")
-    _run(run_pairmap, RunConfig(command="pairmap", **params))
+    _run(run_pairmap, "pairmap", params, "a", "b")
 
 
 @main.command()

@@ -2,6 +2,9 @@
 
 Each criterion is one function returning a structured outcome; the demo
 report aggregates them and the exit code reflects the overall verdict.
+Criteria 1-5 read the reports of the ``pack`` runners on their cells, so
+each check is made once, by its runner; criterion 6 cross-checks the solver
+against the exhaustive oracle and criterion 7 compares report bytes.
 """
 
 from __future__ import annotations
@@ -9,19 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import bsets, witness as witness_mod
 from .clique import exhaustive_max_clique_size
 from .groups import Window, enumerate_window, parse_group
-from .obstruction import exhaustive_no_index_check
-from .packing import (
-    ElementSet,
-    compatibility_graph,
-    max_clique_in_bset,
-    max_packing_family,
-)
-from .pairmap import common_point, search_pairmap, validate_pairmap
-from .reports import Report
-from .runners import RunConfig, run_bset, run_pairmap, run_witness
+from .packing import ElementSet, compatibility_graph, max_packing_family
+from .reports import Report, row
+from .runners import RunConfig, run_bset, run_obstruct, run_pairmap, run_witness
 
 ATTAINABILITY_CELLS = (
     [("Z", k) for k in range(2, 10)]
@@ -34,6 +29,8 @@ OBSTRUCTION_K4_GROUPS = ["Z_2^4", "Z_4 + Z_2", "Z_4 + Z_2^2"]
 
 WITNESS_KAPPAS = range(2, 10)
 WITNESS_WINDOW = 200
+
+PAIRMAP_CELLS = [(5, 4), (5, 3), (5, 5)]
 
 SOLVER_INSTANCES = 200
 
@@ -73,19 +70,59 @@ def solver_instances(seed: int, count: int = SOLVER_INSTANCES):
         yield A, window, vertices
 
 
+def _sweep(text: str, kappa: int) -> tuple[Report, dict]:
+    """``pack obstruct`` over every subset of ``text``, and its criterion cell."""
+    report = run_obstruct(RunConfig(command="obstruct", group=text, kappa=kappa))
+    r = report.results
+    cell = {
+        "subsets": r["subsets_examined"],
+        "families_found": r["families_found"],
+        "extensions_certified": r["extensions_certified"],
+        "violations": len(r["violations"]),
+    }
+    return report, cell
+
+
+def _bset_reports(threads: int = 1) -> list[Report]:
+    """``pack bset --check`` on each attainability cell."""
+    return [
+        run_bset(RunConfig(command="bset", group=text, kappa=kappa, check=True, threads=threads))
+        for text, kappa in ATTAINABILITY_CELLS
+    ]
+
+
+def _witness_reports(threads: int = 1) -> list[Report]:
+    """``pack witness --verify`` on ``Z`` for each kappa."""
+    return [
+        run_witness(
+            RunConfig(
+                command="witness",
+                group="Z",
+                kappa=kappa,
+                window=WITNESS_WINDOW,
+                verify=True,
+                threads=threads,
+            )
+        )
+        for kappa in WITNESS_KAPPAS
+    ]
+
+
+def _pairmap_reports(threads: int = 1) -> list[Report]:
+    """``pack pairmap`` on each boundary cell."""
+    return [
+        run_pairmap(RunConfig(command="pairmap", a=a, b=b, threads=threads))
+        for a, b in PAIRMAP_CELLS
+    ]
+
+
 def criterion_1() -> CriterionOutcome:
     reports = {}
     ok = True
     for text in OBSTRUCTION_K3_GROUPS:
-        sweep = exhaustive_no_index_check(parse_group(text), 3)
-        reports[text] = {
-            "subsets": sweep.subsets_examined,
-            "families_found": sweep.families_found,
-            "extensions_certified": sweep.extensions_certified,
-            "violations": len(sweep.violations),
-        }
-        ok &= not sweep.violations
-        ok &= sweep.extensions_certified >= sweep.families_found
+        report, cell = _sweep(text, 3)
+        reports[text] = cell
+        ok &= report.passed and cell["extensions_certified"] >= cell["families_found"]
     return CriterionOutcome(
         1, "exceptional family kappa=3: exhaustive sweep, zero violations", ok, reports
     )
@@ -95,15 +132,10 @@ def criterion_2() -> CriterionOutcome:
     reports = {}
     ok = True
     for text in OBSTRUCTION_K4_GROUPS:
-        sweep = exhaustive_no_index_check(parse_group(text), 4)
-        reports[text] = {
-            "subsets": sweep.subsets_examined,
-            "families_found": sweep.families_found,
-            "extensions_certified": sweep.extensions_certified,
-            "case_counts": dict(sweep.case_counts),
-            "violations": len(sweep.violations),
-        }
-        ok &= not sweep.violations
+        report, cell = _sweep(text, 4)
+        cell["case_counts"] = report.results["case_counts"]
+        reports[text] = cell
+        ok &= report.passed
     return CriterionOutcome(
         2, "exceptional family kappa=4: exhaustive sweeps, zero violations", ok, reports
     )
@@ -112,19 +144,16 @@ def criterion_2() -> CriterionOutcome:
 def criterion_3() -> CriterionOutcome:
     cells = {}
     ok = True
-    for text, kappa in ATTAINABILITY_CELLS:
-        built = bsets.build_bset(parse_group(text), kappa)
-        witness = bsets.check_property_1(built)
-        prop2 = bsets.check_property_2(built)
-        clique = max_clique_in_bset(built.elements)
-        cell_ok = len(witness) == kappa - 1 and prop2 and clique.size == kappa - 1
+    for (text, kappa), report in zip(ATTAINABILITY_CELLS, _bset_reports()):
+        checks = report.results["checks"]
+        witness = checks["property_1"]
         cells[f"{text} k={kappa}"] = {
-            "provenance": built.provenance,
-            "witness_size": len(witness),
-            "max_clique": clique.size,
-            "property_2": prop2,
+            "provenance": report.results["provenance"],
+            "witness_size": len(witness["detail"]) if witness["holds"] else None,
+            "max_clique": checks["property_2"]["detail"],
+            "property_2": checks["property_2"]["holds"],
         }
-        ok &= cell_ok
+        ok &= report.passed
     return CriterionOutcome(
         3, "attainability matrix: property checks are exact", ok, cells
     )
@@ -133,19 +162,15 @@ def criterion_3() -> CriterionOutcome:
 def criterion_4() -> CriterionOutcome:
     cells = {}
     ok = True
-    group = parse_group("Z")
-    for kappa in WITNESS_KAPPAS:
-        built = bsets.build_bset(group, kappa)
-        w = witness_mod.build_witness(built, Window.for_group(group, WITNESS_WINDOW))
-        inv = witness_mod.verify_witness(w)
-        idx = witness_mod.max_family(w).size + 1 if inv.all_hold else None
+    for kappa, report in zip(WITNESS_KAPPAS, _witness_reports()):
+        r = report.results
         cells[f"k={kappa}"] = {
-            "set_size": len(w.elements),
-            "i1": inv.i1_holds,
-            "i2": inv.i2_holds,
-            "windowed_sharp_index": idx,
+            "set_size": len(r["elements"]),
+            "i1": r["invariants"]["i1"]["holds"],
+            "i2": r["invariants"]["i2"]["holds"],
+            "windowed_sharp_index": r.get("windowed_sharp_index"),
         }
-        ok &= inv.all_hold and idx == kappa
+        ok &= report.passed
     return CriterionOutcome(
         4, "greedy witnesses on [-200,200] hit their index exactly", ok, cells
     )
@@ -153,22 +178,16 @@ def criterion_4() -> CriterionOutcome:
 
 def criterion_5() -> CriterionOutcome:
     details = {}
-    none_54, n54 = search_pairmap(5, 4)
-    none_53, n53 = search_pairmap(5, 3)
-    found_55, n55 = search_pairmap(5, 5)
-    details["(5,4)"] = {"outcome": "none" if none_54 is None else "found", "nodes": n54}
-    details["(5,3)"] = {"outcome": "none" if none_53 is None else "found", "nodes": n53}
-    ok = none_54 is None and none_53 is None and found_55 is not None
-    if found_55 is not None:
-        validation = validate_pairmap(found_55)
-        commons = [common_point(found_55, a0) for a0 in range(5)]
-        details["(5,5)"] = {
-            "outcome": "found",
-            "nodes": n55,
-            "valid": validation.valid,
-            "common_points": commons,
-        }
-        ok &= validation.valid and all(c is not None for c in commons)
+    ok = True
+    for (a, b), report in zip(PAIRMAP_CELLS, _pairmap_reports()):
+        r = report.results
+        cell = details[f"({a},{b})"] = {"outcome": r["outcome"], "nodes": r["nodes_visited"]}
+        # with a >= 5, no map exists once b < a; one does at b = a
+        ok &= r["outcome"] == ("found" if b >= a else "none")
+        if "witness" in r:
+            cell["valid"] = report.passed
+            cell["common_points"] = r["witness"]["common_points"]
+            ok &= report.passed and None not in cell["common_points"]
     return CriterionOutcome(
         5, "pair-map boundary: none at (5,4),(5,3); witness at (5,5)", ok, details
     )
@@ -198,24 +217,8 @@ def criterion_6(seed: int) -> CriterionOutcome:
 
 def deterministic_cells(threads: int) -> list[str]:
     """Report bytes of criterion 7's cells, run with ``RunConfig.threads`` set."""
-    payloads = []
-    for text, kappa in ATTAINABILITY_CELLS:
-        cfg = RunConfig(command="bset", group=text, kappa=kappa, check=True, threads=threads)
-        payloads.append(run_bset(cfg).to_json())
-    for kappa in WITNESS_KAPPAS:
-        cfg = RunConfig(
-            command="witness",
-            group="Z",
-            kappa=kappa,
-            window=WITNESS_WINDOW,
-            verify=True,
-            threads=threads,
-        )
-        payloads.append(run_witness(cfg).to_json())
-    for a, b in [(5, 4), (5, 3), (5, 5)]:
-        cfg = RunConfig(command="pairmap", a=a, b=b, threads=threads)
-        payloads.append(run_pairmap(cfg).to_json())
-    return payloads
+    reports = _bset_reports(threads) + _witness_reports(threads) + _pairmap_reports(threads)
+    return [report.to_json() for report in reports]
 
 
 def criterion_7() -> CriterionOutcome:
@@ -253,14 +256,7 @@ def run_demo_matrix(seed: int = 0, only: int | None = None) -> Report:
             for o in outcomes
         ]
     }
-    summary = [
-        {
-            "check": f"criterion_{o.cid}",
-            "status": "pass" if o.passed else "fail",
-            "detail": o.description,
-        }
-        for o in outcomes
-    ]
+    summary = [row(f"criterion_{o.cid}", o.passed, o.description) for o in outcomes]
     return Report(
         command="demo",
         config={"seed": seed, "only": only},

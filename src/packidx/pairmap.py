@@ -121,15 +121,15 @@ class _Search:
             through[k] |= 1 << s
             through[l] |= 1 << s
         self.compat = [(through[k] | through[l]) & ~(1 << s) for s, (k, l) in enumerate(self.images)]
-        self.overlaps: list[list[int]] = []
-        for idx, (i, j) in enumerate(self.pairs):
-            self.overlaps.append(
-                [
-                    prev
-                    for prev in range(idx)
-                    if len({i, j} & set(self.pairs[prev])) == 1
-                ]
+        # the earlier pairs meeting {i, j} in one index: {i, x} for x < j
+        # and {x, j} for x < i, in ascending rank
+        self.overlaps = [
+            sorted(
+                [_pair_rank(min(i, x), max(i, x)) for x in range(j) if x != i]
+                + [_pair_rank(x, j) for x in range(i)]
             )
+            for i, j in self.pairs
+        ]
         self.size_a = size_a
         self.size_b = size_b
         self.node_budget = node_budget

@@ -17,6 +17,11 @@ from pathlib import Path
 SCHEMA_VERSION = 1
 
 
+def row(check: str, ok: bool, detail="") -> dict:
+    """One summary row; ``detail`` is reported as text."""
+    return {"check": check, "status": "pass" if ok else "fail", "detail": str(detail)}
+
+
 @dataclass
 class Report:
     command: str

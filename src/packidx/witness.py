@@ -33,7 +33,7 @@ from .groups import (
     hull_bounds,
     sum_bounds,
 )
-from .packing import ElementSet, PackingFamily, difference_mask, max_packing_family
+from .packing import ElementSet, difference_mask, max_packing_family
 
 # ambient doublings build_witness tries before it gives up on a target
 MAX_EXPANSIONS = 8
@@ -197,7 +197,3 @@ def windowed_sharp_index(w: WitnessSet) -> int:
         )
     family = max_packing_family(w.elements, w.window)
     return family.size + 1
-
-
-def max_family(w: WitnessSet) -> PackingFamily:
-    return max_packing_family(w.elements, w.window)

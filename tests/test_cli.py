@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,16 @@ def test_budget_error_reports_progress(runner):
     assert result.exit_code == 1
     # depth as the recursive reference search in test_pairmap reaches it
     assert payload(result)["timing"] == {"nodes_visited": 200001, "depth": 510}
+
+
+def test_budget_error_comes_before_quadratic_setup(runner):
+    # testing every earlier pair for overlap, O(a^4), took over 3 s at a = b = 100
+    started = time.perf_counter()
+    result = runner.invoke(main, ["pairmap", "--a", "100", "--b", "100", "--budget", "10"])
+    elapsed = time.perf_counter() - started
+    assert result.exit_code == 1
+    assert payload(result)["timing"] == {"nodes_visited": 11, "depth": 11}
+    assert elapsed < 2.0
 
 
 class TestEmission:

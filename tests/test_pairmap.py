@@ -5,6 +5,7 @@ import pytest
 from packidx.errors import PreconditionError, SearchBudgetExceededError
 from packidx.pairmap import (
     PairMap,
+    _Search,
     codomain_pairs,
     common_point,
     domain_pairs,
@@ -183,6 +184,17 @@ def test_search_matches_recursive_reference(size_a, size_b):
             assert (exc.nodes, exc.depth) == expected
         else:
             assert expected is None
+
+
+@pytest.mark.parametrize("size_a", range(2, 13))
+def test_overlaps_match_pairwise_scan(size_a):
+    # the table as the search built it before, by testing every earlier pair
+    pairs = domain_pairs(size_a)
+    reference = [
+        [prev for prev in range(idx) if len({i, j} & set(pairs[prev])) == 1]
+        for idx, (i, j) in enumerate(pairs)
+    ]
+    assert _Search(size_a, 2, node_budget=1).overlaps == reference
 
 
 class TestCommonPoint:

@@ -3,7 +3,7 @@ import pytest
 from packidx.bsets import BSet, build_bset
 from packidx.errors import PreconditionError, PropertyThreeViolatedError
 from packidx.groups import Window, parse_group
-from packidx.packing import ElementSet, difference_set
+from packidx.packing import ElementSet, difference_set, max_packing_family
 from packidx.witness import (
     WitnessSet,
     build_witness,
@@ -157,9 +157,7 @@ class TestIndex:
 
     def test_kappa3_family_is_inside_bstar(self):
         w = small_witness(3, 30)
-        from packidx.witness import max_family
-
-        fam = max_family(w)
+        fam = max_packing_family(w.elements, w.window)
         assert fam.size == 2
         diffs = {
             (a - b).coords for a in fam.shifts for b in fam.shifts if a != b
