@@ -19,7 +19,9 @@ decision stops at its first clique of the target size. Only
 ``exists_clique`` and ``clique_of_size`` keep the caller's numbering, so the
 lexicographically-first witness is the same under any search schedule. A
 separate subset-DP oracle re-derives the clique number by brute force so the
-two routes can be cross-checked against each other.
+two routes can be cross-checked against each other: it decides every one of
+the 2^n vertex masks, bit-parallel in one big-int bitset per clique size,
+with no bound and no search order.
 """
 
 from __future__ import annotations
@@ -164,22 +166,34 @@ def first_max_clique(adj: list[int]) -> tuple[int, list[int]]:
 def exhaustive_max_clique_size(adj: list[int]) -> int:
     """Brute-force clique number via subset DP; independent of the solver.
 
-    Enumerates all 2^n vertex subsets, so n is capped at ``ORACLE_LIMIT``.
+    A mask m is a clique iff m less its top vertex v is a clique inside the
+    lower neighbours of v. The recurrence runs bit-parallel: ``K[s]`` is a
+    2^n-bit integer whose bit m is set iff mask m is an s-clique, and each
+    vertex v in ascending order adds the s+1-cliques topped by v at once,
+    ``(K[s] & ind) << 2^v``, where bit r of ``ind`` says that r lies inside
+    the lower neighbours of v. Every one of the 2^n masks is decided, with
+    no bound and no search order, so n is capped at ``ORACLE_LIMIT``.
+
+    ``adj`` must be symmetric, as a graph's adjacency is: the recurrence
+    reads each edge from its higher end only. A self-loop bit is ignored.
     """
     n = len(adj)
     if n > ORACLE_LIMIT:
         raise ValueError(f"exhaustive oracle supports at most {ORACLE_LIMIT} vertices, got {n}")
-    if n == 0:
-        return 0
-    is_clique = bytearray(1 << n)
-    is_clique[0] = 1
-    best = 0
-    for m in range(1, 1 << n):
-        v = (m & -m).bit_length() - 1
-        rest = m ^ (1 << v)
-        if is_clique[rest] and rest & ~adj[v] == 0:
-            is_clique[m] = 1
-            c = m.bit_count()
-            if c > best:
-                best = c
-    return best
+    K = [1]  # the empty mask is the one 0-clique
+    for v in range(n):
+        # submasks of the lower neighbours, by doubling once per neighbour
+        ind = 1
+        lower = adj[v] & ((1 << v) - 1)
+        while lower:
+            low = lower & -lower
+            ind |= ind << low
+            lower ^= low
+        shift = 1 << v
+        for s in range(len(K)):
+            hit = K[s] & ind
+            if hit:
+                if s + 1 == len(K):
+                    K.append(0)
+                K[s + 1] |= hit << shift
+    return len(K) - 1

@@ -96,6 +96,15 @@ def validate_pairmap(f: PairMap) -> Validation:
     return Validation(sep, pres)
 
 
+def _overlaps(i: int, j: int) -> list[int]:
+    """Ranks of the earlier pairs meeting {i, j} in one index, ascending:
+    {i, x} for x < j and {x, j} for x < i."""
+    return sorted(
+        [_pair_rank(min(i, x), max(i, x)) for x in range(j) if x != i]
+        + [_pair_rank(x, j) for x in range(i)]
+    )
+
+
 class _Search:
     """Depth-first assignment of images to domain pairs in colex order.
 
@@ -121,15 +130,9 @@ class _Search:
             through[k] |= 1 << s
             through[l] |= 1 << s
         self.compat = [(through[k] | through[l]) & ~(1 << s) for s, (k, l) in enumerate(self.images)]
-        # the earlier pairs meeting {i, j} in one index: {i, x} for x < j
-        # and {x, j} for x < i, in ascending rank
-        self.overlaps = [
-            sorted(
-                [_pair_rank(min(i, x), max(i, x)) for x in range(j) if x != i]
-                + [_pair_rank(x, j) for x in range(i)]
-            )
-            for i, j in self.pairs
-        ]
+        # each level's overlapping predecessors, built at the first
+        # placement on the level before; the first level has none
+        self.overlaps: list[list[int]] = [[]]
         self.size_a = size_a
         self.size_b = size_b
         self.node_budget = node_budget
@@ -164,7 +167,10 @@ class _Search:
             cand[idx] = c ^ low
             nodes += 1
             if idx >= depth:
+                # the first placement at this level; the next one is new
                 depth = idx + 1
+                if depth < last:
+                    overlaps.append(_overlaps(*self.pairs[depth]))
             if nodes > budget:
                 raise SearchBudgetExceededError(nodes, budget, depth)
             assignment[idx] = low.bit_length() - 1

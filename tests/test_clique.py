@@ -60,8 +60,7 @@ def test_empty_and_edgeless():
 
 def test_complete_graph():
     n = 6
-    full = (1 << n) - 1
-    adj = [full & ~(1 << v) for v in range(n)]
+    adj = complete_graph(n)
     size, witness = first_max_clique(adj)
     assert size == n and witness == list(range(n))
 
@@ -100,9 +99,52 @@ def test_determinism_across_repeats(seed, n):
     assert first_max_clique(adj) == first_max_clique(adj)
 
 
+def reference_oracle(adj):
+    """The oracle's former loop: every mask m in ascending order is a clique
+    iff m less its lowest vertex is one inside that vertex's neighbours."""
+    n = len(adj)
+    if n == 0:
+        return 0
+    is_clique = bytearray(1 << n)
+    is_clique[0] = 1
+    best = 0
+    for m in range(1, 1 << n):
+        v = (m & -m).bit_length() - 1
+        rest = m ^ (1 << v)
+        if is_clique[rest] and rest & ~adj[v] == 0:
+            is_clique[m] = 1
+            best = max(best, m.bit_count())
+    return best
+
+
+def complete_graph(n):
+    full = (1 << n) - 1
+    return [full & ~(1 << v) for v in range(n)]
+
+
 def test_oracle_vertex_cap():
     with pytest.raises(ValueError):
         exhaustive_max_clique_size([0] * 21)
+
+
+@pytest.mark.parametrize("adj,omega", [([0] * 20, 1), (complete_graph(20), 20)], ids=["empty", "complete"])
+def test_oracle_at_vertex_cap(adj, omega):
+    assert exhaustive_max_clique_size(adj) == reference_oracle(adj) == omega
+
+
+@pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", range(21))
+def test_oracle_matches_reference(n, density):
+    adj = random_graph(random.Random(100 * n + int(10 * density)), n, density)
+    assert exhaustive_max_clique_size(adj) == reference_oracle(adj)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_oracle_ignores_self_loops(seed):
+    rng = random.Random(seed)
+    adj = random_graph(rng, rng.randint(1, 14), 0.5)
+    looped = [row | 1 << v for v, row in enumerate(adj)]
+    assert exhaustive_max_clique_size(looped) == exhaustive_max_clique_size(adj)
 
 
 def induced(adj, P):

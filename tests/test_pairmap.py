@@ -5,6 +5,7 @@ import pytest
 from packidx.errors import PreconditionError, SearchBudgetExceededError
 from packidx.pairmap import (
     PairMap,
+    _overlaps,
     _Search,
     codomain_pairs,
     common_point,
@@ -194,7 +195,20 @@ def test_overlaps_match_pairwise_scan(size_a):
         [prev for prev in range(idx) if len({i, j} & set(pairs[prev])) == 1]
         for idx, (i, j) in enumerate(pairs)
     ]
-    assert _Search(size_a, 2, node_budget=1).overlaps == reference
+    assert [_overlaps(i, j) for i, j in pairs] == reference
+
+
+@pytest.mark.parametrize("size_a,size_b,budget", [(100, 100, 10), (7, 6, 1000), (6, 5, 300), (9, 8, 2000)])
+def test_overlaps_follow_search_depth(size_a, size_b, budget):
+    # the first level has no predecessors, and each deeper level is built
+    # at the first placement on the level before: a stop at depth d has
+    # built at most d levels past the first
+    search = _Search(size_a, size_b, budget)
+    with pytest.raises(SearchBudgetExceededError) as err:
+        search.run(limit=1)
+    assert len(search.overlaps) - 1 <= err.value.depth
+    pairs = domain_pairs(size_a)
+    assert search.overlaps[1:] == [_overlaps(i, j) for i, j in pairs[1 : len(search.overlaps)]]
 
 
 class TestCommonPoint:
