@@ -6,6 +6,8 @@ admits a (kappa-1)-point configuration but no kappa-point one, and which is
 too sparse for any small translate family to cover the group. Two group
 families are exceptional and rejected: index 3 is unattainable in direct
 sums of Z_3, index 4 in direct sums of Z_2 (with at most one Z_4 summand).
+``exceptional_family`` states that rule once, for finite and infinite
+groups alike; the obstruction sweeps ask it which finite groups they cover.
 """
 
 from __future__ import annotations
@@ -57,23 +59,27 @@ class BSet:
     check_results: tuple | None = None
 
 
+def exceptional_family(group: GroupSpec, kappa: int) -> bool:
+    """True iff every factor of the group, finite or not, lies in the
+    exceptional family of ``kappa``: Z_3 for index 3, and Z_2 with at most
+    one Z_4 summand for index 4. No other index has such a family."""
+    kinds = [(f.kind, f.param) for f in group.factors]
+    if kappa == 3:
+        return all(k in (CYCLIC, REPEATED_CYCLIC) and p == 3 for k, p in kinds)
+    if kappa == 4:
+        fours = kinds.count((CYCLIC, 4))
+        twos = sum(1 for k, p in kinds if k in (CYCLIC, REPEATED_CYCLIC) and p == 2)
+        return fours <= 1 and fours + twos == len(kinds)
+    return False
+
+
 def is_exceptional(group: GroupSpec, kappa: int) -> bool:
     """True iff no subset of the group can have sharp index ``kappa``."""
     if group.is_finite:
         raise FiniteGroupError("index attainability is characterized for infinite groups only")
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
-    kinds = [(f.kind, f.param) for f in group.factors]
-    if kappa == 3:
-        return all(k in (CYCLIC, REPEATED_CYCLIC) and p == 3 for k, p in kinds)
-    if kappa == 4:
-        fours = sum(1 for k, p in kinds if k == CYCLIC and p == 4)
-        twos_ok = all(
-            (k in (CYCLIC, REPEATED_CYCLIC) and p == 2) or (k == CYCLIC and p == 4)
-            for k, p in kinds
-        )
-        return twos_ok and fours <= 1
-    return False
+    return exceptional_family(group, kappa)
 
 
 def _unit_at(group: GroupSpec, index: int, coord) -> Element:
@@ -176,7 +182,7 @@ def build_bset(group: GroupSpec, kappa: int) -> BSet:
         raise FiniteGroupError("base-set construction requires an infinite group")
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
-    if kappa in (3, 4) and is_exceptional(group, kappa):
+    if is_exceptional(group, kappa):
         raise ExceptionalGroupError(
             f"index {kappa} is unattainable in {group}"
         )

@@ -44,6 +44,7 @@ def _deliver(report: Report, fmt: str, out: str | None, started: float) -> None:
 def _run(runner, command: str, params: dict, *required: str) -> None:
     """Fill flags from the config file, insist on ``required``, run, deliver."""
     params = apply_config(params)
+    fmt, out = params.pop("fmt"), params.pop("out")
     for name in required:
         if params.get(name) is None:
             flag = "--set" if name == "set_path" else f"--{name}"
@@ -54,7 +55,7 @@ def _run(runner, command: str, params: dict, *required: str) -> None:
         report = runner(cfg)
     except (GroupSyntaxError, ElementSyntaxError, ValueError) as exc:
         raise click.UsageError(str(exc)) from exc
-    _deliver(report, cfg.fmt, cfg.out, started)
+    _deliver(report, fmt, out, started)
 
 
 def common_options(fn):

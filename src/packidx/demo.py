@@ -54,10 +54,10 @@ class CriterionOutcome:
     details: dict
 
 
-def solver_instances(seed: int, count: int = SOLVER_INSTANCES):
+def solver_instances(seed: int):
     """Deterministic random (set, window) instances with <= 18 vertices."""
     rng = random.Random(seed)
-    for _ in range(count):
+    for _ in range(SOLVER_INSTANCES):
         text, kwargs = _INSTANCE_POOL[rng.randrange(len(_INSTANCE_POOL))]
         group = parse_group(text)
         kw = dict(kwargs)

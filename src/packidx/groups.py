@@ -784,11 +784,7 @@ class _Parser:
 
 def parse_group(text: str) -> GroupSpec:
     """Parse the group-spec DSL, e.g. ``"Z_4 + Z_2^w"`` or ``"Prufer(3)"``."""
-    parser = _Parser(text)
-    spec = parser.parse()
-    if not spec.factors:
-        raise GroupSyntaxError("empty group spec", 0)
-    return spec
+    return _Parser(text).parse()
 
 
 def format_group(group: GroupSpec) -> str:

@@ -8,6 +8,11 @@ the orders and Z_4 coordinates of the two nonzero shifts. The sweeps below
 apply those extensions to every (or a sampled set of) nonzero subsets of a
 small finite group and certify each produced family, demonstrating that no
 subset's maximum family size lands exactly on the forbidden value.
+
+Which groups a sweep covers is ``bsets.exceptional_family``, the same test
+that rejects these families in ``build_bset``. A sweep checks the family on
+the group's factors, and the 32-element cap and the exhaustive limit on its
+cardinality, before it enumerates a single element.
 """
 
 from __future__ import annotations
@@ -17,14 +22,13 @@ from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
+from .bsets import exceptional_family
 from .errors import (
     CertificationError,
     NotApplicableError,
     PreconditionError,
 )
 from .groups import (
-    CYCLIC,
-    REPEATED_CYCLIC,
     DenseBox,
     Element,
     GroupSpec,
@@ -33,7 +37,7 @@ from .groups import (
     enumerate_window,
     zero_coord,
 )
-from .packing import ElementSet, max_packing_family, translates_disjoint
+from .packing import ElementSet, _certify_family, max_packing_family, translates_disjoint
 
 ORDER_TWO = "OrderTwo"
 SAME_G = "SameG"
@@ -47,17 +51,11 @@ EXHAUSTIVE_LIMIT = 16
 
 def _z4_factor_index(group: GroupSpec) -> int | None:
     """Index of the single Z_4 summand in a covered group, if present."""
-    fours = [i for i, f in enumerate(group.factors) if f.kind == CYCLIC and f.param == 4]
-    covered = all(
-        (f.kind == CYCLIC and f.param in (2, 4))
-        or (f.kind == REPEATED_CYCLIC and f.param == 2)
-        for f in group.factors
-    )
-    if not covered or len(fours) > 1:
+    if not exceptional_family(group, 4):
         raise NotApplicableError(
             f"{group} is outside the 2-torsion-with-one-Z_4 family"
         )
-    return fours[0] if fours else None
+    return next((i for i, f in enumerate(group.factors) if f.param == 4), None)
 
 
 @dataclass(frozen=True)
@@ -105,12 +103,9 @@ def _fourth_shift(case: TripleCase) -> Element:
 def _certify(A: ElementSet, shifts: list[Element]) -> None:
     if len({b.coords for b in shifts}) != len(shifts):
         raise CertificationError("extension produced coinciding shifts")
-    for i, b in enumerate(shifts):
-        for b2 in shifts[i + 1 :]:
-            if not translates_disjoint(A, b, b2):
-                raise CertificationError(
-                    f"translates by {b} and {b2} intersect after extension"
-                )
+    if not _certify_family(A, shifts):
+        family = ", ".join(map(str, shifts))
+        raise CertificationError(f"translates by {{{family}}} intersect after extension")
 
 
 def extend_pair_exponent3(A: ElementSet, b: Element) -> ElementSet:
@@ -151,19 +146,16 @@ class _GroupTables:
     of its elements on the group's dense box.
 
     Element i has box code i, because a finite group's box numbers its codes
-    in window order; so a subset is a mask of element indices.
+    in window order; so a subset is a mask of element indices. The group is
+    finite and small: ``exhaustive_no_index_check`` checks both first.
     """
 
     def __init__(self, group: GroupSpec):
-        if not group.is_finite:
-            raise NotApplicableError("sweeps run on finite groups only")
         self.group = group
         window = Window.for_group(group)
         self.window = window
         self.elements = list(enumerate_window(window))
         self.n = len(self.elements)
-        if self.n > 32:
-            raise NotApplicableError(f"sweep supports at most 32 elements, got {self.n}")
         self.index = index = {e.coords: i for i, e in enumerate(self.elements)}
         zero = tuple(zero_coord(f) for f in group.factors)
         assert index[zero] == 0
@@ -221,10 +213,9 @@ class _GroupTables:
         return hit
 
 
-def _find_triple(
-    t: _GroupTables, dstar: int, compat0: int, restrict: int | None = None
-) -> tuple[int, int] | None:
-    pool = compat0 if restrict is None else compat0 & restrict
+def _find_triple(t: _GroupTables, dstar: int, pool: int) -> tuple[int, int] | None:
+    """First shifts b1 < b2 in ``pool`` (shifts compatible with 0) that are
+    compatible with each other."""
     rest = pool
     while rest:
         b1 = (rest & -rest).bit_length() - 1
@@ -298,7 +289,7 @@ def _sweep(
                 if variant == ORDER_TWO and order4:
                     # also certify the first triple with both shifts of
                     # order 4, so the four-coordinate cases get exercised
-                    hit4 = _find_triple(t, dstar, compat0, restrict=order4)
+                    hit4 = _find_triple(t, dstar, compat0 & order4)
                     if hit4 is not None:
                         families.append(t.family(*hit4))
 
@@ -343,7 +334,7 @@ def _sweep(
 
 def _validate_family_membership(group: GroupSpec, kappa: int) -> None:
     if kappa == 3:
-        if not all(f.kind == CYCLIC and f.param == 3 for f in group.factors):
+        if not (group.is_finite and exceptional_family(group, 3)):
             raise NotApplicableError(f"{group} is not a finite exponent-3 group")
     elif kappa == 4:
         if not group.is_finite:
@@ -358,40 +349,42 @@ def exhaustive_no_index_check(
     kappa: int,
     sample: int | None = None,
     seed: int = 0,
-    stride: int | None = None,
 ) -> SweepReport:
     """Sweep subsets of a finite group, extending every found (kappa-1)-family
     to a certified kappa-family; reports must contain zero violations.
 
     Every nonzero subset is swept, or ``sample`` seeded random ones when a
-    sample count is given. Every ``stride``-th subset is additionally
-    cross-checked against the exact solver; by default roughly 128 subsets
-    per sweep get that treatment.
+    sample count is given. Evenly strided subsets, roughly 128 per sweep,
+    are additionally cross-checked against the exact solver. The family and
+    both size caps are checked on the group's spec before any element is
+    listed.
     """
     _validate_family_membership(group, kappa)
+    n = group.cardinality
+    if n > 32:
+        raise NotApplicableError(f"sweep supports at most 32 elements, got {n}")
+    if sample is None and n > EXHAUSTIVE_LIMIT:
+        raise NotApplicableError(
+            f"group has {n} elements; exhaustive sweeps stop at "
+            f"{EXHAUSTIVE_LIMIT}, use sampled mode"
+        )
+    if sample is not None and sample < 1:
+        raise PreconditionError("sampled mode needs a positive sample count")
     t = _GroupTables(group)
 
     if sample is None:
         mode = "exhaustive"
-        if t.n > EXHAUSTIVE_LIMIT:
-            raise NotApplicableError(
-                f"group has {t.n} elements; exhaustive sweeps stop at "
-                f"{EXHAUSTIVE_LIMIT}, use sampled mode"
-            )
-        masks = range(1, 1 << t.n)
+        masks = range(1, 1 << n)
         diffs = t.exhaustive_diff_masks()
         seed_used = None
     else:
         mode = "sampled"
-        if sample < 1:
-            raise PreconditionError("sampled mode needs a positive sample count")
         rng = random.Random(seed)
-        masks = sorted({rng.randrange(1, 1 << t.n) for _ in range(sample)})
+        masks = sorted({rng.randrange(1, 1 << n) for _ in range(sample)})
         diffs = map(t.diff_mask, masks)
         seed_used = seed
 
-    if stride is None:
-        stride = max(1, len(masks) // 128)
+    stride = max(1, len(masks) // 128)
 
     return SweepReport(
         group=str(group),

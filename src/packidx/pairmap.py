@@ -203,11 +203,9 @@ def search_pairmap(
     return (found[0] if found else None), search.nodes
 
 
-def iter_valid_maps(
-    size_a: int, size_b: int, limit: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> list[PairMap]:
+def iter_valid_maps(size_a: int, size_b: int, limit: int) -> list[PairMap]:
     """Up to ``limit`` valid maps in canonical search order."""
-    return _Search(size_a, size_b, node_budget).run(limit=limit)
+    return _Search(size_a, size_b, DEFAULT_NODE_BUDGET).run(limit=limit)
 
 
 def common_point(f: PairMap, a0: int) -> int | None:

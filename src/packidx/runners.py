@@ -10,7 +10,7 @@ than a traceback.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import bsets, obstruction, pairmap as pairmap_mod, witness as witness_mod
 from .errors import (
@@ -36,9 +36,8 @@ _ECHOED = {
 
 @dataclass
 class RunConfig:
-    """Flags of one CLI invocation. ``fmt`` and ``out`` steer delivery only
-    and never appear in report bytes; ``threads`` is accepted and read by
-    nothing, since every runner is serial."""
+    """Flags of one CLI invocation that a runner may read. ``threads`` is
+    accepted and read by nothing, since every runner is serial."""
 
     command: str
     group: str | None = None
@@ -55,8 +54,6 @@ class RunConfig:
     check: bool = False
     verify: bool = False
     threads: int = 1
-    fmt: str = "json"
-    out: str | None = None
 
     def echo_config(self) -> dict:
         return {
@@ -187,19 +184,11 @@ def run_obstruct(cfg: RunConfig):
     sweep = obstruction.exhaustive_no_index_check(
         group, cfg.kappa, sample=cfg.sample, seed=cfg.seed
     )
-    results = {
-        "group": sweep.group,
-        "kappa": sweep.kappa,
-        "mode": sweep.mode,
-        "seed": sweep.seed,
-        "subsets_examined": sweep.subsets_examined,
-        "families_found": sweep.families_found,
-        "extensions_certified": sweep.extensions_certified,
-        "no_family": sweep.no_family,
-        "case_counts": dict(sweep.case_counts),
-        "cross_checks": sweep.cross_checks,
-        "violations": list(sweep.violations),
-    }
+    # ``sample`` is already in the config echo
+    results = asdict(sweep)
+    del results["sample"]
+    results["case_counts"] = dict(sweep.case_counts)
+    results["violations"] = list(sweep.violations)
     summary = [row("no_violations", not sweep.violations, f"{len(sweep.violations)} violations")]
     timing = {"subsets_examined": sweep.subsets_examined, "cross_checks": sweep.cross_checks}
     return results, summary, timing

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from packidx.cli import main
-from packidx.runners import RunConfig, run_bset, run_pairmap, run_witness
+from packidx.runners import RunConfig, run_bset, run_obstruct, run_pairmap, run_witness
 
 
 @pytest.fixture
@@ -69,6 +69,24 @@ class TestFailFast:
             "message": "window has 1201 elements, limit is 1024",
         }
 
+    def test_obstruct_element_cap_is_checked_before_enumerating(self, runner, monkeypatch):
+        from packidx import obstruction
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated a group past the sweep cap")
+
+        monkeypatch.setattr(obstruction, "enumerate_window", refuse)
+        result = runner.invoke(
+            main, ["obstruct", "--group", "Z_2^40", "--kappa", "4", "--sample", "5"]
+        )
+        assert result.exit_code == 1
+        data = payload(result)
+        assert data["results"]["error"] == {
+            "type": "NotApplicable",
+            "message": "sweep supports at most 32 elements, got 1099511627776",
+        }
+        assert data["timing"] == {}
+
     def test_index_window_cap_is_an_error_report(self, runner):
         set_path = Path(__file__).parent / "golden" / "sets" / "z.json"
         result = runner.invoke(main, ["index", "--set", str(set_path), "--window", "600"])
@@ -96,6 +114,68 @@ class TestFailFast:
         result = runner.invoke(main, ["index", "--set", str(path), "--window", "4"])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
+
+
+def _not_applicable(message):
+    return {"type": "NotApplicable", "message": message}
+
+
+def _exceptional(kappa, group):
+    return {"type": "ExceptionalGroup", "message": f"index {kappa} is unattainable in {group}"}
+
+
+_TOO_BIG_TO_SWEEP = "group has {} elements; exhaustive sweeps stop at 16, use sampled mode"
+
+
+class TestFamilyVerdicts:
+    """Which groups ``bset`` rejects and ``obstruct`` sweeps: an error
+    report pinned to its type and message, or the accepted run's
+    provenance (``bset``) or sweep mode (``obstruct``)."""
+
+    @pytest.mark.parametrize(
+        "command,group,kappa,sample,expected",
+        [
+            ("obstruct", "Z_5", 3, None, _not_applicable("Z_5 is not a finite exponent-3 group")),
+            ("obstruct", "Z_3 + Z_3", 4, None,
+             _not_applicable("Z_3 + Z_3 is outside the 2-torsion-with-one-Z_4 family")),
+            ("obstruct", "Z_2", 5, None, _not_applicable("sweeps cover kappa in {3, 4} only")),
+            ("obstruct", "Z_3^w", 3, None, _not_applicable("Z_3^w is not a finite exponent-3 group")),
+            ("obstruct", "Z_2^w", 4, None, _not_applicable("sweeps run on finite groups only")),
+            ("obstruct", "Z_4 + Z_4", 4, None,
+             _not_applicable("Z_4 + Z_4 is outside the 2-torsion-with-one-Z_4 family")),
+            ("obstruct", "Z_8", 4, None,
+             _not_applicable("Z_8 is outside the 2-torsion-with-one-Z_4 family")),
+            ("obstruct", "Z", 3, None, _not_applicable("Z is not a finite exponent-3 group")),
+            ("obstruct", "Z_4 + Z_2^w", 4, None, _not_applicable("sweeps run on finite groups only")),
+            ("obstruct", "Z_3^3", 3, None, _not_applicable(_TOO_BIG_TO_SWEEP.format(27))),
+            ("obstruct", "Z_2^5", 4, None, _not_applicable(_TOO_BIG_TO_SWEEP.format(32))),
+            ("obstruct", "Z_2^6", 4, 10,
+             _not_applicable("sweep supports at most 32 elements, got 64")),
+            ("obstruct", "Z_3", 3, None, "exhaustive"),
+            ("obstruct", "Z_2^3", 4, 5, "sampled"),
+            ("bset", "Z_3^w", 3, None, _exceptional(3, "Z_3^w")),
+            ("bset", "Z_2^w", 4, None, _exceptional(4, "Z_2^w")),
+            ("bset", "Z_4 + Z_2^w", 4, None, _exceptional(4, "Z_4 + Z_2^w")),
+            ("bset", "Z_4^w", 4, None, "K4-ZiZj"),
+            ("bset", "Z_3 + Z_3^w", 3, None, _exceptional(3, "Z_3 + Z_3^w")),
+            ("bset", "Z_2^w + Z_3", 4, None, "K4-Order>5"),
+            ("bset", "Z_4 + Z_4 + Z_2^w", 4, None, "K4-ZiZj"),
+            ("bset", "Z", 3, None, "K3"),
+            ("bset", "Z_2^w", 5, None, "Kn-DirectSum"),
+        ],
+    )
+    def test_verdict(self, command, group, kappa, sample, expected):
+        run = run_obstruct if command == "obstruct" else run_bset
+        report = run(RunConfig(command=command, group=group, kappa=kappa, sample=sample))
+        results = report.results
+        if isinstance(expected, dict):
+            assert results == {"error": expected}
+            assert not report.passed and report.timing == {}
+        else:
+            assert results["provenance" if command == "bset" else "mode"] == expected
+            assert report.passed
+            # results hold JSON values only, lists rather than tuples
+            assert results == json.loads(json.dumps(results))
 
 
 class TestWitnessCommand:

@@ -43,7 +43,7 @@ class TestParser:
         assert parse_group("Z4+Z_2^w") == parse_group(" Z_4 + Z_2 ^ w ")
 
     @pytest.mark.parametrize("bad", ["Z_1", "Z_0", "Prufer(4)", "Prufer(1)", "Z^w",
-                                     "", "Z +", "Q", "Z_2^0", "Z_2 Z_3"])
+                                     "", "   ", "Z +", "Q", "Z_2^0", "Z_2 Z_3"])
     def test_rejects(self, bad):
         with pytest.raises(GroupSyntaxError):
             parse_group(bad)

@@ -148,9 +148,9 @@ class TestSweeps:
         assert report.families_found + report.no_family == 511
 
     def test_k4_small_group_full_cross_check(self):
-        # stride 1 cross-checks the structural claim against the exact
-        # solver on every one of the 255 subsets
-        report = exhaustive_no_index_check(Z42, 4, stride=1)
+        # 255 subsets give stride 1, so the structural claim is cross-checked
+        # against the exact solver on every one of them
+        report = exhaustive_no_index_check(Z42, 4)
         assert report.subsets_examined == report.cross_checks == 255
         assert not report.violations
         assert dict(report.case_counts)[ORDER_TWO] > 0
