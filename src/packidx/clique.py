@@ -26,7 +26,7 @@ with no bound and no search order.
 
 from __future__ import annotations
 
-ORACLE_LIMIT = 20
+ORACLE_LIMIT = 24
 
 
 def _lsb(x: int) -> int:

@@ -680,6 +680,54 @@ class DenseBox:
         return apply_steps(mask, self.steps(g))
 
 
+# Boxes of at most this many codes are shared: each finite group of the
+# obstruction sweeps is one such box, met again on every solver cross-check.
+# A larger box (a witness box holds about 1,900 codes) is seldom met twice
+# with the same elements, so it is built per call and keeps no memo.
+SHARED_BOX_CODES = 64
+
+
+class _SharedBox(DenseBox):
+    """A box that remembers the code and the steps of each element it is
+    asked about. Only :func:`box_for` makes them, for small boxes, so the
+    memos stay as small as the boxes."""
+
+    def __init__(self, group: GroupSpec, bounds: tuple):
+        super().__init__(group, bounds)
+        self._codes: dict[tuple, int | None] = {}
+        self._steps: dict[tuple, list[tuple[int, int, int, int]]] = {}
+
+    def encode(self, e: Element) -> int | None:
+        try:
+            return self._codes[e.coords]
+        except KeyError:
+            code = self._codes[e.coords] = super().encode(e)
+            return code
+
+    def steps(self, g: Element) -> list[tuple[int, int, int, int]]:
+        try:
+            return self._steps[g.coords]
+        except KeyError:
+            steps = self._steps[g.coords] = super().steps(g)
+            return steps
+
+
+_SHARED_BOXES: dict[tuple[GroupSpec, tuple], DenseBox] = {}
+
+
+def box_for(group: GroupSpec, bounds: tuple) -> DenseBox:
+    """The box of ``group`` with ``bounds``: one shared box, kept for the
+    life of the process, when it has at most ``SHARED_BOX_CODES`` codes, and
+    a fresh one otherwise. Callers must not change what a box returns."""
+    key = (group, tuple(bounds))
+    box = _SHARED_BOXES.get(key)
+    if box is None:
+        box = DenseBox(group, bounds)
+        if box.size <= SHARED_BOX_CODES:
+            box = _SHARED_BOXES[key] = _SharedBox(group, bounds)
+    return box
+
+
 def apply_steps(mask: int, steps: list[tuple[int, int, int, int]]) -> int:
     """Translate a mask by the steps :meth:`DenseBox.steps` worked out."""
     for low, up, high, down in steps:

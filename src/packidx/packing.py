@@ -28,6 +28,7 @@ from .groups import (
     Element,
     GroupSpec,
     Window,
+    box_for,
     enumerate_window,
     extents,
     format_element,
@@ -99,13 +100,14 @@ def difference_mask(A: ElementSet, region: tuple) -> tuple[DenseBox, int]:
     a translate drops what leaves the box, and only the region is exact.
     """
     group = A.group
-    box = DenseBox(group, hull_bounds(region, extents(group, A.elements)))
+    box = box_for(group, hull_bounds(region, extents(group, A.elements)))
     if box.size <= MAX_BOX_BITS:
         amask = box.mask_of(A.elements)
         diff = 0
         for a in A.elements:
             diff |= box.translate(amask, -a)
         return box, diff
+    # a fresh box: a shared one would remember every far-out difference
     box = DenseBox(group, region)
     diffs = (x - y for x in A.elements for y in A.elements)
     return box, box.mask_of(d for d in diffs if box.encode(d) is not None)

@@ -124,12 +124,19 @@ def complete_graph(n):
 
 def test_oracle_vertex_cap():
     with pytest.raises(ValueError):
-        exhaustive_max_clique_size([0] * 21)
+        exhaustive_max_clique_size([0] * 25)
 
 
 @pytest.mark.parametrize("adj,omega", [([0] * 20, 1), (complete_graph(20), 20)], ids=["empty", "complete"])
 def test_oracle_at_vertex_cap(adj, omega):
     assert exhaustive_max_clique_size(adj) == reference_oracle(adj) == omega
+
+
+# the reference loop takes one Python step per mask, too slow for 2^24
+# masks, so the graphs' known clique numbers stand in for it
+@pytest.mark.parametrize("adj,omega", [([0] * 24, 1), (complete_graph(24), 24)], ids=["empty", "complete"])
+def test_oracle_at_raised_vertex_cap(adj, omega):
+    assert exhaustive_max_clique_size(adj) == omega
 
 
 @pytest.mark.parametrize("density", [0.1, 0.5, 0.9])

@@ -1,25 +1,31 @@
 """The dense box codec against Element arithmetic, on every factor kind."""
 
+import random
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packidx import packing
+from packidx import groups, packing
 from packidx.bsets import BSet
 from packidx.groups import (
     CYCLIC,
     INFINITE_CYCLIC,
     PRUFER,
     REPEATED_CYCLIC,
+    SHARED_BOX_CODES,
     DenseBox,
     Window,
     coord_in_bound,
     enumerate_window,
+    extents,
+    hull_bounds,
     parse_group,
+    sum_bounds,
 )
-from packidx.packing import ElementSet, compatibility_graph
+from packidx.packing import ElementSet, compatibility_graph, write_set_file
+from packidx.runners import RunConfig, run_index, run_witness
 from packidx.witness import WitnessSet, verify_witness
 
 GROUPS = [
@@ -162,3 +168,79 @@ def test_verify_witness_on_far_spread_set():
     report = verify_witness(WitnessSet(Z, 2, bset, window, A, (), window))
     assert report.i1_holds
     assert str(report.i2_missing) == "2"
+
+
+def _fresh_box_graph(A, vertices):
+    """compatibility_graph on a fresh DenseBox with no memo, reading each
+    row bit by bit off the translate of D*."""
+    group = A.group
+    span = extents(group, vertices)
+    box = DenseBox(group, hull_bounds(sum_bounds(group, span, span), extents(group, A.elements)))
+    amask = box.mask_of(A.elements)
+    diff = 0
+    for a in A.elements:
+        diff |= box.translate(amask, -a)
+    dstar = diff & ~(1 << box.encode(group.zero()))
+    codes = [box.encode(v) for v in vertices]
+    adj = []
+    for i, v in enumerate(vertices):
+        moved = box.translate(dstar, v)
+        adj.append(sum(1 << j for j, c in enumerate(codes) if j != i and not moved >> c & 1))
+    return adj
+
+
+# (group, window options, options of the window A is drawn from): boxes of
+# at most SHARED_BOX_CODES codes, and larger ones; A reaches past a subgroup
+# window or a Z window in the cases whose two options differ
+GRAPH_CASES = [
+    ("Z_4 + Z_2^2", {}, {}),
+    ("Z_3^2", {}, {}),
+    ("Z", {"bound": 3}, {"bound": 3}),
+    ("Z", {"bound": 3}, {"bound": 20}),
+    ("Z_2^w", {"repeated_m": 2}, {"repeated_m": 4}),
+    ("Prufer(2)", {"prufer_level": 2}, {"prufer_level": 3}),
+    ("Z", {"bound": 40}, {"bound": 40}),
+    ("Z_10 + Z_10", {}, {}),
+    ("Z + Z", {"bound": 3}, {"bound": 3}),
+    ("Z_3^w", {"repeated_m": 3}, {"repeated_m": 4}),
+]
+
+
+def _graph_cases(seed):
+    rng = random.Random(seed)
+    out = []
+    for text, window_opts, pool_opts in GRAPH_CASES:
+        group = parse_group(text)
+        vertices = list(enumerate_window(Window.for_group(group, **window_opts)))
+        pool = list(enumerate_window(Window.for_group(group, **pool_opts)))
+        for size in (1, 2, 4):
+            out.append((ElementSet.of(group, rng.sample(pool, size)), vertices))
+    return out
+
+
+def _box_sizes():
+    return [box.size for box in groups._SHARED_BOXES.values()]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shared_boxes_change_no_graph_in_either_order(seed, monkeypatch):
+    cases = _graph_cases(seed)
+    want = [_fresh_box_graph(A, vertices) for A, vertices in cases]
+    for order in (range(len(cases)), reversed(range(len(cases)))):
+        monkeypatch.setattr(groups, "_SHARED_BOXES", {})
+        for i in order:
+            assert compatibility_graph(*cases[i]) == want[i]
+        sizes = _box_sizes()
+        assert sizes and max(sizes) <= SHARED_BOX_CODES
+
+
+def test_large_runs_leave_no_large_box_shared(tmp_path, monkeypatch):
+    monkeypatch.setattr(groups, "_SHARED_BOXES", {})
+    report = run_witness(RunConfig(command="witness", group="Z", kappa=9, window=100, verify=True))
+    assert report.results["invariants"]["i1"]["holds"]
+    Z10 = parse_group("Z_10 + Z_10")
+    path = tmp_path / "set.json"
+    write_set_file(path, ElementSet.parse(Z10, ["(0,0)", "(1,0)", "(0,3)"]))
+    report = run_index(RunConfig(command="index", set_path=str(path)))
+    assert report.results["family"]["certified"]
+    assert all(size <= SHARED_BOX_CODES for size in _box_sizes())

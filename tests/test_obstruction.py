@@ -1,9 +1,12 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from packidx import obstruction
 from packidx.errors import (
     NotApplicableError,
     PreconditionError,
@@ -13,6 +16,9 @@ from packidx.obstruction import (
     OPPOSITE_G,
     ORDER_TWO,
     SAME_G,
+    SweepReport,
+    _family_disjoint,
+    _find_triple,
     _GroupTables,
     classify_triple,
     exhaustive_no_index_check,
@@ -203,3 +209,109 @@ def test_sweep_agrees_with_solver_on_any_subset(mask):
     )
     assert (size >= 4) == has_triple
     assert size != 3
+
+
+def reference_sweep(group, kappa, sample=None, seed=0):
+    """The sweep as a per-subset loop with no memo: each subset finds its
+    own families in its own difference mask and certifies them."""
+    t = _GroupTables(group)
+    if sample is None:
+        masks = range(1, 1 << t.n)
+    else:
+        rng = random.Random(seed)
+        masks = sorted({rng.randrange(1, 1 << t.n) for _ in range(sample)})
+    stride = max(1, len(masks) // 128)
+    order4 = sum(1 << i for i, o in enumerate(t.order) if o == 4)
+    found = certified = nofam = checks = 0
+    cases = {}
+    violations = []
+    for mask in masks:
+        dstar = t.diff_mask(mask) & ~1
+        compat0 = ~dstar & t.full & ~1
+        families = []
+        if kappa == 3:
+            if compat0:
+                b = (compat0 & -compat0).bit_length() - 1
+                if t.order[b] != 3:
+                    violations.append({"subset": mask, "reason": "shift order is not 3"})
+                else:
+                    families.append(("Exponent3", (0, b, t.add[b][b])))
+        else:
+            hit = _find_triple(t, dstar, compat0)
+            if hit is not None:
+                variant, fam = t.family(*hit)
+                families.append((variant, fam))
+                if variant == ORDER_TWO and order4:
+                    hit4 = _find_triple(t, dstar, compat0 & order4)
+                    if hit4 is not None:
+                        families.append(t.family(*hit4))
+        if not families:
+            nofam += 1
+        else:
+            found += 1
+            for variant, fam in families:
+                cases[variant] = cases.get(variant, 0) + 1
+                if _family_disjoint(t, dstar, fam):
+                    certified += 1
+                else:
+                    violations.append({"subset": mask, "reason": f"{variant} extension not disjoint"})
+        if mask % stride == 0:
+            checks += 1
+            A = ElementSet.of(group, [t.elements[i] for i in range(t.n) if mask >> i & 1])
+            size = max_packing_family(A, t.window).size
+            if families and size < kappa:
+                violations.append({"subset": mask, "reason": f"solver max {size} < {kappa}"})
+            if not families and size > kappa - 2:
+                violations.append({"subset": mask, "reason": f"solver max {size} > {kappa - 2}"})
+    return SweepReport(
+        group=str(group),
+        kappa=kappa,
+        mode="exhaustive" if sample is None else "sampled",
+        seed=None if sample is None else seed,
+        sample=sample,
+        subsets_examined=len(masks),
+        families_found=found,
+        extensions_certified=certified,
+        no_family=nofam,
+        case_counts=tuple(sorted(cases.items())),
+        cross_checks=checks,
+        violations=tuple(violations),
+    )
+
+
+SWEEP_CELLS = [
+    ("Z_3^2", 3, None, 0),
+    ("Z_2^4", 4, None, 0),
+    ("Z_4 + Z_2", 4, None, 0),
+    ("Z_4 + Z_2^2", 4, None, 0),
+    *((text, kappa, 2000, seed) for text, kappa in [("Z_3^3", 3), ("Z_2^5", 4)] for seed in (0, 7)),
+]
+
+
+@pytest.mark.parametrize("text,kappa,sample,seed", SWEEP_CELLS)
+def test_memoised_sweep_matches_per_subset_reference(text, kappa, sample, seed):
+    group = parse_group(text)
+    got = exhaustive_no_index_check(group, kappa, sample=sample, seed=seed)
+    assert got == reference_sweep(group, kappa, sample, seed)
+
+
+def test_planted_fault_is_listed_for_every_subset_with_its_mask(monkeypatch):
+    t = _GroupTables(Z42)
+    subsets = {}
+    for mask in range(1, 1 << t.n):
+        subsets.setdefault(t.diff_mask(mask), []).append(mask)
+    with_family = [d for d in subsets if _find_triple(t, d & ~1, ~d & t.full & ~1)]
+    target = max(with_family, key=lambda d: (len(subsets[d]), d))
+    assert len(subsets[target]) > 1
+
+    def planted(t, dstar, family):
+        return dstar != target & ~1 and _family_disjoint(t, dstar, family)
+
+    monkeypatch.setattr(obstruction, "_family_disjoint", planted)
+    report = exhaustive_no_index_check(Z42, 4)
+    listed = Counter(v["subset"] for v in report.violations if v["reason"].endswith("not disjoint"))
+    assert sorted(listed) == subsets[target]
+    assert len(set(listed.values())) == 1
+    clean = reference_sweep(Z42, 4)
+    lost = sum(listed.values())
+    assert report.extensions_certified == clean.extensions_certified - lost

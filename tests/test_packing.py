@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +192,32 @@ class TestSubgroupRoot:
         family = max_packing_family(A, window)
         assert family.size == exhaustive_max_clique_size(adj) == 3
         assert family.shifts.to_texts() == ["1", "2", "-2"]
+
+
+# 21 to 24 vertices: past the 20 the oracle once stopped at, and each
+# window's box holds at most 64 codes, so the solver runs on a shared box
+WIDE_ORACLE_WINDOWS = [
+    ("Z", {"bound": 10}),
+    ("Z", {"bound": 11}),
+    ("Z_3 + Z_8", {}),
+    ("Z_2 + Z_12", {}),
+    ("Z_4 + Z_6", {}),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("text,opts", WIDE_ORACLE_WINDOWS, ids=[f"{t}-{o}" for t, o in WIDE_ORACLE_WINDOWS])
+def test_solver_matches_oracle_up_to_its_cap(text, opts, seed):
+    group = parse_group(text)
+    window = Window.for_group(group, **opts)
+    vertices = list(enumerate_window(window))
+    assert 21 <= len(vertices) <= 24
+    rng = random.Random(seed)
+    for size in range(2, 6):
+        A = ElementSet.of(group, rng.sample(vertices, size))
+        family = max_packing_family(A, window)
+        assert family.certified
+        assert family.size == exhaustive_max_clique_size(compatibility_graph(A, vertices))
 
 
 class TestMaxCliqueInBset:
