@@ -4,7 +4,9 @@
 The cells cover every report a refactor of the arithmetic layer could
 change: the 25 byte-compared cells of acceptance criterion 7, witnesses
 with invariants and index on the non-``Z`` carriers, ``index`` on one set
-file per factor kind plus a mixed sum, and the window-cap error report of
+file per factor kind plus a mixed sum, ``index`` on the two heaviest
+subgroup windows of the benchmark's index catalog (``Z_10 + Z_10`` and
+``Z_3^w`` at m = 4), and the window-cap error report of
 an oversized ``witness --verify``; the ``obstruct`` sweeps: the
 exhaustive ones of acceptance criteria 1 and 2, two seeded samples, and the
 32-element cap error; the pair-map budget error; and the ``pack demo``
@@ -61,6 +63,8 @@ INDEX_SETS = [
     ("z2w.json", {"m": 4}),
     ("prufer2.json", {"level": 4}),
     ("mixed.json", {"window": 3, "m": 2}),
+    ("z10x10.json", {}),
+    ("z3w.json", {"m": 4}),
 ]
 
 SAMPLED_SWEEPS = [("Z_3^3", 3), ("Z_2^5", 4)]
