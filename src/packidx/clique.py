@@ -13,6 +13,11 @@ Segundo et al., Comput. Oper. Res. 2011) cut its cost:
   vertices by descending degree first, so the greedy coloring takes the
   dense part of the graph first and finds a large clique early.
 
+* translation symmetry, on a Cayley graph searched around vertex 0 (the
+  root search of a subgroup window): a root vertex v whose branch is done
+  joins an explored set E together with -v, and a node that adds w drops
+  its candidates in w + E (see ``_search``).
+
 ``max_clique_size`` and ``exists_clique`` are one search, ``_search``; the
 decision stops at its first clique of the target size. Only
 ``max_clique_size`` without a mask relabels; it returns a size alone.
@@ -25,6 +30,8 @@ with no bound and no search order.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 ORACLE_LIMIT = 24
 
@@ -41,18 +48,25 @@ def _by_degree(adj: list[int]) -> list[int]:
     place = [0] * n
     for i, v in enumerate(order):
         place[v] = i
+    return relabel(adj, place)
+
+
+def relabel(adj: list[int], place: list[int]) -> list[int]:
+    """The same graph with vertex v renamed ``place[v]``; ``place`` must be a
+    permutation of the vertices."""
+    n = len(adj)
     full = (1 << n) - 1
-    renamed = []
-    for v in order:
+    renamed = [0] * n
+    for v, adjacent in enumerate(adj):
         # renaming is a bijection, so a dense row is renamed via its complement
-        flip = 2 * adj[v].bit_count() > n
-        rest = full ^ adj[v] if flip else adj[v]
+        flip = 2 * adjacent.bit_count() > n
+        rest = full ^ adjacent if flip else adjacent
         row = 0
         while rest:
             low = rest & -rest
             row |= 1 << place[low.bit_length() - 1]
             rest ^= low
-        renamed.append(full ^ row if flip else row)
+        renamed[place[v]] = full ^ row if flip else row
     return renamed
 
 
@@ -60,9 +74,10 @@ def color_sort(P: int, adj: list[int], kmin: int) -> tuple[list[int], list[int]]
     """Order the vertices of P into greedy color classes.
 
     Returns (order, colors) with colors non-decreasing; ``colors[i]`` is an
-    upper bound on the largest clique inside ``order[: i + 1]``. All of P is
-    colored, but only vertices of color at least ``kmin`` are listed: a
-    vertex of lower color cannot lead to a clique large enough to matter.
+    upper bound on the largest clique among the vertices of P whose color
+    is at most ``colors[i]``, listed or not. All of P is colored, but only
+    vertices of color at least ``kmin`` are listed: a vertex of lower color
+    cannot lead to a clique large enough to matter.
     """
     order: list[int] = []
     colors: list[int] = []
@@ -81,19 +96,41 @@ def color_sort(P: int, adj: list[int], kmin: int) -> tuple[list[int], list[int]]
     return order, colors
 
 
-def _search(adj: list[int], P: int, best: int, stop: int) -> int:
+def _search(
+    adj: list[int],
+    P: int,
+    best: int,
+    stop: int,
+    neg: list[int] | None = None,
+    translate: Callable[[int, int], int] | None = None,
+) -> int:
     """The clique number of the subgraph induced by P if it exceeds ``best``,
     else ``best``; the search ends at the first clique of ``stop`` vertices.
+
+    With ``neg`` and ``translate``, adj is a Cayley graph with vertex 0 the
+    identity and P is N(0): ``neg[v]`` is the vertex -v, and
+    ``translate(mask, v)`` is the mask translated by v. Once the root branch
+    of v is done, ``best`` bounds every clique through 0 and v, and by
+    translation every clique through 0 and -v, so both join the explored
+    set E and leave the root's candidates. A node that adds w then drops
+    its candidates in w + E: translating by -w maps a clique through 0, w
+    and w + e onto one through 0 and e.
     """
+    explored = 0
 
     def expand(size: int, cand: int) -> bool:
-        nonlocal best
+        nonlocal best, explored
         order, colors = color_sort(cand, adj, best - size + 1)
         for i in range(len(order) - 1, -1, -1):
             if size + colors[i] <= best:
                 return False
             v = order[i]
             sub = cand & adj[v]
+            if explored:
+                if not cand >> v & 1:
+                    continue  # at the root: -u of an explored u
+                if sub:
+                    sub &= ~translate(explored, v)
             if sub and size + 1 < stop:
                 if expand(size + 1, sub):
                     return True
@@ -102,6 +139,9 @@ def _search(adj: list[int], P: int, best: int, stop: int) -> int:
                 if best >= stop:
                     return True
             cand &= ~(1 << v)
+            if not size and neg is not None:
+                explored |= 1 << v | 1 << neg[v]
+                cand &= ~explored
         return False
 
     if P:
@@ -109,16 +149,23 @@ def _search(adj: list[int], P: int, best: int, stop: int) -> int:
     return best
 
 
-def max_clique_size(adj: list[int], P: int | None = None) -> int:
+def max_clique_size(
+    adj: list[int],
+    P: int | None = None,
+    neg: list[int] | None = None,
+    translate: Callable[[int, int], int] | None = None,
+) -> int:
     """Exact clique number of the subgraph induced by the mask P.
 
     Without P the whole graph is searched, renumbered by descending degree
-    (ties by index); the size does not depend on the numbering.
+    (ties by index); the size does not depend on the numbering. On a Cayley
+    graph, P = N(0) with ``neg`` and ``translate`` (see ``_search``) prunes
+    the search by translation symmetry.
     """
     if P is None:
         adj = _by_degree(adj)
         P = (1 << len(adj)) - 1
-    return _search(adj, P, 0, len(adj) + 1)
+    return _search(adj, P, 0, len(adj) + 1, neg, translate)
 
 
 def exists_clique(adj: list[int], P: int, target: int) -> bool:

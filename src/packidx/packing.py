@@ -24,10 +24,12 @@ from .errors import (
 )
 from .groups import (
     INFINITE_CYCLIC,
+    SHARED_BOX_CODES,
     DenseBox,
     Element,
     GroupSpec,
     Window,
+    apply_steps,
     box_for,
     enumerate_window,
     extents,
@@ -168,6 +170,44 @@ def _certify_family(A: ElementSet, shifts: list[Element]) -> bool:
     return True
 
 
+# Per-window translation tables of _root_clique_size, kept for windows of at
+# most SHARED_BOX_CODES elements, as the boxes are.
+_CAYLEY_TABLES: dict[tuple[GroupSpec, tuple], tuple] = {}
+
+
+def _cayley_tables(window: Window, vertices: list[Element]) -> tuple:
+    """(place, neg, steps) of a subgroup window, indexed by box code:
+    ``place[i]`` is the code of vertex i, or ``place`` is None when the
+    window is enumerated in code order; ``neg[c]`` is the code of -c;
+    ``steps[c]`` translates a mask of codes by c."""
+    key = (window.group, window.bounds)
+    tables = _CAYLEY_TABLES.get(key)
+    if tables is None:
+        box = box_for(window.group, window.bounds)
+        codes = box.codes(window)
+        steps = [None] * box.size
+        for v, c in zip(vertices, codes):
+            steps[c] = box.steps(v)
+        # every digit of the box wraps: a step of c moves its codes down by
+        # (r - t) * stride, where t is c's digit and r - t is -c's digit there
+        neg = [sum(down for *_, down in s) for s in steps]
+        tables = (None if codes == sorted(codes) else codes), neg, steps
+        if box.size <= SHARED_BOX_CODES:
+            _CAYLEY_TABLES[key] = tables
+    return tables
+
+
+def _root_clique_size(adj: list[int], window: Window, vertices: list[Element]) -> int:
+    """Clique number of N(0) in the Cayley graph of a subgroup window,
+    searched in code order under the translation rule of ``clique._search``."""
+    if not adj[0]:
+        return 0
+    place, neg, steps = _cayley_tables(window, vertices)
+    if place is not None:
+        adj = clique.relabel(adj, place)
+    return clique.max_clique_size(adj, adj[0], neg, lambda mask, v: apply_steps(mask, steps[v]))
+
+
 def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     """Exact maximum family of shifts inside the window, ties broken canonically.
 
@@ -176,8 +216,13 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     depends only on b - b' in H, so the graph is the Cayley graph of H with
     connection set H minus (A - A); translation by h in H is an automorphism,
     so every vertex lies in a maximum clique, and the one root branch at
-    vertex 0 proves the clique number. A window with a ``Z`` factor is no
-    subgroup and gets the full search.
+    vertex 0 proves the clique number. That branch also prunes by
+    translation: a neighbour v of 0 whose subtree is done bounds every
+    clique through 0 and v or -v, so both are dropped from the root and,
+    translated by each vertex a deeper node adds, from its candidates. The
+    lexicographically-first family then starts at vertex 0, the lowest
+    index, so its extraction runs inside N(0). A window with a ``Z`` factor
+    is no subgroup and gets the full search.
     """
     if not A.elements:
         raise EmptySetError("packing index of the empty set is undefined")
@@ -191,7 +236,7 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     if any(f.kind == INFINITE_CYCLIC for f in A.group.factors):
         _, picked = clique.first_max_clique(adj)
     else:
-        picked = clique.clique_of_size(adj, 1 + clique.max_clique_size(adj, adj[0]))
+        picked = [0] + clique.clique_of_size(adj, _root_clique_size(adj, window, vertices), adj[0])
     shifts = [vertices[i] for i in picked]
     certified = _certify_family(A, shifts)
     return PackingFamily(A, ElementSet.of(A.group, shifts), certified)

@@ -12,6 +12,7 @@ from packidx.clique import (
     exists_clique,
     first_max_clique,
     max_clique_size,
+    relabel,
 )
 
 
@@ -228,3 +229,79 @@ def test_degree_order_is_a_relabelling(seed):
             assert renamed[i] >> j & 1 == adj[u] >> v & 1
     degrees = [row.bit_count() for row in renamed]
     assert degrees == sorted(degrees, reverse=True)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_relabel_keeps_every_edge(seed):
+    rng = random.Random(seed)
+    adj = random_graph(rng, rng.randint(2, 20), rng.choice([0.2, 0.5, 0.8]))
+    place = list(range(len(adj)))
+    rng.shuffle(place)
+    renamed = relabel(adj, place)
+    for u in range(len(adj)):
+        for v in range(len(adj)):
+            assert renamed[place[u]] >> place[v] & 1 == adj[u] >> v & 1
+
+
+def cayley_graph(elements, add, connection):
+    """Adjacency of Cay(G, S) on G's elements, numbered as listed; u ~ v
+    iff v - u lies in S. Also returns neg and translate for the root rule."""
+    index = {g: i for i, g in enumerate(elements)}
+    adj = [0] * len(elements)
+    for i, g in enumerate(elements):
+        for s in connection:
+            adj[i] |= 1 << index[add(g, s)]
+    zero = elements[0]
+    neg = [next(index[h] for h in elements if add(g, h) == zero) for g in elements]
+
+    def translate(mask, v):
+        out = 0
+        for i, g in enumerate(elements):
+            if mask >> i & 1:
+                out |= 1 << index[add(g, elements[v])]
+        return out
+
+    return adj, neg, translate
+
+
+def random_connection(rng, elements, add, density):
+    """A random symmetric connection set without the identity."""
+    zero = elements[0]
+    S = set()
+    for g in elements[1:]:
+        if rng.random() < density:
+            S.add(g)
+            S.add(next(h for h in elements if add(g, h) == zero))
+    return S
+
+
+def cyclic(n):
+    return list(range(n)), lambda a, b: (a + b) % n
+
+
+def elementary_abelian_2(k):
+    return list(range(1 << k)), lambda a, b: a ^ b
+
+
+def z3_plus_cyclic(n):
+    elements = [(a, b) for a in range(3) for b in range(n)]
+    return elements, lambda x, y: ((x[0] + y[0]) % 3, (x[1] + y[1]) % n)
+
+
+# groups of 8 to 24 elements, listed from the identity; in Z_2^k every
+# element is its own negation
+CAYLEY_GROUPS = [
+    ("Z_n", cyclic, range(9, 25)),
+    ("Z_2^k", elementary_abelian_2, range(3, 5)),
+    ("Z_3 + Z_n", z3_plus_cyclic, range(3, 9)),
+]
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("name,make,params", CAYLEY_GROUPS, ids=[g[0] for g in CAYLEY_GROUPS])
+def test_translation_rule_matches_oracle_on_cayley_graphs(name, make, params, seed):
+    rng = random.Random(seed)
+    elements, add = make(rng.choice(params))
+    S = random_connection(rng, elements, add, rng.choice([0.3, 0.5, 0.7, 0.85]))
+    adj, neg, translate = cayley_graph(elements, add, S)
+    assert 1 + max_clique_size(adj, adj[0], neg, translate) == exhaustive_max_clique_size(adj)

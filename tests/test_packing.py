@@ -1,23 +1,31 @@
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import packidx
 from packidx.clique import (
+    clique_of_size,
     exhaustive_max_clique_size,
     first_max_clique,
     max_clique_size,
+    relabel,
 )
 from packidx.errors import (
     EmptySetError,
     PreconditionError,
     WindowTooLargeError,
 )
-from packidx.groups import Window, enumerate_window, parse_group
+from packidx.groups import INFINITE_CYCLIC, Window, apply_steps, box_for, enumerate_window, parse_group
 from packidx.packing import (
     ElementSet,
+    _cayley_tables,
+    _root_clique_size,
     compatibility_graph,
     difference_set,
     max_clique_in_bset,
@@ -192,6 +200,119 @@ class TestSubgroupRoot:
         family = max_packing_family(A, window)
         assert family.size == exhaustive_max_clique_size(adj) == 3
         assert family.shifts.to_texts() == ["1", "2", "-2"]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+_cells_spec = importlib.util.spec_from_file_location("perfbench_cells", ROOT / "perfbench" / "cells.py")
+perfbench_cells = importlib.util.module_from_spec(_cells_spec)
+sys.modules[_cells_spec.name] = perfbench_cells  # its dataclasses look their module up
+_cells_spec.loader.exec_module(perfbench_cells)
+
+
+def _catalog_window(group, opts):
+    return Window.for_group(
+        group, bound=opts.get("window"), repeated_m=opts.get("m", 4), prufer_level=opts.get("level", 4)
+    )
+
+
+# the benchmark's solve catalog, read only: windows of 49 to 100 vertices,
+# past the oracle's cap, where the pruned root does most of its work
+CATALOG = perfbench_cells.index_catalog(packidx)
+SUBGROUP_CATALOG = [
+    i for i, (_, base) in enumerate(CATALOG) if all(f.kind != INFINITE_CYCLIC for f in base[0].group.factors)
+]
+
+
+def test_catalog_has_the_subgroup_sets():
+    assert len(SUBGROUP_CATALOG) == 28
+
+
+@pytest.mark.parametrize("index", SUBGROUP_CATALOG)
+def test_pruned_root_matches_whole_graph_search(index):
+    opts, base = CATALOG[index]
+    group = base[0].group
+    window = _catalog_window(group, opts)
+    A = ElementSet.of(group, base)
+    vertices = list(enumerate_window(window))
+    adj = compatibility_graph(A, vertices)
+    omega, picked = first_max_clique(adj)
+    assert 1 + _root_clique_size(adj, window, vertices) == omega
+    family = max_packing_family(A, window)
+    assert family.size == omega and family.certified
+    assert family.shifts == ElementSet.of(group, [vertices[i] for i in picked])
+
+
+# windows of 25 to 100 vertices, each with the larger window A is drawn from
+# (none for the finite Z_5 + Z_5); Prufer windows are searched relabelled
+WIDE_SUBGROUP_WINDOWS = [
+    ("Z_5 + Z_5", {}, {}),
+    ("Z_3^w", {"repeated_m": 3}, {"repeated_m": 4}),
+    ("Z_3^w", {"repeated_m": 4}, {"repeated_m": 5}),
+    ("Z_2^w", {"repeated_m": 5}, {"repeated_m": 6}),
+    ("Z_2^w", {"repeated_m": 6}, {"repeated_m": 7}),
+    ("Prufer(2)", {"prufer_level": 6}, {"prufer_level": 7}),
+    ("Prufer(3)", {"prufer_level": 3}, {"prufer_level": 4}),
+]
+
+
+TABLE_WINDOWS = [(t, w) for t, w, _ in WIDE_SUBGROUP_WINDOWS] + [
+    ("Z_10 + Z_10", {}),
+    ("Z_4 + Prufer(3)", {"prufer_level": 2}),
+]
+
+
+@pytest.mark.parametrize("text,window_args", TABLE_WINDOWS, ids=[f"{t}-{w}" for t, w in TABLE_WINDOWS])
+def test_cayley_tables_match_element_arithmetic(text, window_args):
+    group = parse_group(text)
+    window = Window.for_group(group, **window_args)
+    vertices = list(enumerate_window(window))
+    box = box_for(group, window.bounds)
+    code = [box.encode(v) for v in vertices]
+    place, neg, steps = _cayley_tables(window, vertices)
+    assert place == (None if code == sorted(code) else code)
+    rng = random.Random(0)
+    for v, c in zip(vertices, code):
+        assert neg[c] == box.encode(-v)
+        for u in rng.sample(vertices, 4):
+            assert apply_steps(1 << box.encode(u), steps[c]) == 1 << box.encode(u + v)
+
+
+def unpruned_first_max_clique(adj, window):
+    """``first_max_clique(adj)`` on the Cayley graph of a subgroup window.
+
+    The size comes from the unpruned search of N(0), which vertex
+    transitivity makes exact; the whole-graph search takes over 10 s on
+    about one draw in fifteen on ``Z_3^w`` at m = 4. It runs in code order,
+    where it is also fast on ``Prufer`` windows, since a size does not
+    depend on the numbering. The witness is first_max_clique's own
+    extraction over the whole graph in the window's numbering.
+    """
+    coded = relabel(adj, box_for(window.group, window.bounds).codes(window))
+    size = 1 + max_clique_size(coded, coded[0])
+    return size, clique_of_size(adj, size)
+
+
+@pytest.mark.parametrize(
+    "text,window_args,pool_args", WIDE_SUBGROUP_WINDOWS, ids=[f"{t}-{w}" for t, w, _ in WIDE_SUBGROUP_WINDOWS]
+)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_pruned_root_family_matches_first_max_clique(text, window_args, pool_args, data):
+    group = parse_group(text)
+    window = Window.for_group(group, **window_args)
+    vertices = list(enumerate_window(window))
+    pool = list(enumerate_window(Window.for_group(group, **pool_args)))
+    assert 25 <= len(vertices) <= 100
+    # one point in H, the rest from the larger window, so A may leave H
+    first = data.draw(st.sampled_from(vertices))
+    rest = data.draw(st.sets(st.sampled_from(pool), max_size=4))
+    A = ElementSet.of(group, [first, *rest])
+    adj = compatibility_graph(A, vertices)
+    size, picked = unpruned_first_max_clique(adj, window)
+    family = max_packing_family(A, window)
+    assert family.size == size
+    assert family.shifts == ElementSet.of(group, [vertices[i] for i in picked])
+    assert family.certified
 
 
 # 21 to 24 vertices: past the 20 the oracle once stopped at, and each
