@@ -19,7 +19,6 @@ Reports echo set-file paths, so cells run from the repository root.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -36,7 +35,7 @@ from packidx.demo import (  # noqa: E402
     PAIRMAP_CELLS,
     WITNESS_KAPPAS,
     WITNESS_WINDOW,
-    run_demo_matrix,
+    run_demo,
 )
 from packidx.runners import (  # noqa: E402
     RunConfig,
@@ -102,7 +101,7 @@ def cells() -> dict:
     cfg = RunConfig(command="pairmap", a=5, b=5, budget=10)
     out["pairmap 5,5 --budget 10 (budget error)"] = (run_pairmap, cfg)
     for cid in range(1, 8):
-        out[f"demo --only {cid}"] = (functools.partial(run_demo_matrix, 0), cid)
+        out[f"demo --only {cid}"] = (run_demo, RunConfig(command="demo", only=cid))
     return out
 
 

@@ -18,9 +18,9 @@ from pathlib import Path
 import click
 from click.core import ParameterSource
 
-from .demo import run_demo_matrix
+from .demo import run_demo
 from .errors import ElementSyntaxError, GroupSyntaxError
-from .reports import Report, emit
+from .reports import emit
 from .runners import (
     RunConfig,
     run_bset,
@@ -29,16 +29,6 @@ from .runners import (
     run_pairmap,
     run_witness,
 )
-
-
-def _deliver(report: Report, fmt: str, out: str | None, started: float) -> None:
-    text = emit(report, fmt, out)
-    if out:
-        click.echo(f"[pack] report written to {out}", err=True)
-    else:
-        click.echo(text, nl=False)
-    click.echo(f"[pack] {report.command} took {time.time() - started:.2f}s", err=True)
-    sys.exit(0 if report.passed else 1)
 
 
 def _run(runner, command: str, params: dict, *required: str) -> None:
@@ -55,7 +45,13 @@ def _run(runner, command: str, params: dict, *required: str) -> None:
         report = runner(cfg)
     except (GroupSyntaxError, ElementSyntaxError, ValueError) as exc:
         raise click.UsageError(str(exc)) from exc
-    _deliver(report, fmt, out, started)
+    text = emit(report, fmt, out)
+    if out:
+        click.echo(f"[pack] report written to {out}", err=True)
+    else:
+        click.echo(text, nl=False)
+    click.echo(f"[pack] {report.command} took {time.time() - started:.2f}s", err=True)
+    sys.exit(0 if report.passed else 1)
 
 
 def common_options(fn):
@@ -180,10 +176,7 @@ def pairmap(**params):
 @common_options
 def demo(**params):
     """Run the full acceptance matrix and report one row per criterion."""
-    params = apply_config(params)
-    started = time.time()
-    report = run_demo_matrix(seed=params["seed"], only=params["only"])
-    _deliver(report, params["fmt"], params["out"], started)
+    _run(run_demo, "demo", params)
 
 
 if __name__ == "__main__":

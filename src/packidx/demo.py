@@ -1,7 +1,8 @@
 """The full acceptance matrix behind ``pack demo``.
 
-Each criterion is one function returning a structured outcome; the demo
-report aggregates them and the exit code reflects the overall verdict.
+Each criterion is one function returning a structured outcome; the runner
+body ``run_demo`` aggregates them into one report, and the exit code
+reflects the overall verdict.
 Criteria 1-5 read the reports of the ``pack`` runners on their cells, so
 each check is made once, by its runner; criterion 6 cross-checks the solver
 against the exhaustive oracle and criterion 7 compares report bytes.
@@ -10,13 +11,13 @@ against the exhaustive oracle and criterion 7 compares report bytes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .clique import exhaustive_max_clique_size
 from .groups import Window, enumerate_window, parse_group
 from .packing import ElementSet, compatibility_graph, max_packing_family
 from .reports import Report, row
-from .runners import RunConfig, run_bset, run_obstruct, run_pairmap, run_witness
+from .runners import RunConfig, _runner, run_bset, run_obstruct, run_pairmap, run_witness
 
 ATTAINABILITY_CELLS = (
     [("Z", k) for k in range(2, 10)]
@@ -48,7 +49,7 @@ _INSTANCE_POOL = [
 
 @dataclass
 class CriterionOutcome:
-    cid: int
+    id: int
     description: str
     passed: bool
     details: dict
@@ -233,34 +234,19 @@ def criterion_7() -> CriterionOutcome:
     )
 
 
-def run_demo_matrix(seed: int = 0, only: int | None = None) -> Report:
-    runners = {
+@_runner
+def run_demo(cfg: RunConfig):
+    """The criteria, or criterion ``cfg.only`` alone, as one report."""
+    criteria = {
         1: criterion_1,
         2: criterion_2,
         3: criterion_3,
         4: criterion_4,
         5: criterion_5,
-        6: lambda: criterion_6(seed),
+        6: lambda: criterion_6(cfg.seed),
         7: criterion_7,
     }
-    picked = [only] if only else sorted(runners)
-    outcomes = [runners[cid]() for cid in picked]
-    results = {
-        "criteria": [
-            {
-                "id": o.cid,
-                "description": o.description,
-                "passed": o.passed,
-                "details": o.details,
-            }
-            for o in outcomes
-        ]
-    }
-    summary = [row(f"criterion_{o.cid}", o.passed, o.description) for o in outcomes]
-    return Report(
-        command="demo",
-        config={"seed": seed, "only": only},
-        results=results,
-        summary=summary,
-        timing={"criteria": len(outcomes)},
-    )
+    picked = [cfg.only] if cfg.only else sorted(criteria)
+    outcomes = [criteria[cid]() for cid in picked]
+    summary = [row(f"criterion_{o.id}", o.passed, o.description) for o in outcomes]
+    return {"criteria": [asdict(o) for o in outcomes]}, summary, {"criteria": len(outcomes)}

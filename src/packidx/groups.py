@@ -23,7 +23,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ElementSyntaxError, GroupMismatchError, GroupSyntaxError
 
@@ -540,6 +540,16 @@ def _factor_digits(f: Factor, bound: int | None, x) -> list[int] | None:
     return [x]
 
 
+class BoxTables(NamedTuple):
+    """Per-code tables of a :class:`DenseBox`, each indexed by code."""
+
+    elements: list[Element]  # code -> element
+    index: dict[tuple, int]  # coordinates -> code
+    neg: list[int]  # code -> code of the negative
+    steps: list[list[tuple[int, int, int, int]]]  # code -> translation steps
+    place: list[int] | None  # codes in enumeration order; None when that is code order
+
+
 # a translation step that moves every code out of the box
 _NOWHERE = (0, 0, 0, 0)
 
@@ -555,6 +565,11 @@ class DenseBox:
     Bit c of a mask stands for the element with code c. Translating a set
     is then one shift per ``Z`` digit and one masked rotation per other
     digit, applied to the whole mask at once.
+
+    :meth:`tables` builds the per-code tables once and keeps them with the
+    box: for the process when :func:`box_for` shares it, for one call
+    otherwise. ``encode`` and ``steps`` then read them, and work out steps
+    by an element outside the box anew.
     """
 
     def __init__(self, group: GroupSpec, bounds: tuple):
@@ -580,6 +595,7 @@ class DenseBox:
         self._stride = [prod(radix[i + 1 :]) for i in range(len(radix))]
         self.size = prod(radix)
         self._below_cache: dict[tuple[int, int], int] = {}
+        self._tables: BoxTables | None = None
 
     def _factor_code(self, i: int, x) -> int | None:
         """Part of the code carried by factor i's coordinate, or None outside."""
@@ -596,6 +612,8 @@ class DenseBox:
 
     def encode(self, e: Element) -> int | None:
         """Code of the element, or None when it lies outside the box."""
+        if self._tables is not None:
+            return self._tables.index.get(e.coords)
         code = 0
         for i, x in enumerate(e.coords):
             part = self._factor_code(i, x)
@@ -625,15 +643,40 @@ class DenseBox:
             mask |= 1 << code
         return mask
 
-    def codes(self, window: Window) -> list[int]:
-        """Codes of the window's elements, in :func:`enumerate_window` order."""
+    def codes(self, bounds: tuple) -> list[int]:
+        """Codes of the elements of the window with ``bounds``, in
+        :func:`enumerate_window` order."""
         out = [0]
-        for i, (f, b) in enumerate(zip(self.group.factors, window.bounds)):
+        for i, (f, b) in enumerate(zip(self.group.factors, bounds)):
             part = [self._factor_code(i, x) for x in iter_coords(f, b)]
             if None in part:
-                raise ValueError(f"window {window.bounds} exceeds the box {self.bounds}")
+                raise ValueError(f"window {bounds} exceeds the box {self.bounds}")
             out = [c + p for c in out for p in part]
         return out
+
+    def tables(self, elements: list[Element] | None = None) -> BoxTables:
+        """The box's per-code tables, built on the first call. ``elements``
+        may pass the box's elements in :func:`enumerate_window` order, when
+        the caller has listed them already."""
+        if self._tables is None:
+            codes = self.codes(self.bounds)
+            if elements is None:
+                elements = [self.decode(c) for c in codes]
+            by_code = [None] * self.size
+            for e, c in zip(elements, codes):
+                by_code[c] = e
+            # -x digit by digit: mod r where the digit wraps, mirrored where it is Z's
+            neg = [0]
+            for r, s, w in zip(self._radix, self._stride, self._wraps):
+                neg = [c + (-d % r if w else r - 1 - d) * s for c in neg for d in range(r)]
+            self._tables = BoxTables(
+                by_code,
+                {e.coords: c for e, c in zip(elements, codes)},
+                neg,
+                [self.steps(e) for e in by_code],
+                None if codes == sorted(codes) else codes,
+            )
+        return self._tables
 
     def _below(self, j: int, c: int) -> int:
         """Mask of the box's codes whose digit j is less than c."""
@@ -653,6 +696,8 @@ class DenseBox:
         """Translation by g as per-digit steps ``(low, up, high, down)`` for
         :func:`apply_steps`: the codes in ``low`` move up, those in ``high``
         move down, and the rest leave the box."""
+        if self._tables is not None and (code := self._tables.index.get(g.coords)) is not None:
+            return self._tables.steps[code]
         shift = []
         for f, b, x in zip(self.group.factors, self.bounds, g.coords):
             digits = _factor_digits(f, b, x)
@@ -683,48 +728,26 @@ class DenseBox:
 # Boxes of at most this many codes are shared: each finite group of the
 # obstruction sweeps is one such box, met again on every solver cross-check.
 # A larger box (a witness box holds about 1,900 codes) is seldom met twice
-# with the same elements, so it is built per call and keeps no memo.
+# with the same elements, so it is built per call, with tables only when
+# the caller asks for them.
 SHARED_BOX_CODES = 64
-
-
-class _SharedBox(DenseBox):
-    """A box that remembers the code and the steps of each element it is
-    asked about. Only :func:`box_for` makes them, for small boxes, so the
-    memos stay as small as the boxes."""
-
-    def __init__(self, group: GroupSpec, bounds: tuple):
-        super().__init__(group, bounds)
-        self._codes: dict[tuple, int | None] = {}
-        self._steps: dict[tuple, list[tuple[int, int, int, int]]] = {}
-
-    def encode(self, e: Element) -> int | None:
-        try:
-            return self._codes[e.coords]
-        except KeyError:
-            code = self._codes[e.coords] = super().encode(e)
-            return code
-
-    def steps(self, g: Element) -> list[tuple[int, int, int, int]]:
-        try:
-            return self._steps[g.coords]
-        except KeyError:
-            steps = self._steps[g.coords] = super().steps(g)
-            return steps
 
 
 _SHARED_BOXES: dict[tuple[GroupSpec, tuple], DenseBox] = {}
 
 
 def box_for(group: GroupSpec, bounds: tuple) -> DenseBox:
-    """The box of ``group`` with ``bounds``: one shared box, kept for the
-    life of the process, when it has at most ``SHARED_BOX_CODES`` codes, and
-    a fresh one otherwise. Callers must not change what a box returns."""
+    """The box of ``group`` with ``bounds``: one shared box, kept with its
+    tables for the life of the process, when it has at most
+    ``SHARED_BOX_CODES`` codes, and a fresh one otherwise, whose tables go
+    with it. Callers must not change what a box or its tables return."""
     key = (group, tuple(bounds))
     box = _SHARED_BOXES.get(key)
     if box is None:
         box = DenseBox(group, bounds)
         if box.size <= SHARED_BOX_CODES:
-            box = _SHARED_BOXES[key] = _SharedBox(group, bounds)
+            box.tables()
+            _SHARED_BOXES[key] = box
     return box
 
 

@@ -34,8 +34,6 @@ from .groups import (
     Window,
     apply_steps,
     box_for,
-    enumerate_window,
-    zero_coord,
 )
 from .packing import ElementSet, _certify_family, max_packing_family, translates_disjoint
 
@@ -142,8 +140,11 @@ def extend_triple(A: ElementSet, b1: Element, b2: Element) -> Element:
 
 
 class _GroupTables:
-    """Index arithmetic for one small finite group, and the translation steps
-    of its elements on the group's dense box.
+    """Index arithmetic for one small finite group. Its elements, their
+    codes and negatives and the translation steps are the tables of the
+    group's shared dense box, which the sweep's solver cross-checks read
+    too; ``add`` is worked out on :class:`Element` addition, so
+    ``_family_disjoint`` does not rest on the codec.
 
     Element i has box code i, because a finite group's box numbers its codes
     in window order; so a subset is a mask of element indices. The group is
@@ -152,23 +153,17 @@ class _GroupTables:
 
     def __init__(self, group: GroupSpec):
         self.group = group
-        window = Window.for_group(group)
-        self.window = window
-        self.elements = list(enumerate_window(window))
+        self.window = window = Window.for_group(group)
+        tables = box_for(group, window.bounds).tables()
+        assert tables.place is None
+        self.elements, self.index, self.neg, self.steps, _ = tables
         self.n = len(self.elements)
-        self.index = index = {e.coords: i for i, e in enumerate(self.elements)}
-        zero = tuple(zero_coord(f) for f in group.factors)
-        assert index[zero] == 0
         self.add = [
-            [index[(a + b).coords] for b in self.elements] for a in self.elements
+            [self.index[(a + b).coords] for b in self.elements] for a in self.elements
         ]
-        self.neg = [index[(-a).coords] for a in self.elements]
         self.order = [a.order() for a in self.elements]
         self.order4 = sum(1 << i for i, o in enumerate(self.order) if o == 4)
         self.full = (1 << self.n) - 1
-        box = box_for(group, window.bounds)
-        self.steps = [box.steps(e) for e in self.elements]
-        self._families: dict[tuple[int, int], tuple[str, tuple[int, ...]]] = {}
 
     def diff_mask(self, mask: int) -> int:
         """Bitmask of all differences a - a' over the subset mask, zero included."""
@@ -205,13 +200,9 @@ class _GroupTables:
     def family(self, b1: int, b2: int) -> tuple[str, tuple[int, ...]]:
         """Variant and element indices of the quadruple {0, b1, b2, b3} that
         ``classify_triple`` and ``_fourth_shift`` make from shifts b1, b2."""
-        hit = self._families.get((b1, b2))
-        if hit is None:
-            case = classify_triple(self.group, self.elements[b1], self.elements[b2])
-            shifts = (case.b1, case.b2, _fourth_shift(case))
-            hit = case.variant, (0, *(self.index[b.coords] for b in shifts))
-            self._families[b1, b2] = hit
-        return hit
+        case = classify_triple(self.group, self.elements[b1], self.elements[b2])
+        shifts = (case.b1, case.b2, _fourth_shift(case))
+        return case.variant, (0, *(self.index[b.coords] for b in shifts))
 
 
 def _find_triple(t: _GroupTables, dstar: int, pool: int) -> tuple[int, int] | None:

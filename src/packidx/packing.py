@@ -24,7 +24,6 @@ from .errors import (
 )
 from .groups import (
     INFINITE_CYCLIC,
-    SHARED_BOX_CODES,
     DenseBox,
     Element,
     GroupSpec,
@@ -109,8 +108,7 @@ def difference_mask(A: ElementSet, region: tuple) -> tuple[DenseBox, int]:
         for a in A.elements:
             diff |= box.translate(amask, -a)
         return box, diff
-    # a fresh box: a shared one would remember every far-out difference
-    box = DenseBox(group, region)
+    box = box_for(group, region)
     diffs = (x - y for x in A.elements for y in A.elements)
     return box, box.mask_of(d for d in diffs if box.encode(d) is not None)
 
@@ -170,39 +168,14 @@ def _certify_family(A: ElementSet, shifts: list[Element]) -> bool:
     return True
 
 
-# Per-window translation tables of _root_clique_size, kept for windows of at
-# most SHARED_BOX_CODES elements, as the boxes are.
-_CAYLEY_TABLES: dict[tuple[GroupSpec, tuple], tuple] = {}
-
-
-def _cayley_tables(window: Window, vertices: list[Element]) -> tuple:
-    """(place, neg, steps) of a subgroup window, indexed by box code:
-    ``place[i]`` is the code of vertex i, or ``place`` is None when the
-    window is enumerated in code order; ``neg[c]`` is the code of -c;
-    ``steps[c]`` translates a mask of codes by c."""
-    key = (window.group, window.bounds)
-    tables = _CAYLEY_TABLES.get(key)
-    if tables is None:
-        box = box_for(window.group, window.bounds)
-        codes = box.codes(window)
-        steps = [None] * box.size
-        for v, c in zip(vertices, codes):
-            steps[c] = box.steps(v)
-        # every digit of the box wraps: a step of c moves its codes down by
-        # (r - t) * stride, where t is c's digit and r - t is -c's digit there
-        neg = [sum(down for *_, down in s) for s in steps]
-        tables = (None if codes == sorted(codes) else codes), neg, steps
-        if box.size <= SHARED_BOX_CODES:
-            _CAYLEY_TABLES[key] = tables
-    return tables
-
-
 def _root_clique_size(adj: list[int], window: Window, vertices: list[Element]) -> int:
     """Clique number of N(0) in the Cayley graph of a subgroup window,
-    searched in code order under the translation rule of ``clique._search``."""
+    searched in code order under the translation rule of ``clique._search``.
+    The window is its own box, and the search reads that box's tables:
+    ``place`` to renumber the graph, ``neg`` and ``steps`` for the rule."""
     if not adj[0]:
         return 0
-    place, neg, steps = _cayley_tables(window, vertices)
+    _, _, neg, steps, place = box_for(window.group, window.bounds).tables(vertices)
     if place is not None:
         adj = clique.relabel(adj, place)
     return clique.max_clique_size(adj, adj[0], neg, lambda mask, v: apply_steps(mask, steps[v]))

@@ -31,6 +31,7 @@ _ECHOED = {
     "index": ["set", "window", "m", "level"],
     "obstruct": ["group", "kappa", "sample", "seed"],
     "pairmap": ["a", "b", "budget"],
+    "demo": ["seed", "only"],
 }
 
 
@@ -53,6 +54,7 @@ class RunConfig:
     seed: int = 0
     check: bool = False
     verify: bool = False
+    only: int | None = None
     threads: int = 1
 
     def echo_config(self) -> dict:

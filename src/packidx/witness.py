@@ -98,7 +98,7 @@ def build_witness(bset: BSet, window: Window) -> WitnessSet:
         while a is None:
             if box is None:
                 box = _witness_box(bset, window, ambient)
-                codes = box.codes(ambient)
+                codes = box.codes(ambient.bounds)
                 bmask = box.mask_of(bset.elements)
                 amask = box.mask_of(points)
                 forbidden = 0
@@ -175,7 +175,7 @@ def verify_witness(w: WitnessSet) -> InvariantReport:
             break
 
     i2_missing = None
-    for c in box.codes(w.window):
+    for c in box.codes(w.window.bounds):
         if c not in bstar_codes and not diff >> c & 1:
             i2_missing = box.decode(c)
             break

@@ -75,7 +75,8 @@ class TestFailFast:
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated a group past the sweep cap")
 
-        monkeypatch.setattr(obstruction, "enumerate_window", refuse)
+        # a sweep lists the group's elements in the tables of its box
+        monkeypatch.setattr(obstruction, "box_for", refuse)
         result = runner.invoke(
             main, ["obstruct", "--group", "Z_2^40", "--kappa", "4", "--sample", "5"]
         )

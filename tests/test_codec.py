@@ -107,7 +107,7 @@ def test_codes_follow_window_enumeration(data):
     group, bounds = data.draw(box_case(low=1))
     box = DenseBox(group, bounds)
     window = Window(group, bounds)
-    codes = box.codes(window)
+    codes = box.codes(bounds)
     assert sorted(codes) == list(range(box.size))
     assert [box.decode(c) for c in codes] == list(enumerate_window(window))
     if group.is_finite:

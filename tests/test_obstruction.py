@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packidx import obstruction
+from packidx import clique, obstruction
 from packidx.errors import (
     NotApplicableError,
     PreconditionError,
 )
-from packidx.groups import Window, enumerate_window, parse_group
+from packidx.groups import Window, box_for, enumerate_window, parse_group
 from packidx.obstruction import (
     OPPOSITE_G,
     ORDER_TWO,
@@ -293,6 +293,28 @@ def test_memoised_sweep_matches_per_subset_reference(text, kappa, sample, seed):
     group = parse_group(text)
     got = exhaustive_no_index_check(group, kappa, sample=sample, seed=seed)
     assert got == reference_sweep(group, kappa, sample, seed)
+
+
+def test_sweep_and_cross_check_read_one_set_of_box_tables(monkeypatch):
+    t = _GroupTables(Z42)
+    tables = box_for(Z42, t.window.bounds).tables()
+    assert all(x is y for x, y in zip((t.elements, t.index, t.neg, t.steps), tables))
+    searches = []
+    search = clique.max_clique_size
+
+    def spy(adj, cand, neg=None, translate=None):
+        searches.append((neg, translate))
+        return search(adj, cand, neg, translate)
+
+    monkeypatch.setattr(clique, "max_clique_size", spy)
+    # the sweep's cross-check of subset {0, 1}; its root search translates
+    # by the steps its closure holds
+    A = ElementSet.of(Z42, t.elements[:2])
+    assert max_packing_family(A, t.window).size == 4
+    assert searches
+    for neg, translate in searches:
+        assert neg is t.neg
+        assert any(cell.cell_contents is t.steps for cell in translate.__closure__)
 
 
 def test_planted_fault_is_listed_for_every_subset_with_its_mask(monkeypatch):

@@ -21,10 +21,17 @@ from packidx.errors import (
     PreconditionError,
     WindowTooLargeError,
 )
-from packidx.groups import INFINITE_CYCLIC, Window, apply_steps, box_for, enumerate_window, parse_group
+from packidx.groups import (
+    INFINITE_CYCLIC,
+    DenseBox,
+    Window,
+    apply_steps,
+    box_for,
+    enumerate_window,
+    parse_group,
+)
 from packidx.packing import (
     ElementSet,
-    _cayley_tables,
     _root_clique_size,
     compatibility_graph,
     difference_set,
@@ -255,9 +262,16 @@ WIDE_SUBGROUP_WINDOWS = [
 ]
 
 
+# the subgroup windows above, two more heavy ones, the four groups the
+# exhaustive sweeps cover, and a shared Z box whose translates leave it
 TABLE_WINDOWS = [(t, w) for t, w, _ in WIDE_SUBGROUP_WINDOWS] + [
     ("Z_10 + Z_10", {}),
     ("Z_4 + Prufer(3)", {"prufer_level": 2}),
+    ("Z_3^2", {}),
+    ("Z_2^4", {}),
+    ("Z_4 + Z_2", {}),
+    ("Z_4 + Z_2^2", {}),
+    ("Z", {"bound": 3}),
 ]
 
 
@@ -267,14 +281,25 @@ def test_cayley_tables_match_element_arithmetic(text, window_args):
     window = Window.for_group(group, **window_args)
     vertices = list(enumerate_window(window))
     box = box_for(group, window.bounds)
-    code = [box.encode(v) for v in vertices]
-    place, neg, steps = _cayley_tables(window, vertices)
-    assert place == (None if code == sorted(code) else code)
+    tables = box.tables(vertices)
+    # a box with no tables codes and translates digit by digit
+    plain = DenseBox(group, window.bounds)
+    code = [plain.encode(v) for v in vertices]
+    assert sorted(code) == list(range(box.size))
+    assert tables.place == (None if code == sorted(code) else code)
     rng = random.Random(0)
     for v, c in zip(vertices, code):
-        assert neg[c] == box.encode(-v)
+        assert tables.elements[c] == v and tables.index[v.coords] == c
+        assert tables.neg[c] == plain.encode(-v)
+        assert box.encode(v) == c and box.steps(v) is tables.steps[c]
         for u in rng.sample(vertices, 4):
-            assert apply_steps(1 << box.encode(u), steps[c]) == 1 << box.encode(u + v)
+            moved = plain.encode(u + v)
+            want = 0 if moved is None else 1 << moved
+            assert apply_steps(1 << plain.encode(u), tables.steps[c]) == want
+    if text == "Z":
+        # steps by an element outside a box are worked out anew
+        far = group.element(7)
+        assert box.encode(far) is None and box.steps(far) == plain.steps(far)
 
 
 def unpruned_first_max_clique(adj, window):
@@ -287,7 +312,7 @@ def unpruned_first_max_clique(adj, window):
     depend on the numbering. The witness is first_max_clique's own
     extraction over the whole graph in the window's numbering.
     """
-    coded = relabel(adj, box_for(window.group, window.bounds).codes(window))
+    coded = relabel(adj, box_for(window.group, window.bounds).codes(window.bounds))
     size = 1 + max_clique_size(coded, coded[0])
     return size, clique_of_size(adj, size)
 
