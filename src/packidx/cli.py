@@ -59,8 +59,6 @@ def common_options(fn):
                       help="Write the report to this file instead of stdout.")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
                       default="json", show_default=True)(fn)
-    fn = click.option("--threads", type=int, default=1, envvar="PACK_THREADS",
-                      show_default=True, help="Accepted; changes nothing, as every command runs serially.")(fn)
     fn = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                       default=None, help="Flat key=value defaults; flags override.")(fn)
     return fn
@@ -133,7 +131,7 @@ def bset(**params):
 @common_options
 def witness(**params):
     """Greedily build a set whose windowed sharp index is kappa."""
-    _run(run_witness, "witness", params, "group", "kappa", "window")
+    _run(run_witness, "witness", params, "group", "kappa")
 
 
 @main.command()

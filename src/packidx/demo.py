@@ -10,7 +10,11 @@ against the exhaustive oracle and criterion 7 compares report bytes.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import asdict, dataclass
 
 from .clique import exhaustive_max_clique_size
@@ -84,37 +88,27 @@ def _sweep(text: str, kappa: int) -> tuple[Report, dict]:
     return report, cell
 
 
-def _bset_reports(threads: int = 1) -> list[Report]:
+def _bset_reports() -> list[Report]:
     """``pack bset --check`` on each attainability cell."""
     return [
-        run_bset(RunConfig(command="bset", group=text, kappa=kappa, check=True, threads=threads))
+        run_bset(RunConfig(command="bset", group=text, kappa=kappa, check=True))
         for text, kappa in ATTAINABILITY_CELLS
     ]
 
 
-def _witness_reports(threads: int = 1) -> list[Report]:
+def _witness_reports() -> list[Report]:
     """``pack witness --verify`` on ``Z`` for each kappa."""
     return [
         run_witness(
-            RunConfig(
-                command="witness",
-                group="Z",
-                kappa=kappa,
-                window=WITNESS_WINDOW,
-                verify=True,
-                threads=threads,
-            )
+            RunConfig(command="witness", group="Z", kappa=kappa, window=WITNESS_WINDOW, verify=True)
         )
         for kappa in WITNESS_KAPPAS
     ]
 
 
-def _pairmap_reports(threads: int = 1) -> list[Report]:
+def _pairmap_reports() -> list[Report]:
     """``pack pairmap`` on each boundary cell."""
-    return [
-        run_pairmap(RunConfig(command="pairmap", a=a, b=b, threads=threads))
-        for a, b in PAIRMAP_CELLS
-    ]
+    return [run_pairmap(RunConfig(command="pairmap", a=a, b=b)) for a, b in PAIRMAP_CELLS]
 
 
 def criterion_1() -> CriterionOutcome:
@@ -216,21 +210,34 @@ def criterion_6(seed: int) -> CriterionOutcome:
     )
 
 
-def deterministic_cells(threads: int) -> list[str]:
-    """Report bytes of criterion 7's cells, run with ``RunConfig.threads`` set."""
-    reports = _bset_reports(threads) + _witness_reports(threads) + _pairmap_reports(threads)
+def deterministic_cells() -> list[str]:
+    """Report bytes of criterion 7's cells."""
+    reports = _bset_reports() + _witness_reports() + _pairmap_reports()
     return [report.to_json() for report in reports]
 
 
+def _child_cells(seed: int, failed: dict) -> list[str]:
+    """``deterministic_cells()`` of this packidx, in a fresh interpreter under this hash
+    seed; a non-zero exit leaves its code and last stderr line in ``failed``."""
+    path = [os.path.dirname(os.path.dirname(os.path.abspath(__file__))), os.getenv("PYTHONPATH")]
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import json, packidx.demo as d; print(json.dumps(d.deterministic_cells()))"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    if child.returncode:
+        failed[seed] = {"exit": child.returncode, "stderr": child.stderr.strip().split("\n")[-1]}
+        return []
+    return json.loads(child.stdout)
+
+
 def criterion_7() -> CriterionOutcome:
-    one = deterministic_cells(threads=1)
-    eight = deterministic_cells(threads=8)
-    diffs = [i for i, (x, y) in enumerate(zip(one, eight)) if x != y]
+    here, seeds, failed = deterministic_cells(), [0, 1], {}
+    runs = [_child_cells(seed, failed) for seed in seeds]
+    diffs = sorted({i for run in runs if run for i, x in enumerate(here) if run[i : i + 1] != [x]})
     return CriterionOutcome(
         7,
-        "byte-identical reports across thread counts 1 and 8",
-        len(one) == len(eight) and not diffs,
-        {"cells": len(one), "differing": diffs},
+        "byte-identical reports in this process and in fresh interpreters under hash seeds 0 and 1",
+        all(run == here for run in runs),
+        {"cells": len(here), "hash_seeds": seeds, "differing": diffs, "failed": failed},
     )
 
 

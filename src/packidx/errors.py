@@ -77,7 +77,7 @@ class PropertyCheckFailedError(PackError):
 
 
 class CertificationError(PackError):
-    """A family produced by an extension step failed pairwise certification."""
+    """A solver's answer or an extension step's family failed its certificate."""
 
 
 class SearchBudgetExceededError(PackError):

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator
 
 from . import clique
 from .errors import (
+    CertificationError,
     EmptySetError,
     GroupMismatchError,
     PreconditionError,
@@ -211,8 +212,9 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     else:
         picked = [0] + clique.clique_of_size(adj, _root_clique_size(adj, window, vertices), adj[0])
     shifts = [vertices[i] for i in picked]
-    certified = _certify_family(A, shifts)
-    return PackingFamily(A, ElementSet.of(A.group, shifts), certified)
+    if not _certify_family(A, shifts):
+        raise CertificationError("the solver's family has intersecting translates")
+    return PackingFamily(A, ElementSet.of(A.group, shifts), True)
 
 
 @dataclass(frozen=True)
@@ -259,8 +261,9 @@ def max_clique_in_bset(B: ElementSet) -> CliqueResult:
     vertices, adj = _bset_graph(B)
     size, picked = clique.first_max_clique(adj)
     chosen = [vertices[i] for i in picked]
-    witness = ElementSet.of(B.group, chosen)
-    return CliqueResult(size, witness, _verify_in_bset(B, chosen))
+    if not _verify_in_bset(B, chosen):
+        raise CertificationError("the solver's clique has a difference outside the base set")
+    return CliqueResult(size, ElementSet.of(B.group, chosen), True)
 
 
 def clique_in_bset_of_size(B: ElementSet, target: int) -> ElementSet | None:

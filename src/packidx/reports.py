@@ -1,7 +1,7 @@
 """Self-describing run reports with canonical serialization.
 
 Reports must be byte-identical for identical semantic configs regardless of
-wall-clock or thread count, so the ``timing`` block carries deterministic
+wall-clock, process or hash seed, so the ``timing`` block carries deterministic
 work counters only; elapsed seconds go to stderr, never into the payload.
 """
 

@@ -38,7 +38,7 @@ _ECHOED = {
 @dataclass
 class RunConfig:
     """Flags of one CLI invocation that a runner may read. ``threads`` is
-    accepted and read by nothing, since every runner is serial."""
+    no flag and read by nothing; perfbench's cells still set it."""
 
     command: str
     group: str | None = None

@@ -119,8 +119,22 @@ def test_criterion_6_solver_soundness():
     report(6, ok, f"{agree}/{total} instances agree")
 
 
-def test_criterion_7_determinism_across_threads():
+def test_criterion_7_determinism_across_hash_seeds():
     outcome = demo.criterion_7()
-    cells = outcome.details["cells"]
-    ok = outcome.passed and cells == 25 and not outcome.details["differing"]
-    report(7, ok, f"{cells} reports byte-compared")
+    d = outcome.details
+    ok = outcome.passed and d["cells"] == 25 and d["hash_seeds"] == [0, 1]
+    ok = ok and not d["differing"] and not d["failed"]
+    report(7, ok, f"{d['cells']} reports byte-compared under hash seeds {d['hash_seeds']}")
+
+
+def test_criterion_7_fails_when_a_child_interpreter_fails(tmp_path, monkeypatch):
+    fake = tmp_path / "python"
+    fake.write_text("#!/bin/sh\necho 'first line' >&2\necho 'ImportError: no packidx' >&2\nexit 3\n")
+    fake.chmod(0o755)
+    monkeypatch.setattr(demo.sys, "executable", str(fake))
+    outcome = demo.criterion_7()
+    assert not outcome.passed
+    assert outcome.details["failed"] == {
+        seed: {"exit": 3, "stderr": "ImportError: no packidx"} for seed in (0, 1)
+    }
+    assert outcome.details["differing"] == []

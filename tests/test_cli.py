@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from packidx.cli import main
-from packidx.runners import RunConfig, run_bset, run_obstruct, run_pairmap, run_witness
+from packidx.runners import RunConfig, run_bset, run_obstruct
 
 
 @pytest.fixture
@@ -191,6 +191,23 @@ class TestWitnessCommand:
         assert data["results"]["invariants"]["i1"]["holds"]
         assert data["results"]["trace"][0] == {"g": "0", "a": "0", "forbidden": 0}
 
+    def test_window_is_needed_only_for_a_z_factor(self, runner):
+        import hashlib
+        import shlex
+
+        pins = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
+        echo = "pack witness --group 'Z_3^w' --kappa 4 --level 4 --m 4 --verify"
+        result = runner.invoke(main, shlex.split(echo)[1:])
+        assert result.exit_code == 0
+        assert payload(result)["echo"] == echo
+        digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+        assert digest == pins["witness Z_3^w k=4 --m 4 --verify"]
+
+    def test_z_factor_without_window_is_usage_error(self, runner):
+        result = runner.invoke(main, ["witness", "--group", "Z", "--kappa", "3"])
+        assert result.exit_code == 2
+        assert "a bound is required for Z factors" in result.output
+
 
 class TestObstructCommand:
     def test_exhaustive(self, runner):
@@ -305,30 +322,41 @@ class TestEmission:
 
 
 class TestThreadDeterminism:
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            RunConfig(command="bset", group="Prufer(2)", kappa=5, check=True),
-            RunConfig(command="witness", group="Z", kappa=4, window=25, verify=True),
-            RunConfig(command="pairmap", a=5, b=4),
-        ],
-        ids=["bset", "witness", "pairmap"],
-    )
-    def test_reports_do_not_depend_on_threads(self, cfg):
-        import dataclasses
+    """No thread count exists any more: the flag is refused, and the
+    environment variable and config key that once set it are read by
+    nothing."""
 
-        runner_fn = {"bset": run_bset, "witness": run_witness, "pairmap": run_pairmap}[
-            cfg.command
-        ]
-        one = runner_fn(dataclasses.replace(cfg, threads=1)).to_json()
-        eight = runner_fn(dataclasses.replace(cfg, threads=8)).to_json()
-        assert one == eight
+    # one cheap report per command that used to take a thread count
+    CELLS = {
+        "bset": ["bset", "--group", "Prufer(2)", "--kappa", "5", "--check"],
+        "witness": ["witness", "--group", "Z", "--kappa", "4", "--window", "25", "--verify"],
+        "obstruct": ["obstruct", "--group", "Z_4 + Z_2", "--kappa", "4"],
+        "pairmap": ["pairmap", "--a", "5", "--b", "4"],
+    }
+
+    def test_threads_flag_is_usage_error(self, runner):
+        args = ["witness", "--group", "Z", "--kappa", "3", "--window", "5", "--threads", "2"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--threads" in result.output
+
+    @pytest.mark.parametrize("command", sorted(CELLS))
+    def test_reports_do_not_depend_on_threads(self, runner, tmp_path, command):
+        args = self.CELLS[command]
+        cfg = tmp_path / "pack.cfg"
+        cfg.write_text("threads = 8\n")
+        plain = runner.invoke(main, args)
+        result = runner.invoke(main, args + ["--config", str(cfg)])
+        assert result.exit_code == plain.exit_code == 0
+        assert result.stdout == plain.stdout
 
     def test_threads_env_var(self, runner, monkeypatch):
+        plain = {name: runner.invoke(main, args) for name, args in self.CELLS.items()}
         monkeypatch.setenv("PACK_THREADS", "8")
-        result = runner.invoke(main, ["obstruct", "--group", "Z_4 + Z_2", "--kappa", "4"])
-        assert result.exit_code == 0
-        assert payload(result)["results"]["violations"] == []
+        for name, args in self.CELLS.items():
+            result = runner.invoke(main, args)
+            assert result.exit_code == plain[name].exit_code == 0, name
+            assert result.stdout == plain[name].stdout, name
 
 
 class TestConfigFile:

@@ -57,7 +57,8 @@ def flag(name, values):
     return st.one_of(st.just([]), given_flag(name, values))
 
 
-# required flags are always given: a missing one is tested in test_cli.py
+# required flags are always given: a missing one is tested in test_cli.py;
+# ``--window``, needed only for a ``Z`` factor, is sometimes left out
 kappa = given_flag("kappa", upto(7, low=2))
 window = (flag("m", upto(4)), flag("level", upto(4)))
 
@@ -65,7 +66,7 @@ invocations = st.one_of(
     st.tuples(st.just(["bset"]), given_flag("group", groups), kappa,
               st.sampled_from([[], ["--check"]]), *window),
     st.tuples(st.just(["witness"]), given_flag("group", window_groups), kappa,
-              given_flag("window", upto(20)), st.sampled_from([[], ["--verify"]]), *window),
+              flag("window", upto(20)), st.sampled_from([[], ["--verify"]]), *window),
     st.tuples(st.just(["index", "--set", "SETFILE"]), flag("window", upto(20)), *window),
     st.tuples(st.just(["obstruct"]), given_flag("group", groups), kappa,
               flag("sample", upto(50)), flag("seed", st.integers(-3, 3))),
