@@ -760,102 +760,50 @@ def apply_steps(mask: int, steps: list[tuple[int, int, int, int]]) -> int:
 
 # -- group-spec DSL ----------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z]+)|(?P<sym>[_^+()])|(?P<bad>\S)")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "bad":
-            raise GroupSyntaxError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((m.lastgroup, m.group(), m.start()))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise GroupSyntaxError("unexpected end of input", len(self.text))
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, value: str | None = None):
-        tok = self.take()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value or kind
-            raise GroupSyntaxError(f"expected {want!r}, got {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self) -> GroupSpec:
-        factors = list(self.term())
-        while self.peek() is not None:
-            self.expect("sym", "+")
-            factors.extend(self.term())
-        return GroupSpec(tuple(factors))
-
-    def term(self) -> list[Factor]:
-        kind, value, at = self.take()
-        if kind == "name" and value == "Prufer":
-            self.expect("sym", "(")
-            _, num, numat = self.expect("int")
-            p = int(num)
-            if not _is_prime(p):
-                raise GroupSyntaxError(f"Prufer parameter {p} is not prime", numat)
-            self.expect("sym", ")")
-            return [Factor(PRUFER, p)]
-        if kind != "name" or value != "Z":
-            raise GroupSyntaxError(f"expected 'Z' or 'Prufer', got {value!r}", at)
-
-        modulus = None
-        tok = self.peek()
-        if tok is not None and tok[0] == "sym" and tok[1] == "_":
-            self.take()
-            _, num, numat = self.expect("int")
-            modulus = (int(num), numat)
-        elif tok is not None and tok[0] == "int":
-            self.take()
-            modulus = (int(tok[1]), tok[2])
-
-        rep = None
-        tok = self.peek()
-        if tok is not None and tok[0] == "sym" and tok[1] == "^":
-            self.take()
-            tok = self.take()
-            if tok[0] == "int":
-                rep = (int(tok[1]), tok[2])
-                if rep[0] < 1:
-                    raise GroupSyntaxError("repetition must be >= 1 or 'w'", tok[2])
-            elif tok[0] == "name" and tok[1] == "w":
-                rep = ("w", tok[2])
-            else:
-                raise GroupSyntaxError(f"expected a repetition count or 'w', got {tok[1]!r}", tok[2])
-
-        if modulus is not None and modulus[0] < 2:
-            raise GroupSyntaxError(f"modulus {modulus[0]} must be >= 2", modulus[1])
-
-        if rep is not None and rep[0] == "w":
-            if modulus is None:
-                raise GroupSyntaxError(
-                    "countably repeated Z is not supported; 'w' needs a finite modulus",
-                    rep[1],
-                )
-            return [Factor(REPEATED_CYCLIC, modulus[0])]
-        base = Factor(INFINITE_CYCLIC) if modulus is None else Factor(CYCLIC, modulus[0])
-        return [base] * (rep[0] if rep is not None else 1)
+# A factor is one match of _FACTOR, a Term as the README writes it, with the
+# blanks after it. The lookaheads keep a factor from matching as a shorter one
+# (a modulus cut short, a "^" or a "w" left over): values are checked only on
+# factors that parse.
+_FACTOR = re.compile(
+    r"(?:Prufer\s*\(\s*(?P<prime>\d+)(?P<close>\s*\))?|Z(?:\s*_?\s*(?P<modulus>\d+)(?!\d))?"
+    r"(?:\s*\^\s*(?P<rep>\d+|w(?![A-Za-z]))|(?!\s*\^)))\s*"
+)
+_SEPARATOR = re.compile(r"\+\s*|\Z")
+_FORMS = "expected Z, Z_n, Z^k, Z_n^k, Z_n^w or Prufer(p), joined by '+'"
 
 
 def parse_group(text: str) -> GroupSpec:
-    """Parse the group-spec DSL, e.g. ``"Z_4 + Z_2^w"`` or ``"Prufer(3)"``."""
-    return _Parser(text).parse()
+    """Parse the group-spec DSL, e.g. ``"Z_4 + Z_2^w"``, ``"Z^2"`` or ``"Prufer(3)"``.
+    A syntax error sits at the first non-blank where a factor or a "+" fails."""
+    factors, pos, more = [], len(text) - len(text.lstrip()), True
+    while more:
+        m = _FACTOR.match(text, pos)
+        if m is None:
+            raise GroupSyntaxError(_FORMS, pos)
+        prime, modulus, rep = m["prime"], m["modulus"], m["rep"]
+        if prime is not None and not _is_prime(int(prime)):
+            raise GroupSyntaxError(f"Prufer parameter {int(prime)} is not prime", m.start("prime"))
+        if prime is not None and m["close"] is None:
+            raise GroupSyntaxError(_FORMS, pos)
+        if rep not in (None, "w") and int(rep) < 1:
+            raise GroupSyntaxError("repetition must be >= 1 or 'w'", m.start("rep"))
+        if modulus is not None and int(modulus) < 2:
+            raise GroupSyntaxError(f"modulus {int(modulus)} must be >= 2", m.start("modulus"))
+        if rep == "w" and modulus is None:
+            message = "countably repeated Z is not supported; 'w' needs a finite modulus"
+            raise GroupSyntaxError(message, m.start("rep"))
+        if prime is not None:
+            factors.append(Factor(PRUFER, int(prime)))
+        elif rep == "w":
+            factors.append(Factor(REPEATED_CYCLIC, int(modulus)))
+        else:
+            base = Factor(INFINITE_CYCLIC) if modulus is None else Factor(CYCLIC, int(modulus))
+            factors += [base] * int(rep or 1)
+        sep = _SEPARATOR.match(text, m.end())
+        if sep is None:
+            raise GroupSyntaxError(_FORMS, m.end())
+        pos, more = sep.end(), bool(sep.group())
+    return GroupSpec(tuple(factors))
 
 
 def format_group(group: GroupSpec) -> str:

@@ -272,7 +272,10 @@ def clique_in_bset_of_size(B: ElementSet, target: int) -> ElementSet | None:
     picked = clique.clique_of_size(adj, target)
     if picked is None:
         return None
-    return ElementSet.of(B.group, [vertices[i] for i in picked])
+    chosen = [vertices[i] for i in picked]
+    if not _verify_in_bset(B, chosen):
+        raise CertificationError("the solver's clique has a difference outside the base set")
+    return ElementSet.of(B.group, chosen)
 
 
 # -- set files ----------------------------------------------------------------

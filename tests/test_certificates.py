@@ -1,10 +1,11 @@
 """An answer whose certificate fails is an error, never a number.
 
-``max_packing_family`` certifies its family (pairwise disjoint translates)
-and ``max_clique_in_bset`` its clique (every difference inside the base
-set). Each test breaks one certificate and checks that a caller of that
-solver stops with ``CertificationError``: a library call raises it, and a
-``pack`` command turns it into an error report with exit code 1.
+``max_packing_family`` certifies its family (pairwise disjoint translates),
+and ``max_clique_in_bset`` and ``clique_in_bset_of_size`` their clique
+(every difference inside the base set). Each test breaks one certificate,
+or the solver behind it, and checks that a caller of that solver stops with
+``CertificationError``: a library call raises it, and a ``pack`` command
+turns it into an error report with exit code 1.
 """
 
 import json
@@ -12,7 +13,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from packidx import bsets, demo, packing, witness
+from packidx import bsets, clique, demo, packing, witness
 from packidx.cli import main
 from packidx.errors import CertificationError
 from packidx.groups import Window, parse_group
@@ -21,6 +22,12 @@ from packidx.groups import Window, parse_group
 @pytest.fixture
 def broken_family(monkeypatch):
     monkeypatch.setattr(packing, "_certify_family", lambda A, shifts: False)
+
+
+@pytest.fixture
+def first_vertices_clique(monkeypatch):
+    """``clique_of_size`` answers with its first ``target`` vertices, clique or not."""
+    monkeypatch.setattr(clique, "clique_of_size", lambda adj, target, P=None: list(range(target)))
 
 
 @pytest.fixture
@@ -64,3 +71,8 @@ def test_bset_checks_are_an_error(broken_clique):
 def test_property_2_raises(broken_clique):
     with pytest.raises(CertificationError):
         bsets.check_property_2(bsets.build_bset(parse_group("Z"), 4))
+
+
+def test_property_1_witness_is_certified(first_vertices_clique):
+    with pytest.raises(CertificationError):
+        bsets.check_property_1(bsets.build_bset(parse_group("Prufer(2)"), 5))

@@ -42,6 +42,47 @@ class TestParser:
     def test_underscore_optional_and_whitespace_insensitive(self):
         assert parse_group("Z4+Z_2^w") == parse_group(" Z_4 + Z_2 ^ w ")
 
+    @pytest.mark.parametrize("text, factors", [
+        (" Z_4 + Z_2 ^ w ", (Factor(CYCLIC, 4), Factor(REPEATED_CYCLIC, 2))),
+        ("Z\t+\tZ_3", (Factor(INFINITE_CYCLIC), Factor(CYCLIC, 3))),
+        ("Z_2\n+\nPrufer(5)\n", (Factor(CYCLIC, 2), Factor(PRUFER, 5))),
+        ("Z4", (Factor(CYCLIC, 4),)),
+        ("Z 4", (Factor(CYCLIC, 4),)),
+        ("Z _ 4", (Factor(CYCLIC, 4),)),
+        ("Z_02", (Factor(CYCLIC, 2),)),
+        ("Prufer ( 3 )", (Factor(PRUFER, 3),)),
+        ("Z^2", (Factor(INFINITE_CYCLIC),) * 2),
+        ("Z_2^3", (Factor(CYCLIC, 2),) * 3),
+        ("Z_3 ^ 2 + Z", (Factor(CYCLIC, 3),) * 2 + (Factor(INFINITE_CYCLIC),)),
+    ])
+    def test_accepted_spellings(self, text, factors):
+        assert parse_group(text).factors == factors
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("Z_1", "modulus 1 must be >= 2", 2),
+        ("Prufer(4)", "Prufer parameter 4 is not prime", 7),
+        ("Z_2^0", "repetition must be >= 1 or 'w'", 4),
+        ("Z^w", "countably repeated Z is not supported; 'w' needs a finite modulus", 2),
+        ("Prufer(4", "Prufer parameter 4 is not prime", 7),
+    ])
+    def test_validation_errors(self, text, message, position):
+        with pytest.raises(GroupSyntaxError) as err:
+            parse_group(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text, position", [("Z_2 Z_3", 4), ("Z +", 3)])
+    def test_syntax_error_positions(self, text, position):
+        with pytest.raises(GroupSyntaxError) as err:
+            parse_group(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text", ["Z_15 ^", "Z_1^", "Z_1^wx", "Prufer(3", "Z + Prufer(3 + Z"])
+    def test_a_bad_value_counts_only_in_a_factor_that_parses(self, text):
+        with pytest.raises(GroupSyntaxError) as err:
+            parse_group(text)
+        assert str(err.value).startswith("expected Z, Z_n, Z^k, Z_n^k, Z_n^w or Prufer(p)")
+
     @pytest.mark.parametrize("bad", ["Z_1", "Z_0", "Prufer(4)", "Prufer(1)", "Z^w",
                                      "", "   ", "Z +", "Q", "Z_2^0", "Z_2 Z_3"])
     def test_rejects(self, bad):
@@ -74,6 +115,24 @@ _group = st.lists(_factor, min_size=1, max_size=4).map(lambda fs: GroupSpec(tupl
 @given(_group)
 def test_parse_format_round_trip(group):
     assert parse_group(format_group(group)) == group
+
+
+# text drawn mostly from the DSL's own pieces, so that some of it parses
+_dsl_text = st.lists(
+    st.sampled_from(["Z", "Prufer", "_", "^", "+", "(", ")", "w", "0", "1", "2", "3", "4",
+                     "9", " ", "\t", "\n", "x", "\u0663"]) | st.text(max_size=2),
+    max_size=10,
+).map("".join)
+
+
+@given(_dsl_text)
+def test_any_text_parses_or_names_a_position(text):
+    try:
+        group = parse_group(text)
+    except GroupSyntaxError as err:
+        assert 0 <= err.position <= len(text)
+    else:
+        assert parse_group(format_group(group)) == group
 
 
 class TestArithmetic:
