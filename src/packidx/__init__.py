@@ -7,13 +7,11 @@ from .groups import (
     Factor,
     GroupSpec,
     Window,
-    element_order,
     enumerate_window,
     format_element,
     format_group,
     parse_element,
     parse_group,
-    scalar_mul,
 )
 from .packing import (
     CliqueResult,

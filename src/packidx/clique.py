@@ -19,14 +19,15 @@ Segundo et al., Comput. Oper. Res. 2011) cut its cost:
   its candidates in w + E (see ``_search``).
 
 ``max_clique_size`` and ``exists_clique`` are one search, ``_search``; the
-decision stops at its first clique of the target size. Only
-``max_clique_size`` without a mask relabels; it returns a size alone.
-``exists_clique`` and ``clique_of_size`` keep the caller's numbering, so the
-lexicographically-first witness is the same under any search schedule. A
-separate subset-DP oracle re-derives the clique number by brute force so the
-two routes can be cross-checked against each other: it decides every one of
-the 2^n vertex masks, bit-parallel in one big-int bitset per clique size,
-with no bound and no search order.
+decision stops at its first clique of the target size and can hand that
+clique back. ``clique_of_size`` picks vertices in the caller's numbering, so
+the lexicographically-first witness is the same under any search schedule,
+but it may run its decisions on a relabelled copy of the graph (the one the
+size search used), and it reuses each clique a decision found as the answer
+one level down. A separate subset-DP oracle re-derives the clique number by
+brute force so the two routes can be cross-checked against each other: it
+decides every one of the 2^n vertex masks, bit-parallel in one big-int
+bitset per clique size, with no bound and no search order.
 """
 
 from __future__ import annotations
@@ -36,37 +37,38 @@ from typing import Callable
 ORACLE_LIMIT = 24
 
 
-def _lsb(x: int) -> int:
-    return (x & -x).bit_length() - 1
-
-
-def _by_degree(adj: list[int]) -> list[int]:
+def _by_degree(adj: list[int]) -> tuple[list[int], list[int]]:
     """The same graph with vertex i renamed to its place in descending-degree
-    order, ties broken by index."""
+    order, ties broken by index, and that renaming ``place``."""
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     place = [0] * n
     for i, v in enumerate(order):
         place[v] = i
-    return relabel(adj, place)
+    return relabel(adj, place), place
+
+
+def _rename(mask: int, place: list[int]) -> int:
+    """The mask with vertex v renamed ``place[v]``."""
+    n = len(place)
+    full = (1 << n) - 1
+    # renaming is a bijection, so a dense mask is renamed via its complement
+    flip = 2 * mask.bit_count() > n
+    rest = full ^ mask if flip else mask
+    out = 0
+    while rest:
+        low = rest & -rest
+        out |= 1 << place[low.bit_length() - 1]
+        rest ^= low
+    return full ^ out if flip else out
 
 
 def relabel(adj: list[int], place: list[int]) -> list[int]:
     """The same graph with vertex v renamed ``place[v]``; ``place`` must be a
     permutation of the vertices."""
-    n = len(adj)
-    full = (1 << n) - 1
-    renamed = [0] * n
+    renamed = [0] * len(adj)
     for v, adjacent in enumerate(adj):
-        # renaming is a bijection, so a dense row is renamed via its complement
-        flip = 2 * adjacent.bit_count() > n
-        rest = full ^ adjacent if flip else adjacent
-        row = 0
-        while rest:
-            low = rest & -rest
-            row |= 1 << place[low.bit_length() - 1]
-            rest ^= low
-        renamed[place[v]] = full ^ row if flip else row
+        renamed[place[v]] = _rename(adjacent, place)
     return renamed
 
 
@@ -103,9 +105,12 @@ def _search(
     stop: int,
     neg: list[int] | None = None,
     translate: Callable[[int, int], int] | None = None,
+    witness: list[int] | None = None,
 ) -> int:
     """The clique number of the subgraph induced by P if it exceeds ``best``,
     else ``best``; the search ends at the first clique of ``stop`` vertices.
+    When it does, that clique's vertices are appended to ``witness``, if
+    given, on the way back up, so a search that fails pays nothing for it.
 
     With ``neg`` and ``translate``, adj is a Cayley graph with vertex 0 the
     identity and P is N(0): ``neg[v]`` is the vertex -v, and
@@ -133,10 +138,14 @@ def _search(
                     sub &= ~translate(explored, v)
             if sub and size + 1 < stop:
                 if expand(size + 1, sub):
+                    if witness is not None:
+                        witness.append(v)
                     return True
             elif size + 1 > best:
                 best = size + 1
                 if best >= stop:
+                    if witness is not None:
+                        witness.append(v)
                     return True
             cand &= ~(1 << v)
             if not size and neg is not None:
@@ -163,50 +172,87 @@ def max_clique_size(
     the search by translation symmetry.
     """
     if P is None:
-        adj = _by_degree(adj)
+        adj, _ = _by_degree(adj)
         P = (1 << len(adj)) - 1
     return _search(adj, P, 0, len(adj) + 1, neg, translate)
 
 
-def exists_clique(adj: list[int], P: int, target: int) -> bool:
-    """Exact decision: does the subgraph induced by P contain a target-clique?"""
-    return target <= 0 or _search(adj, P, target - 1, target) >= target
+def exists_clique(adj: list[int], P: int, target: int, witness: list[int] | None = None) -> bool:
+    """Exact decision: does the subgraph induced by P contain a target-clique?
+
+    On yes, the clique found is appended to ``witness``, if given.
+    """
+    return target <= 0 or _search(adj, P, target - 1, target, witness=witness) >= target
 
 
-def clique_of_size(adj: list[int], target: int, P: int | None = None) -> list[int] | None:
+def clique_of_size(
+    adj: list[int],
+    target: int,
+    P: int | None = None,
+    copy: tuple[list[int], list[int]] | None = None,
+) -> list[int] | None:
     """Lexicographically-first clique of exactly ``target`` vertices, or None.
 
     The extraction is a deterministic pass over vertex indices in ascending
     order, so the witness does not depend on any search schedule. It also
     decides feasibility: when no vertex extends the clique, there is none.
+
+    Each decision that picks v yields a clique K of the size still needed
+    inside P ∩ N(v); at the next level the answer for min(K) is then yes,
+    witnessed by K less min(K), so only the vertices below it are searched.
+    ``copy`` is an optional pair (graph, place): ``adj`` with vertex v
+    renamed ``place[v]``. A decision's answer does not depend on the
+    numbering, so the decisions run on the copy, and their cliques are
+    renamed back.
     """
     if P is None:
         P = (1 << len(adj)) - 1
     if target == 0:
         return []
+    search, place = copy if copy is not None else (adj, None)
+    if place is not None:
+        back = [0] * len(place)
+        for v, w in enumerate(place):
+            back[w] = v
     chosen: list[int] = []
+    known = 0  # a clique of `needed` vertices inside P, once a decision finds one
     needed = target
     while needed:
         rest = P
         while rest:
-            v = _lsb(rest)
-            rest &= rest - 1
+            bit = rest & -rest
+            v = bit.bit_length() - 1
+            rest ^= bit
             sub = P & adj[v]
-            if exists_clique(adj, sub, needed - 1):
-                chosen.append(v)
-                P = sub
-                needed -= 1
-                break
-            P &= ~(1 << v)
+            if known & bit:
+                # v is the lowest vertex of the known clique
+                known ^= bit
+            else:
+                found: list[int] = []
+                if not exists_clique(search, sub if place is None else _rename(sub, place), needed - 1, found):
+                    P ^= bit
+                    continue
+                known = 0
+                for w in found:
+                    known |= 1 << (w if place is None else back[w])
+            chosen.append(v)
+            P = sub
+            needed -= 1
+            break
         else:
             return None
     return chosen
 
 
 def first_max_clique(adj: list[int]) -> tuple[int, list[int]]:
-    """Exact clique number plus its lexicographically-first witness."""
-    size = max_clique_size(adj)
-    witness = clique_of_size(adj, size) or []
+    """Exact clique number plus its lexicographically-first witness.
+
+    The size search and every extraction decision run on one
+    degree-ordered copy of the graph.
+    """
+    copy = _by_degree(adj)
+    size = max_clique_size(copy[0], (1 << len(adj)) - 1)
+    witness = clique_of_size(adj, size, None, copy) or []
     return size, witness
 
 

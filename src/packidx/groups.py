@@ -405,14 +405,6 @@ class Element:
         return f"<{format_element(self)} in {self.group}>"
 
 
-def scalar_mul(c: int, a: Element) -> Element:
-    return a.scaled(c)
-
-
-def element_order(a: Element) -> int | None:
-    return a.order()
-
-
 # -- windows -----------------------------------------------------------------
 
 
@@ -772,6 +764,19 @@ _SEPARATOR = re.compile(r"\+\s*|\Z")
 _FORMS = "expected Z, Z_n, Z^k, Z_n^k, Z_n^w or Prufer(p), joined by '+'"
 
 
+def _number(m: re.Match, name: str) -> int | None:
+    """The integer in group ``name`` of a factor match, None when the group
+    did not match. A number past Python's limit on integer-string digits is
+    a syntax error at its first digit."""
+    digits = m[name]
+    if digits is None:
+        return None
+    try:
+        return int(digits)
+    except ValueError:
+        raise GroupSyntaxError(f"number of {len(digits)} digits is too long", m.start(name)) from None
+
+
 def parse_group(text: str) -> GroupSpec:
     """Parse the group-spec DSL, e.g. ``"Z_4 + Z_2^w"``, ``"Z^2"`` or ``"Prufer(3)"``.
     A syntax error sits at the first non-blank where a factor or a "+" fails."""
@@ -780,25 +785,27 @@ def parse_group(text: str) -> GroupSpec:
         m = _FACTOR.match(text, pos)
         if m is None:
             raise GroupSyntaxError(_FORMS, pos)
-        prime, modulus, rep = m["prime"], m["modulus"], m["rep"]
-        if prime is not None and not _is_prime(int(prime)):
-            raise GroupSyntaxError(f"Prufer parameter {int(prime)} is not prime", m.start("prime"))
+        prime = _number(m, "prime")
+        if prime is not None and not _is_prime(prime):
+            raise GroupSyntaxError(f"Prufer parameter {prime} is not prime", m.start("prime"))
         if prime is not None and m["close"] is None:
             raise GroupSyntaxError(_FORMS, pos)
-        if rep not in (None, "w") and int(rep) < 1:
+        rep = "w" if m["rep"] == "w" else _number(m, "rep")
+        if rep not in (None, "w") and rep < 1:
             raise GroupSyntaxError("repetition must be >= 1 or 'w'", m.start("rep"))
-        if modulus is not None and int(modulus) < 2:
-            raise GroupSyntaxError(f"modulus {int(modulus)} must be >= 2", m.start("modulus"))
+        modulus = _number(m, "modulus")
+        if modulus is not None and modulus < 2:
+            raise GroupSyntaxError(f"modulus {modulus} must be >= 2", m.start("modulus"))
         if rep == "w" and modulus is None:
             message = "countably repeated Z is not supported; 'w' needs a finite modulus"
             raise GroupSyntaxError(message, m.start("rep"))
         if prime is not None:
-            factors.append(Factor(PRUFER, int(prime)))
+            factors.append(Factor(PRUFER, prime))
         elif rep == "w":
-            factors.append(Factor(REPEATED_CYCLIC, int(modulus)))
+            factors.append(Factor(REPEATED_CYCLIC, modulus))
         else:
-            base = Factor(INFINITE_CYCLIC) if modulus is None else Factor(CYCLIC, int(modulus))
-            factors += [base] * int(rep or 1)
+            base = Factor(INFINITE_CYCLIC) if modulus is None else Factor(CYCLIC, modulus)
+            factors += [base] * (rep or 1)
         sep = _SEPARATOR.match(text, m.end())
         if sep is None:
             raise GroupSyntaxError(_FORMS, m.end())

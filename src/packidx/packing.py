@@ -169,17 +169,24 @@ def _certify_family(A: ElementSet, shifts: list[Element]) -> bool:
     return True
 
 
-def _root_clique_size(adj: list[int], window: Window, vertices: list[Element]) -> int:
+def _root_clique_size(
+    adj: list[int], window: Window, vertices: list[Element]
+) -> tuple[int, tuple[list[int], list[int]] | None]:
     """Clique number of N(0) in the Cayley graph of a subgroup window,
-    searched in code order under the translation rule of ``clique._search``.
-    The window is its own box, and the search reads that box's tables:
-    ``place`` to renumber the graph, ``neg`` and ``steps`` for the rule."""
+    searched in code order under the translation rule of ``clique._search``,
+    and the code-ordered copy it searched as ``(graph, place)``, or None
+    when that copy is ``adj`` itself. The window is its own box, and the
+    search reads that box's tables: ``place`` to renumber the graph, ``neg``
+    and ``steps`` for the rule."""
     if not adj[0]:
-        return 0
+        return 0, None
     _, _, neg, steps, place = box_for(window.group, window.bounds).tables(vertices)
+    copy = None
     if place is not None:
-        adj = clique.relabel(adj, place)
-    return clique.max_clique_size(adj, adj[0], neg, lambda mask, v: apply_steps(mask, steps[v]))
+        copy = clique.relabel(adj, place), place
+        adj = copy[0]
+    size = clique.max_clique_size(adj, adj[0], neg, lambda mask, v: apply_steps(mask, steps[v]))
+    return size, copy
 
 
 def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
@@ -195,8 +202,9 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     clique through 0 and v or -v, so both are dropped from the root and,
     translated by each vertex a deeper node adds, from its candidates. The
     lexicographically-first family then starts at vertex 0, the lowest
-    index, so its extraction runs inside N(0). A window with a ``Z`` factor
-    is no subgroup and gets the full search.
+    index, so its extraction runs inside N(0), deciding on the copy the
+    root search used. A window with a ``Z`` factor is no subgroup and gets
+    the full search.
     """
     if not A.elements:
         raise EmptySetError("packing index of the empty set is undefined")
@@ -210,7 +218,8 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     if any(f.kind == INFINITE_CYCLIC for f in A.group.factors):
         _, picked = clique.first_max_clique(adj)
     else:
-        picked = [0] + clique.clique_of_size(adj, _root_clique_size(adj, window, vertices), adj[0])
+        root, copy = _root_clique_size(adj, window, vertices)
+        picked = [0] + clique.clique_of_size(adj, root, adj[0], copy)
     shifts = [vertices[i] for i in picked]
     if not _certify_family(A, shifts):
         raise CertificationError("the solver's family has intersecting translates")

@@ -10,6 +10,7 @@ multi-factor specs go to ``bset`` and ``obstruct`` only.
 """
 
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -18,11 +19,14 @@ from hypothesis import strategies as st
 
 from packidx.cli import main
 
+# one digit past the interpreter's limit on integer-string conversion
+LONG = "7" * (sys.get_int_max_str_digits() + 1)
 FACTORS = [
     "Z", "Z_2", "Z_3", "Z_4", "Z_5", "Z_6", "Z_2^w", "Z_3^w", "Z_4^w", "Z_2^2",
     "Prufer(2)", "Prufer(3)", "Prufer(4)", "Z_1",
+    f"Z_{LONG}", f"Z^{LONG}", f"Z_2^{LONG}", f"Prufer({LONG})",
 ]
-ELEMENTS = ["0", "1", "-1", "3", "(0,1)", "(1,0)", "(1,1,0)", "[1]", "[0,1]", "1/2", "3/4", "1/3", "x", ""]
+ELEMENTS = ["0", "1", "-1", "3", "(0,1)", "(1,0)", "(1,1,0)", "[1]", "[0,1]", "1/2", "3/4", "1/3", "x", "", LONG]
 
 factor = st.sampled_from(FACTORS)
 near_dsl = st.one_of(st.text(alphabet="Z_^w+() 0123456789Prufe", max_size=12), st.text(max_size=6))
@@ -90,3 +94,5 @@ def test_cli_never_crashes(set_path, parts, fmt, set_text):
     assert result.exception is None or isinstance(result.exception, SystemExit), (args, result.exception)
     assert result.exit_code in (0, 1, 2), args
     assert "Traceback" not in result.output, args
+    # a number too long for int() is a syntax error, not Python's own message
+    assert "integer string conversion" not in result.output, args

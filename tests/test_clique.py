@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import packidx.clique as clique_module
 from packidx.clique import (
     _by_degree,
     clique_of_size,
@@ -14,6 +15,8 @@ from packidx.clique import (
     max_clique_size,
     relabel,
 )
+from packidx.groups import INFINITE_CYCLIC, Window, enumerate_window, parse_group
+from packidx.packing import ElementSet, _root_clique_size, compatibility_graph, max_packing_family
 
 
 def random_graph(rng, n, p):
@@ -214,7 +217,7 @@ def test_planted_clique_matches_oracle(seed):
     rng = random.Random(seed)
     n = rng.randint(14, 20)
     adj = planted_graph(rng, n, rng.randint(5, 8), 0.15)
-    assert _by_degree(adj) != adj
+    assert _by_degree(adj)[0] != adj
     assert_matches_oracle(adj, rng)
 
 
@@ -223,7 +226,8 @@ def test_degree_order_is_a_relabelling(seed):
     rng = random.Random(seed)
     adj = planted_graph(rng, rng.randint(6, 20), 5, 0.2)
     order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
-    renamed = _by_degree(adj)
+    renamed, place = _by_degree(adj)
+    assert [place[u] for u in order] == list(range(len(adj)))
     for i, u in enumerate(order):
         for j, v in enumerate(order):
             assert renamed[i] >> j & 1 == adj[u] >> v & 1
@@ -305,3 +309,101 @@ def test_translation_rule_matches_oracle_on_cayley_graphs(name, make, params, se
     S = random_connection(rng, elements, add, rng.choice([0.3, 0.5, 0.7, 0.85]))
     adj, neg, translate = cayley_graph(elements, add, S)
     assert 1 + max_clique_size(adj, adj[0], neg, translate) == exhaustive_max_clique_size(adj)
+
+
+def reference_clique_of_size(adj, target, P=None):
+    """The extraction before decisions carried their cliques: one
+    ``exists_clique`` call per candidate, in the caller's numbering."""
+    if P is None:
+        P = (1 << len(adj)) - 1
+    if target == 0:
+        return []
+    chosen = []
+    needed = target
+    while needed:
+        rest = P
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            sub = P & adj[v]
+            if exists_clique(adj, sub, needed - 1):
+                chosen.append(v)
+                P = sub
+                needed -= 1
+                break
+            P &= ~(1 << v)
+        else:
+            return None
+    return chosen
+
+
+def shuffled_copy(adj, rng):
+    place = list(range(len(adj)))
+    rng.shuffle(place)
+    return relabel(adj, place), place
+
+
+@pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("seed", range(6))
+def test_extraction_matches_reference(seed, density):
+    rng = random.Random(10 * seed + int(10 * density))
+    n = rng.randint(1, 40)
+    adj = random_graph(rng, n, density)
+    full = (1 << n) - 1
+    copies = [None, _by_degree(adj), shuffled_copy(adj, rng)]
+    for P in (None, rng.randrange(1, full + 1)):
+        omega = max_clique_size(adj, P)
+        assert reference_clique_of_size(adj, omega + 1, P) is None
+        for target in sorted({omega, max(omega - 1, 0)}):
+            expected = reference_clique_of_size(adj, target, P)
+            assert expected is not None
+            for copy in copies:
+                assert clique_of_size(adj, target, P, copy) == expected
+        for copy in copies:
+            assert clique_of_size(adj, omega + 1, P, copy) is None
+
+
+def test_extraction_reuses_the_clique_a_decision_found(monkeypatch):
+    # on a complete graph the first decision finds the rest of the clique,
+    # so no later level searches
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return exists_clique(*args)
+
+    monkeypatch.setattr(clique_module, "exists_clique", counting)
+    adj = complete_graph(12)
+    assert clique_of_size(adj, 12, None, _by_degree(adj)) == list(range(12))
+    assert len(calls) == 1
+
+
+# windows the solver meets: a Z window, a subgroup window searched in
+# enumeration order, a Prufer window searched on its code-ordered copy, and
+# a dense Z + Z window where the clique is half the graph
+EXTRACTION_WINDOWS = [
+    ("Z", ["0", "1", "3", "7"], {"bound": 40}),
+    ("Z_10 + Z_10", ["(5,1)", "(8,5)", "(9,0)", "(9,2)"], {}),
+    ("Prufer(2)", ["15/2^5", "29/2^5", "23/2^7", "43/2^7"], {"prufer_level": 6}),
+    ("Z + Z", ["(0,0)", "(1,0)"], {"bound": 8}),
+]
+
+
+@pytest.mark.parametrize("text,elements,window_args", EXTRACTION_WINDOWS, ids=[w[0] for w in EXTRACTION_WINDOWS])
+def test_window_extraction_matches_reference(text, elements, window_args):
+    group = parse_group(text)
+    A = ElementSet.parse(group, elements)
+    window = Window.for_group(group, **window_args)
+    vertices = list(enumerate_window(window))
+    adj = compatibility_graph(A, vertices)
+    if any(f.kind == INFINITE_CYCLIC for f in group.factors):
+        omega, picked = first_max_clique(adj)
+        assert picked == reference_clique_of_size(adj, omega)
+        assert clique_of_size(adj, omega + 1, None, _by_degree(adj)) is None
+    else:
+        root, copy = _root_clique_size(adj, window, vertices)
+        assert (copy is not None) == (text == "Prufer(2)")
+        picked = [0] + clique_of_size(adj, root, adj[0], copy)
+        assert picked == [0] + reference_clique_of_size(adj, root, adj[0])
+        assert clique_of_size(adj, root + 1, adj[0], copy) is None
+    assert max_packing_family(A, window).shifts == ElementSet.of(group, [vertices[i] for i in picked])

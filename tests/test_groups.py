@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,6 @@ from packidx.groups import (
     format_group,
     parse_element,
     parse_group,
-    scalar_mul,
 )
 
 Z = parse_group("Z")
@@ -69,6 +70,17 @@ class TestParser:
         with pytest.raises(GroupSyntaxError) as err:
             parse_group(text)
         assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    # one digit past the interpreter's limit on integer-string conversion
+    @pytest.mark.parametrize("text, position", [
+        ("Z_{}", 2), ("Z + Z_{}^2", 6), ("Z^{}", 2), ("Z_2^{}", 4), ("Prufer({})", 7), ("Prufer( {}", 8),
+    ])
+    def test_a_number_too_long_for_int_is_a_syntax_error(self, text, position):
+        digits = sys.get_int_max_str_digits() + 1
+        with pytest.raises(GroupSyntaxError) as err:
+            parse_group(text.format("7" * digits))
+        assert str(err.value) == f"number of {digits} digits is too long (at position {position})"
         assert err.value.position == position
 
     @pytest.mark.parametrize("text, position", [("Z_2 Z_3", 4), ("Z +", 3)])
@@ -145,7 +157,7 @@ class TestArithmetic:
         assert -P3.element((1, 1)) == P3.element((2, 1))
 
     def test_scalar(self):
-        assert scalar_mul(3, Z.element(2)) == Z.element(6)
+        assert Z.element(2).scaled(3) == Z.element(6)
         assert 3 * Z.element(2) == Z.element(6)
 
     def test_sub_matches_add_neg(self):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import packidx
+from packidx.bsets import build_bset
 from packidx.clique import (
     clique_of_size,
     exhaustive_max_clique_size,
@@ -33,6 +34,7 @@ from packidx.groups import (
 from packidx.packing import (
     ElementSet,
     _root_clique_size,
+    clique_in_bset_of_size,
     compatibility_graph,
     difference_set,
     max_clique_in_bset,
@@ -243,7 +245,10 @@ def test_pruned_root_matches_whole_graph_search(index):
     vertices = list(enumerate_window(window))
     adj = compatibility_graph(A, vertices)
     omega, picked = first_max_clique(adj)
-    assert 1 + _root_clique_size(adj, window, vertices) == omega
+    root, copy = _root_clique_size(adj, window, vertices)
+    assert 1 + root == omega
+    # the copy the extraction decides on is the same graph, renumbered
+    assert copy is None or copy[0] == relabel(adj, copy[1])
     family = max_packing_family(A, window)
     assert family.size == omega and family.certified
     assert family.shifts == ElementSet.of(group, [vertices[i] for i in picked])
@@ -390,6 +395,13 @@ class TestMaxCliqueInBset:
 
     def test_three_element_set(self):
         assert max_clique_in_bset(ElementSet.parse(Z, ["0", "1", "-1"])).size == 2
+
+    @pytest.mark.parametrize("text,kappa", [("Z", 5), ("Prufer(2)", 5), ("Z_3^w", 6)])
+    def test_clique_of_a_given_size_is_none_above_omega(self, text, kappa):
+        B = build_bset(parse_group(text), kappa).elements
+        best = max_clique_in_bset(B)
+        assert clique_in_bset_of_size(B, best.size) == best.witness
+        assert clique_in_bset_of_size(B, best.size + 1) is None
 
     def test_requires_symmetry_and_zero(self):
         with pytest.raises(PreconditionError):
