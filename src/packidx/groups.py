@@ -20,6 +20,7 @@ greedy construction and search reproducible byte for byte:
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from math import gcd, lcm, prod
@@ -35,14 +36,36 @@ PRUFER = "prufer"
 _KINDS = (INFINITE_CYCLIC, CYCLIC, REPEATED_CYCLIC, PRUFER)
 
 
+# Miller-Rabin on the thirteen prime bases 2..41 is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017). The twelve bases
+# up to 37 are not enough: the 24-digit 318665857834031151167461 passes
+# them all. Every number of at most PRIME_DIGITS digits lies below it.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_EXACT_BELOW = 3317044064679887385961981
+PRIME_DIGITS = 24
+
+
 def _is_prime(n: int) -> bool:
+    """Primality of ``n`` below ``PRIME_EXACT_BELOW``, by Miller-Rabin."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -58,6 +81,8 @@ class Factor:
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if self.kind in (CYCLIC, REPEATED_CYCLIC) and self.param < 2:
             raise ValueError("cyclic modulus must be >= 2")
+        if self.kind == PRUFER and self.param >= PRIME_EXACT_BELOW:
+            raise ValueError(f"Prufer parameter must be below {PRIME_EXACT_BELOW}")
         if self.kind == PRUFER and not _is_prime(self.param):
             raise ValueError("Prufer parameter must be prime")
 
@@ -163,6 +188,32 @@ def neg_coord(f: Factor, x):
     if k == 0:
         return x
     return (f.param**k - a, k)
+
+
+def _coord_ops(f: Factor):
+    """The factor's add and negate: plain integer arithmetic for ``Z`` and
+    ``Z_n``, ``add_coord`` and ``neg_coord`` for the other kinds."""
+    if f.kind == INFINITE_CYCLIC:
+        return operator.add, operator.neg
+    if f.kind == CYCLIC:
+        n = f.param
+        return (lambda x, y: (x + y) % n), (lambda x: -x % n)
+    return (lambda x, y: add_coord(f, x, y)), (lambda x: neg_coord(f, x))
+
+
+def _tuple_ops(factors: tuple[Factor, ...]):
+    """Add and negate on coordinate tuples, with each factor's operation
+    chosen once. A one-factor group skips the zip, which costs about as
+    much as the addition itself."""
+    ops = [_coord_ops(f) for f in factors]
+    if len(ops) == 1:
+        ((add, neg),) = ops
+        return (lambda xs, ys: (add(xs[0], ys[0]),)), (lambda xs: (neg(xs[0]),))
+    adds, negs = [add for add, _ in ops], [neg for _, neg in ops]
+    return (
+        lambda xs, ys: tuple([add(x, y) for add, x, y in zip(adds, xs, ys)]),
+        lambda xs: tuple([neg(x) for neg, x in zip(negs, xs)]),
+    )
 
 
 def mul_coord(f: Factor, c: int, x):
@@ -295,9 +346,22 @@ def parse_coord(f: Factor, text: str):
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """An ordered direct sum of factors; all derived flags are recomputed."""
+    """An ordered direct sum of factors; all derived flags are recomputed.
+
+    The group holds the add and negate its elements use, chosen per factor
+    when it is made; they are attributes, not fields, so equality and
+    hashing still read the factors alone."""
 
     factors: tuple[Factor, ...]
+
+    def __post_init__(self):
+        add, neg = _tuple_ops(self.factors)
+        object.__setattr__(self, "_add", add)
+        object.__setattr__(self, "_neg", neg)
+
+    def __reduce__(self):
+        # the operations are rebuilt from the factors, as they cannot be pickled
+        return GroupSpec, (self.factors,)
 
     @property
     def is_finite(self) -> bool:
@@ -343,29 +407,22 @@ class Element:
     coords: tuple
 
     def _check(self, other: Element):
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise GroupMismatchError(
                 f"elements of {self.group} and {other.group} cannot be combined"
             )
 
     def __add__(self, other: Element) -> Element:
         self._check(other)
-        return Element(
-            self.group,
-            tuple(
-                add_coord(f, x, y)
-                for f, x, y in zip(self.group.factors, self.coords, other.coords)
-            ),
-        )
+        return Element(self.group, self.group._add(self.coords, other.coords))
 
     def __neg__(self) -> Element:
-        return Element(
-            self.group,
-            tuple(neg_coord(f, x) for f, x in zip(self.group.factors, self.coords)),
-        )
+        return Element(self.group, self.group._neg(self.coords))
 
     def __sub__(self, other: Element) -> Element:
-        return self + (-other)
+        self._check(other)
+        group = self.group
+        return Element(group, group._add(self.coords, group._neg(other.coords)))
 
     def scaled(self, c: int) -> Element:
         return Element(
@@ -637,12 +694,26 @@ class DenseBox:
 
     def codes(self, bounds: tuple) -> list[int]:
         """Codes of the elements of the window with ``bounds``, in
-        :func:`enumerate_window` order."""
+        :func:`enumerate_window` order. A ``Z`` factor's part is worked out
+        from its digit's offset o and stride s: o*s, then (o+i)*s and
+        (o-i)*s for i = 1..b; a ``Z_n`` factor's part is every multiple of
+        s below n*s."""
         out = [0]
-        for i, (f, b) in enumerate(zip(self.group.factors, bounds)):
-            part = [self._factor_code(i, x) for x in iter_coords(f, b)]
-            if None in part:
-                raise ValueError(f"window {bounds} exceeds the box {self.bounds}")
+        for i, (f, b, digits) in enumerate(zip(self.group.factors, bounds, self._slices)):
+            if f.kind == CYCLIC:
+                s = self._stride[digits[0]]
+                part = range(0, f.param * s, s)
+            elif f.kind == INFINITE_CYCLIC:
+                o, s = self._offset[digits[0]], self._stride[digits[0]]
+                if b > o:
+                    raise ValueError(f"window {bounds} exceeds the box {self.bounds}")
+                part = [o * s] * (2 * b + 1)
+                part[1::2] = range((o + 1) * s, (o + b + 1) * s, s)
+                part[2::2] = range((o - 1) * s, (o - b - 1) * s, -s)
+            else:
+                part = [self._factor_code(i, x) for x in iter_coords(f, b)]
+                if None in part:
+                    raise ValueError(f"window {bounds} exceeds the box {self.bounds}")
             out = [c + p for c in out for p in part]
         return out
 
@@ -764,17 +835,20 @@ _SEPARATOR = re.compile(r"\+\s*|\Z")
 _FORMS = "expected Z, Z_n, Z^k, Z_n^k, Z_n^w or Prufer(p), joined by '+'"
 
 
-def _number(m: re.Match, name: str) -> int | None:
+def _number(m: re.Match, name: str, most_digits: int | None = None) -> int | None:
     """The integer in group ``name`` of a factor match, None when the group
-    did not match. A number past Python's limit on integer-string digits is
-    a syntax error at its first digit."""
+    did not match. A number of more than ``most_digits`` digits, or past
+    Python's limit on integer-string digits, is a syntax error at its first
+    digit."""
     digits = m[name]
     if digits is None:
         return None
-    try:
-        return int(digits)
-    except ValueError:
-        raise GroupSyntaxError(f"number of {len(digits)} digits is too long", m.start(name)) from None
+    if most_digits is None or len(digits) <= most_digits:
+        try:
+            return int(digits)
+        except ValueError:
+            pass
+    raise GroupSyntaxError(f"number of {len(digits)} digits is too long", m.start(name))
 
 
 def parse_group(text: str) -> GroupSpec:
@@ -785,7 +859,7 @@ def parse_group(text: str) -> GroupSpec:
         m = _FACTOR.match(text, pos)
         if m is None:
             raise GroupSyntaxError(_FORMS, pos)
-        prime = _number(m, "prime")
+        prime = _number(m, "prime", PRIME_DIGITS)
         if prime is not None and not _is_prime(prime):
             raise GroupSyntaxError(f"Prufer parameter {prime} is not prime", m.start("prime"))
         if prime is not None and m["close"] is None:

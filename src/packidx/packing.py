@@ -25,6 +25,7 @@ from .errors import (
 )
 from .groups import (
     INFINITE_CYCLIC,
+    SHARED_BOX_CODES,
     DenseBox,
     Element,
     GroupSpec,
@@ -189,6 +190,16 @@ def _root_clique_size(
     return size, copy
 
 
+def _window_vertices(window: Window) -> list[Element]:
+    """The window's elements in :func:`enumerate_window` order. A window of
+    at most ``SHARED_BOX_CODES`` elements is its own shared box, so they are
+    read off that box's tables, listed once for the process."""
+    if window.size() > SHARED_BOX_CODES:
+        return list(enumerate_window(window))
+    elements, _, _, _, place = box_for(window.group, window.bounds).tables()
+    return [elements[c] for c in (range(len(elements)) if place is None else place)]
+
+
 def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     """Exact maximum family of shifts inside the window, ties broken canonically.
 
@@ -213,7 +224,7 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     size = window.size()
     if size > DEFAULT_MAX_VERTICES:
         raise WindowTooLargeError(size, DEFAULT_MAX_VERTICES)
-    vertices = list(enumerate_window(window))
+    vertices = _window_vertices(window)
     adj = compatibility_graph(A, vertices)
     if any(f.kind == INFINITE_CYCLIC for f in A.group.factors):
         _, picked = clique.first_max_clique(adj)

@@ -6,7 +6,8 @@ b <= 6, budget <= 1,000, sample <= 50), so every run is cheap. The
 commands that enumerate a window (``witness``, ``index``) get one-factor
 groups: a window over two factors has no up-front cap on the work (a
 two-element set in ``Z + Z`` at window 15 takes ``index`` about 20 s), so
-multi-factor specs go to ``bset`` and ``obstruct`` only.
+multi-factor specs go to ``bset`` and ``obstruct`` only, as do Prufer
+factors of long primes, whose windows are too large to list.
 """
 
 import json
@@ -25,13 +26,20 @@ FACTORS = [
     "Z", "Z_2", "Z_3", "Z_4", "Z_5", "Z_6", "Z_2^w", "Z_3^w", "Z_4^w", "Z_2^2",
     "Prufer(2)", "Prufer(3)", "Prufer(4)", "Z_1",
     f"Z_{LONG}", f"Z^{LONG}", f"Z_2^{LONG}", f"Prufer({LONG})",
+    # long composites (two strong pseudoprimes among them) and numbers of 25 digits
+    "Prufer(3825123056546413051)", "Prufer(318665857834031151167461)", f"Prufer({'9' * 24})",
+    "Prufer(1000000000000000000000007)", "Prufer(3317044064679887385961981)",
 ]
+# long primes, whose windows are too large to list: for bset and obstruct only
+LONG_PRIMES = ["Prufer(1000000000039)", "Prufer(2305843009213693951)", "Prufer(999999999999999999999743)"]
 ELEMENTS = ["0", "1", "-1", "3", "(0,1)", "(1,0)", "(1,1,0)", "[1]", "[0,1]", "1/2", "3/4", "1/3", "x", "", LONG]
 
 factor = st.sampled_from(FACTORS)
 near_dsl = st.one_of(st.text(alphabet="Z_^w+() 0123456789Prufe", max_size=12), st.text(max_size=6))
 # valid-looking specs three times as often as free text
-groups = st.one_of(*[st.lists(factor, min_size=1, max_size=3).map(" + ".join)] * 3, near_dsl)
+groups = st.one_of(
+    *[st.lists(factor | st.sampled_from(LONG_PRIMES), min_size=1, max_size=3).map(" + ".join)] * 3, near_dsl
+)
 window_groups = st.one_of(*[factor] * 3, near_dsl)
 
 elements = st.lists(st.one_of(st.sampled_from(ELEMENTS), st.text(max_size=6)), max_size=5)

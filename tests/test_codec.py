@@ -24,6 +24,7 @@ from packidx.groups import (
     parse_group,
     sum_bounds,
 )
+from packidx.obstruction import exhaustive_no_index_check
 from packidx.packing import ElementSet, compatibility_graph, write_set_file
 from packidx.runners import RunConfig, run_index, run_witness
 from packidx.witness import WitnessSet, verify_witness
@@ -113,6 +114,24 @@ def test_codes_follow_window_enumeration(data):
     if group.is_finite:
         # the obstruction sweep numbers a finite group's elements by code
         assert codes == list(range(box.size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_codes_of_a_sub_window_follow_its_enumeration(data):
+    # build_witness lists the ambient window's codes in a larger box
+    group, bounds = data.draw(box_case(low=1))
+    box = DenseBox(group, bounds)
+    sub = tuple(None if b is None else data.draw(st.integers(1, b)) for b in bounds)
+    want = [box.encode(e) for e in enumerate_window(Window(group, sub))]
+    assert box.codes(sub) == want
+    assert None not in want
+    wider = [i for i, b in enumerate(bounds) if b is not None]
+    if wider:
+        i = data.draw(st.sampled_from(wider))
+        past = sub[:i] + (bounds[i] + data.draw(st.integers(1, 2)),) + sub[i + 1 :]
+        with pytest.raises(ValueError, match="exceeds the box"):
+            box.codes(past)
 
 
 @settings(max_examples=150, deadline=None)
@@ -244,3 +263,30 @@ def test_large_runs_leave_no_large_box_shared(tmp_path, monkeypatch):
     report = run_index(RunConfig(command="index", set_path=str(path)))
     assert report.results["family"]["certified"]
     assert all(size <= SHARED_BOX_CODES for size in _box_sizes())
+
+
+# the groups of the benchmark's obstruction sweeps, each with a kappa its
+# family admits
+SWEEP_GROUPS = [("Z_3^2", 3), ("Z_2^4", 4), ("Z_4 + Z_2", 4), ("Z_4 + Z_2^2", 4), ("Z_3^3", 3), ("Z_2^5", 4)]
+
+
+def test_shared_boxes_list_their_window_in_enumeration_order(monkeypatch):
+    # max_packing_family takes a small window's vertices from its shared box
+    monkeypatch.setattr(groups, "_SHARED_BOXES", {})
+    for text, kappa in SWEEP_GROUPS:
+        report = exhaustive_no_index_check(parse_group(text), kappa, sample=40, seed=1)
+        assert report.cross_checks and not report.violations
+    # small windows of the other kinds, whose codes are not in window order
+    for text, window_opts, _ in GRAPH_CASES:
+        window = Window.for_group(parse_group(text), **window_opts)
+        if window.size() <= SHARED_BOX_CODES:
+            packing.max_packing_family(ElementSet.of(window.group, [window.group.zero()]), window)
+    windows = [
+        Window(box.group, box.bounds)
+        for box in groups._SHARED_BOXES.values()
+        if all(b is None or b > 0 for b in box.bounds)
+    ]
+    want = [text for text, _ in SWEEP_GROUPS] + ["Z", "Z_2^w", "Prufer(2)"]
+    assert {w.group for w in windows} >= {parse_group(text) for text in want}
+    for window in windows:
+        assert packing._window_vertices(window) == list(enumerate_window(window))

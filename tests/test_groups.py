@@ -1,4 +1,6 @@
+import pickle
 import sys
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +10,19 @@ from packidx.errors import ElementSyntaxError, GroupMismatchError, GroupSyntaxEr
 from packidx.groups import (
     CYCLIC,
     INFINITE_CYCLIC,
+    PRIME_DIGITS,
+    PRIME_EXACT_BELOW,
     PRUFER,
     REPEATED_CYCLIC,
     Factor,
     GroupSpec,
     Window,
+    _is_prime,
+    add_coord,
     enumerate_window,
     format_element,
     format_group,
+    neg_coord,
     parse_element,
     parse_group,
 )
@@ -83,6 +90,38 @@ class TestParser:
         assert str(err.value) == f"number of {digits} digits is too long (at position {position})"
         assert err.value.position == position
 
+    # primes of up to PRIME_DIGITS digits; the 24-digit one is the largest
+    # below 10^24 (it also passes 60 random Miller-Rabin bases)
+    @pytest.mark.parametrize("p", [999983, 1000000000039, 2305843009213693951, 999999999999999999999743])
+    def test_long_prime_parameters(self, p):
+        assert parse_group(f"Prufer({p})").factors == (Factor(PRUFER, p),)
+
+    # a strong pseudoprime to the bases 2..23, one to 2..37, and products of
+    # primes with no factor below 999983
+    @pytest.mark.parametrize("n", [
+        3215031751, 3825123056546413051, 318665857834031151167461, 999983 * 1000000000039, "9" * 24,
+    ])
+    def test_long_composite_parameters(self, n):
+        with pytest.raises(GroupSyntaxError) as err:
+            parse_group(f"Prufer({n})")
+        assert str(err.value) == f"Prufer parameter {int(n)} is not prime (at position 7)"
+
+    @pytest.mark.parametrize("text, position, digits", [
+        ("Prufer(1000000000000000000000007)", 7, PRIME_DIGITS + 1),
+        ("Prufer( 0000000000000000000000002)", 8, PRIME_DIGITS + 1),
+        ("Z + Prufer({})".format("3" * 30), 11, 30),
+    ])
+    def test_a_prufer_parameter_of_more_than_24_digits_is_a_syntax_error(self, text, position, digits):
+        with pytest.raises(GroupSyntaxError) as err:
+            parse_group(text)
+        assert str(err.value) == f"number of {digits} digits is too long (at position {position})"
+
+    def test_prufer_factor_above_the_exact_prime_range(self):
+        with pytest.raises(ValueError, match="below"):
+            Factor(PRUFER, PRIME_EXACT_BELOW)
+        with pytest.raises(ValueError, match="below"):
+            Factor(PRUFER, 10**30 + 57)
+
     @pytest.mark.parametrize("text, position", [("Z_2 Z_3", 4), ("Z +", 3)])
     def test_syntax_error_positions(self, text, position):
         with pytest.raises(GroupSyntaxError) as err:
@@ -112,6 +151,20 @@ class TestParser:
         assert g.is_finite and g.cardinality == 24 and g.exponent == 12
         assert parse_group("Z_2^w").exponent == 2
         assert P2.exponent is None
+
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_below_20000():
+    assert [n for n in range(20000) if _is_prime(n)] == [n for n in range(20000) if _trial_division(n)]
+
+
+@given(st.integers(20000, 10**9))
+def test_is_prime_matches_trial_division(n):
+    assert _is_prime(n) == _trial_division(n)
 
 
 # canonical factor lists for round-trip testing
@@ -255,6 +308,42 @@ def test_abelian_group_laws(spec, data):
     assert a + b == b + a
     assert (a + (-a)).is_zero()
     assert -(-a) == a
+
+
+
+# one group of each kind, and mixed ones
+_ARITHMETIC_GROUPS = [
+    "Z", "Z_6", "Z_3^w", "Prufer(2)", "Prufer(3)", "Z + Z_4", "Z_2^w + Prufer(3)", "Z_5 + Z + Z_2^w + Prufer(2)",
+]
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(_ARITHMETIC_GROUPS), st.data())
+def test_element_arithmetic_matches_coordinate_reference(text, data):
+    group = parse_group(text)
+    pool = list(enumerate_window(Window.for_group(group, bound=3, repeated_m=2, prufer_level=2)))
+    a, b = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+    fs = group.factors
+    assert (a + b).coords == tuple(add_coord(f, x, y) for f, x, y in zip(fs, a.coords, b.coords))
+    assert (-a).coords == tuple(neg_coord(f, x) for f, x in zip(fs, a.coords))
+    assert (a - b).coords == tuple(
+        add_coord(f, x, neg_coord(f, y)) for f, x, y in zip(fs, a.coords, b.coords)
+    )
+    # elements of an equal group parsed apart still combine
+    twin = parse_group(text)
+    assert twin is not group and twin == group
+    b2 = parse_element(twin, format_element(b))
+    assert b2.group is twin
+    assert (a + b2, b2 + a, a - b2, b2 - a) == (a + b, b + a, a - b, b - a)
+
+
+
+def test_groups_and_elements_pickle():
+    group = parse_group("Z_5 + Z + Z_2^w + Prufer(2)")
+    e = group.element(3, -2, (1, 0, 1), (3, 2))
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy == e and copy.group == group
+    assert (copy + copy, -copy, copy - e) == (e + e, -e, group.zero())
 
 
 class TestElementSyntax:
