@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import random
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import or_
 
 from .bsets import exceptional_family
 from .errors import (
@@ -143,8 +144,9 @@ class _GroupTables:
     """Index arithmetic for one small finite group. Its elements, their
     codes and negatives and the translation steps are the tables of the
     group's shared dense box, which the sweep's solver cross-checks read
-    too; ``add`` is worked out on :class:`Element` addition, so
-    ``_family_disjoint`` does not rest on the codec.
+    too; ``add`` is worked out on :class:`Element` addition. The exhaustive
+    difference masks and ``_family_disjoint`` read ``add``; ``diff_mask``
+    (sampled sweeps) and ``_find_triple`` read the codec's steps.
 
     Element i has box code i, because a finite group's box numbers its codes
     in window order; so a subset is a mask of element indices. The group is
@@ -175,27 +177,23 @@ class _GroupTables:
             d |= apply_steps(mask, self.steps[self.neg[i]])
         return d
 
-    def exhaustive_diff_masks(self) -> Iterator[int]:
-        """``diff_mask(m)`` for m = 1, 2, ..., 2^n - 1 in turn.
+    def exhaustive_diff_masks(self) -> array:
+        """``diff_mask(m)`` for m = 1, 2, ..., 2^n - 1, as a 16-bit table
+        (``EXHAUSTIVE_LIMIT`` allows it).
 
-        With x the top element of m and m' = m without x,
-        D(m) = D(m') | (m - x) | (x - m'), so each mask costs two translates
-        whatever its size. D and -m' are kept in 16-bit tables of 2^n
-        entries, which ``EXHAUSTIVE_LIMIT`` allows.
+        With x the top element of m and m' = m without x, D(m) = D(m') | E_x(m'),
+        where E_x(m') holds 0 and x - i, i - x for each i in m'. E_x's table
+        doubles once per element below x, and D's once per x, by array operations.
         """
-        size = 1 << self.n
-        diffs = array("H", [0]) * size
-        negs = array("H", [0]) * size
-        steps, neg = self.steps, self.neg
+        add, neg = self.add, self.neg
+        diffs = array("H", [0])
         for x in range(self.n):
-            top = 1 << x
-            by_x, by_minus_x, minus_x = steps[x], steps[neg[x]], 1 << neg[x]
-            for rest in range(top):
-                m = top | rest
-                d = diffs[rest] | apply_steps(m, by_minus_x) | apply_steps(negs[rest], by_x)
-                diffs[m] = d
-                negs[m] = negs[rest] | minus_x
-                yield d
+            e = array("H", [1])
+            for i in range(x):
+                b = (1 << add[i][neg[x]]) | (1 << add[x][neg[i]])
+                e += array("H", map(b.__or__, e))
+            diffs += array("H", map(or_, diffs, e))
+        return diffs[1:]
 
     def family(self, b1: int, b2: int) -> tuple[str, tuple[int, ...]]:
         """Variant and element indices of the quadruple {0, b1, b2, b3} that
@@ -366,6 +364,11 @@ def exhaustive_no_index_check(
     solver: all 255 on ``Z_4 + Z_2``, 170 of the 511 on ``Z_3^2``, 128 of
     the 65,535 on ``Z_2^4``. The family and both size caps are checked on
     the group's spec before any element is listed.
+
+    Sampled masks are uniform, so a drawn subset holds about half the group
+    and seldom has a disjoint (kappa-1)-family: at seed 7, ``Z_2^5`` at
+    kappa 4 finds 0 families in 500 draws and 4 in 2,000, and ``Z_3^3`` at
+    kappa 3 finds 4 and 34.
     """
     _validate_family_membership(group, kappa)
     n = group.cardinality

@@ -36,6 +36,11 @@ class TestExitCodes:
         result = runner.invoke(main, ["bset", "--group", "Z_", "--kappa", "3"])
         assert result.exit_code == 2
 
+    def test_repetition_past_the_factor_cap_is_usage_error(self, runner):
+        result = runner.invoke(main, ["bset", "--group", "Z^10000000000", "--kappa", "3"])
+        assert result.exit_code == 2
+        assert "more than 4096 factors (at position 2)" in result.output
+
     def test_missing_option_is_usage_error(self, runner):
         result = runner.invoke(main, ["bset", "--group", "Z"])
         assert result.exit_code == 2

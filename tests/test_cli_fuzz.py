@@ -29,6 +29,8 @@ FACTORS = [
     # long composites (two strong pseudoprimes among them) and numbers of 25 digits
     "Prufer(3825123056546413051)", "Prufer(318665857834031151167461)", f"Prufer({'9' * 24})",
     "Prufer(1000000000000000000000007)", "Prufer(3317044064679887385961981)",
+    # repetitions past the 4,096-factor cap, refused before they expand
+    "Z^4097", "Z^10000000000", "Z_2^99999999999999999999", "Z_3^ 4097",
 ]
 # long primes, whose windows are too large to list: for bset and obstruct only
 LONG_PRIMES = ["Prufer(1000000000039)", "Prufer(2305843009213693951)", "Prufer(999999999999999999999743)"]

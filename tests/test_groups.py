@@ -10,6 +10,7 @@ from packidx.errors import ElementSyntaxError, GroupMismatchError, GroupSyntaxEr
 from packidx.groups import (
     CYCLIC,
     INFINITE_CYCLIC,
+    MAX_FACTORS,
     PRIME_DIGITS,
     PRIME_EXACT_BELOW,
     PRUFER,
@@ -115,6 +116,24 @@ class TestParser:
         with pytest.raises(GroupSyntaxError) as err:
             parse_group(text)
         assert str(err.value) == f"number of {digits} digits is too long (at position {position})"
+
+    @pytest.mark.parametrize("text, count", [
+        ("Z^4096", 4096), ("Z_2^4095 + Z", 4096), ("Z_3^w + Z^4095", 4096), (" + ".join(["Z"] * 4096), 4096),
+    ])
+    def test_a_group_of_max_factors_parses(self, text, count):
+        assert MAX_FACTORS == 4096
+        assert len(parse_group(text).factors) == count
+
+    # refused before the repetition is expanded, at the token that passes the cap
+    @pytest.mark.parametrize("text, position", [
+        ("Z^4097", 2), ("Z^10000000000", 2), ("Z_2^ 99999999999999999999", 5),
+        ("Z + Z_2^4096", 8), ("Z_2^4096 + Z", 11), ("Z^4096 + Z_2^w", 9), (" + ".join(["Z"] * 4097), 4 * 4096),
+    ])
+    def test_more_than_max_factors_is_a_syntax_error(self, text, position):
+        with pytest.raises(GroupSyntaxError) as err:
+            parse_group(text)
+        assert str(err.value) == f"group has more than 4096 factors (at position {position})"
+        assert err.value.position == position
 
     def test_prufer_factor_above_the_exact_prime_range(self):
         with pytest.raises(ValueError, match="below"):

@@ -178,6 +178,19 @@ class TestSweeps:
         masks = range(1, 1 << t.n)
         assert list(t.exhaustive_diff_masks()) == [t.diff_mask(m) for m in masks]
 
+    # every subset of the two small groups, a seeded sample of the two large ones
+    @pytest.mark.parametrize("text, sample", [("Z_3^2", None), ("Z_4 + Z_2", None), ("Z_2^4", 400), ("Z_4 + Z_2^2", 400)])
+    def test_exhaustive_diffs_match_element_subtraction(self, text, sample):
+        t = _GroupTables(parse_group(text))
+        diffs = t.exhaustive_diff_masks()
+        masks = range(1, 1 << t.n)
+        if sample is not None:
+            masks = random.Random(18).sample(masks, sample)
+        for m in masks:
+            S = [t.elements[i] for i in range(t.n) if m >> i & 1]
+            want = sum(1 << i for i in {t.index[(a - b).coords] for a in S for b in S})
+            assert diffs[m - 1] == want, m
+
     def test_exhaustive_refuses_large_groups(self):
         with pytest.raises(NotApplicableError):
             exhaustive_no_index_check(parse_group("Z_3^3"), 3)
