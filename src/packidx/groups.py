@@ -555,12 +555,18 @@ def enumerate_window(window: Window) -> Iterator[Element]:
 
 
 def extents(group: GroupSpec, elements: Iterable[Element]) -> tuple[int | None, ...]:
-    """Per-factor bounds of the smallest box holding every element."""
-    out = [None if f.kind == CYCLIC else 0 for f in group.factors]
+    """Per-factor bounds of the smallest box holding every element. Only
+    the factors that carry a bound are read; ``Z_n`` factors take None."""
+    factors = group.factors
+    out = [None] * len(factors)
+    bounded = [i for i, f in enumerate(factors) if f.kind != CYCLIC]
+    if not bounded:
+        return tuple(out)
+    for i in bounded:
+        out[i] = 0
     for e in elements:
-        for i, (f, x) in enumerate(zip(group.factors, e.coords)):
-            if out[i] is not None:
-                out[i] = max(out[i], coord_extent(f, x))
+        for i in bounded:
+            out[i] = max(out[i], coord_extent(factors[i], e.coords[i]))
     return tuple(out)
 
 

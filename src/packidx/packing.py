@@ -106,9 +106,15 @@ def difference_mask(A: ElementSet, region: tuple) -> tuple[DenseBox, int]:
     box = box_for(group, hull_bounds(region, extents(group, A.elements)))
     if box.size <= MAX_BOX_BITS:
         amask = box.mask_of(A.elements)
+        if box.size <= SHARED_BOX_CODES:
+            # a shared box has its tables: -a's steps are found by code
+            _, index, neg, steps, _ = box.tables()
+            moves = [steps[neg[index[a.coords]]] for a in A.elements]
+        else:
+            moves = [box.steps(-a) for a in A.elements]
         diff = 0
-        for a in A.elements:
-            diff |= box.translate(amask, -a)
+        for move in moves:
+            diff |= apply_steps(amask, move)
         return box, diff
     box = box_for(group, region)
     diffs = (x - y for x in A.elements for y in A.elements)
@@ -141,6 +147,8 @@ def compatibility_graph(A: ElementSet, vertices: list[Element]) -> list[int]:
 
     Row i holds the vertices v with v - v_i outside the nonzero differences
     of A, that is the vertices missing from the translate of D* by v_i.
+    When the vertices are the whole box in code order, that translate is
+    the row itself; otherwise each row is gathered from it by code.
     """
     if not vertices:
         return []
@@ -148,11 +156,14 @@ def compatibility_graph(A: ElementSet, vertices: list[Element]) -> list[int]:
     span = extents(group, vertices)
     box, diff = difference_mask(A, sum_bounds(group, span, span))
     dstar = diff & ~(1 << box.encode(group.zero()))
+    codes = [box.encode(v) for v in vertices]
+    full = (1 << len(vertices)) - 1
+    if codes == list(range(box.size)):
+        return [full ^ box.translate(dstar, v) ^ (1 << i) for i, v in enumerate(vertices)]
     # format() writes bit c at string position size-1-c; vertex n-1 comes first
     # so that the picked string reads as the row in binary
-    pick = itemgetter(*(box.size - 1 - box.encode(v) for v in reversed(vertices)))
+    pick = itemgetter(*(box.size - 1 - c for c in reversed(codes)))
     width = f"0{box.size}b"
-    full = (1 << len(vertices)) - 1
     return [
         full ^ int("".join(pick(format(box.translate(dstar, v), width))), 2) ^ (1 << i)
         for i, v in enumerate(vertices)
@@ -160,10 +171,13 @@ def compatibility_graph(A: ElementSet, vertices: list[Element]) -> list[int]:
 
 
 def _certify_family(A: ElementSet, shifts: list[Element]) -> bool:
-    """True iff the translates b + A are pairwise disjoint."""
+    """True iff the translates b + A are pairwise disjoint. The sums take
+    the group's per-factor add on coordinates, as ``Element`` addition
+    does, and never a box's codes."""
+    add = A.group._add
     covered: set = set()
     for b in shifts:
-        translate = {(b + a).coords for a in A.elements}
+        translate = {add(b.coords, a.coords) for a in A.elements}
         if not covered.isdisjoint(translate):
             return False
         covered |= translate

@@ -1,6 +1,7 @@
 """The dense box codec against Element arithmetic, on every factor kind."""
 
 import random
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -17,6 +18,8 @@ from packidx.groups import (
     SHARED_BOX_CODES,
     DenseBox,
     Window,
+    box_for,
+    coord_extent,
     coord_in_bound,
     enumerate_window,
     extents,
@@ -145,6 +148,29 @@ def test_translate_matches_element_arithmetic(data):
     assert box.translate(box.mask_of(S), g) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_extents_of_z_n_groups_read_no_element(data):
+    group = parse_group(data.draw(st.sampled_from(["Z_6", "Z_2^4", "Z_3^3", "Z_4 + Z_2^2", "Z_10 + Z_10"])))
+    elements = data.draw(st.lists(_element(group, (None,) * len(group.factors), reach=0), max_size=6))
+    unread = iter(elements)
+    assert extents(group, unread) == (None,) * len(group.factors)
+    assert list(unread) == elements
+
+
+@pytest.mark.parametrize("text", ["Z + Z_3", "Z_2^w + Z_4", "Prufer(2) + Z_2"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_extents_are_each_factors_largest_coord_extent(text, data):
+    group = parse_group(text)
+    elements = data.draw(st.lists(_element(group, data.draw(_bounds(group, 0)), reach=2), max_size=6))
+    want = tuple(
+        None if f.kind == CYCLIC else max((coord_extent(f, e.coords[i]) for e in elements), default=0)
+        for i, f in enumerate(group.factors)
+    )
+    assert extents(group, elements) == want
+
+
 def _pairwise_reference(A, vertices):
     n = len(vertices)
     adj = [0] * n
@@ -172,6 +198,64 @@ def test_compatibility_graph_matches_pairwise_translates(max_box_bits, data):
 
 Z = parse_group("Z")
 FAR = 10**7
+
+
+def _graph_and_path(A, vertices, monkeypatch):
+    """compatibility_graph's answer, and whether it gathered each row by
+    code instead of taking the translated D* as the row."""
+    gathers = []
+
+    def spy(*items):
+        gathers.append(items)
+        return itemgetter(*items)
+
+    monkeypatch.setattr(packing, "itemgetter", spy)
+    return compatibility_graph(A, vertices), bool(gathers)
+
+
+def _orders(vertices, rng):
+    """(name, vertex list, whether it is the whole box in code order)."""
+    shuffled = list(vertices)
+    while shuffled == vertices:
+        rng.shuffle(shuffled)
+    drop = rng.randrange(len(vertices))
+    return [
+        ("code order", vertices, True),
+        ("reversed", vertices[::-1], False),
+        ("shuffled", shuffled, False),
+        ("prefix", vertices[:-1], False),
+        ("one dropped", vertices[:drop] + vertices[drop + 1 :], False),
+    ]
+
+
+@pytest.mark.parametrize("text", ["Z_3^2", "Z_4 + Z_2^2", "Z_2^4", "Z_10 + Z_10"])
+@pytest.mark.parametrize("seed", range(3))
+def test_rows_come_from_the_translate_only_on_the_whole_box_in_code_order(text, seed, monkeypatch):
+    # a finite group is one box, and its window lists it in code order
+    group = parse_group(text)
+    window = Window.for_group(group)
+    vertices = list(enumerate_window(window))
+    box = box_for(group, window.bounds)
+    assert [box.encode(v) for v in vertices] == list(range(box.size))
+    rng = random.Random(seed)
+    for size in (1, 2, 3, 5):
+        A = ElementSet.of(group, rng.sample(vertices, size))
+        for name, order, direct in _orders(vertices, rng):
+            got, gathered = _graph_and_path(A, order, monkeypatch)
+            assert got == _pairwise_reference(A, order), name
+            assert gathered != direct, name
+
+
+@pytest.mark.parametrize("texts, direct", [(["0"], True), (["0", "1"], False), (["-2", "0", "1"], False)])
+def test_a_single_vertex_of_z_is_a_radius_0_box(texts, direct, monkeypatch):
+    # vertex 0 alone spans a Z box of radius 0; a base set that reaches
+    # past it widens the box, and the row is gathered
+    A = ElementSet.parse(Z, texts)
+    got, gathered = _graph_and_path(A, [Z.zero()], monkeypatch)
+    assert got == _pairwise_reference(A, [Z.zero()]) == [0]
+    assert gathered != direct
+
+
 
 
 def test_far_spread_set_uses_pairwise_differences():

@@ -23,7 +23,9 @@ from packidx.errors import (
     WindowTooLargeError,
 )
 from packidx.groups import (
+    CYCLIC,
     INFINITE_CYCLIC,
+    REPEATED_CYCLIC,
     DenseBox,
     Window,
     apply_steps,
@@ -33,6 +35,7 @@ from packidx.groups import (
 )
 from packidx.packing import (
     ElementSet,
+    _certify_family,
     _root_clique_size,
     clique_in_bset_of_size,
     compatibility_graph,
@@ -122,6 +125,51 @@ class TestTranslatesDisjoint:
         d = Z.element(b) - Z.element(b2)
         in_diff = d in difference_set(A) and not d.is_zero()
         assert translates_disjoint(A, Z.element(b), Z.element(b2)) == (not in_diff)
+
+
+def _small_element(group):
+    """Elements near zero, where translates of a small set often meet."""
+    coords = []
+    for f in group.factors:
+        if f.kind == INFINITE_CYCLIC:
+            coords.append(st.integers(-3, 3))
+        elif f.kind == CYCLIC:
+            coords.append(st.integers(0, f.param - 1))
+        elif f.kind == REPEATED_CYCLIC:
+            coords.append(st.lists(st.integers(0, f.param - 1), max_size=2).map(tuple))
+        else:
+            coords.append(
+                st.integers(0, 2).flatmap(lambda k, p=f.param: st.tuples(st.integers(0, p**k - 1), st.just(k)))
+            )
+    return st.tuples(*coords).map(lambda raw: group.element(*raw))
+
+
+CERTIFY_GROUPS = ["Z", "Z_5", "Z_3^w", "Prufer(2)", "Z + Z_3", "Z_2^w + Z_4", "Prufer(3) + Z", "Z_2 + Prufer(2)"]
+
+
+class TestCertifyFamily:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_true_iff_every_pair_is_disjoint(self, data):
+        group = parse_group(data.draw(st.sampled_from(CERTIFY_GROUPS)))
+        elements = _small_element(group)
+        A = ElementSet.of(group, data.draw(st.lists(elements, min_size=1, max_size=4)))
+        shifts = data.draw(st.lists(elements, max_size=5, unique_by=lambda e: e.coords))
+        want = all(translates_disjoint(A, b, b2) for b, b2 in itertools.combinations(shifts, 2))
+        assert _certify_family(A, shifts) == want
+
+    @pytest.mark.parametrize("text, base, meeting, apart", [
+        ("Z", ["0", "1"], ["0", "1"], ["0", "2"]),
+        ("Z_5", ["0", "2"], ["0", "3"], ["0", "1"]),
+        ("Z_2^w", ["0", "[1,1]"], ["[1]", "[0,1]"], ["0", "[1]"]),
+        ("Prufer(2)", ["0", "1/2"], ["1/2^2", "3/2^2"], ["0", "1/2^2"]),
+        ("Z + Z_3", ["(0,0)", "(1,1)"], ["(0,1)", "(1,2)"], ["(0,0)", "(0,1)"]),
+    ])
+    def test_one_intersecting_family_per_factor_kind(self, text, base, meeting, apart):
+        group = parse_group(text)
+        A = ElementSet.parse(group, base)
+        assert not _certify_family(A, list(ElementSet.parse(group, meeting)))
+        assert _certify_family(A, list(ElementSet.parse(group, apart)))
 
 
 class TestMaxPackingFamily:
