@@ -139,9 +139,7 @@ def _element_of_order_gt_5(group: GroupSpec) -> Element | None:
     for f in group.factors:
         coords.append((1,) if f.kind == REPEATED_CYCLIC else 1)
     combined = group.element(*coords)
-    if (combined.order() or 0) > 5 or combined.order() is None:
-        return combined
-    return None
+    return combined if combined.order() > 5 else None
 
 
 def _order3_generator(group: GroupSpec) -> Element | None:

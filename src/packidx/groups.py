@@ -40,7 +40,9 @@ _KINDS = (INFINITE_CYCLIC, CYCLIC, REPEATED_CYCLIC, PRUFER)
 # the least strong pseudoprime to all of them (Sorenson & Webster, "Strong
 # pseudoprimes to twelve prime bases", Math. Comp. 2017). The twelve bases
 # up to 37 are not enough: the 24-digit 318665857834031151167461 passes
-# them all. Every number of at most PRIME_DIGITS digits lies below it.
+# them all. Every number of at most PRIME_DIGITS digits lies below it. A
+# modulus takes the same cap: no command lists more than 1,024 window
+# vertices or 32 sweep elements, so a longer one only delays the refusal.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_EXACT_BELOW = 3317044064679887385961981
 PRIME_DIGITS = 24
@@ -293,8 +295,6 @@ def count_coords(f: Factor, bound: int | None) -> int:
         return 2 * bound + 1
     if f.kind == CYCLIC:
         return f.param
-    if f.kind == REPEATED_CYCLIC:
-        return f.param**bound
     return f.param**bound
 
 
@@ -585,21 +585,6 @@ def sum_bounds(group: GroupSpec, *bounds: tuple) -> tuple:
     )
 
 
-def _factor_digits(f: Factor, bound: int | None, x) -> list[int] | None:
-    """Digits of one coordinate in a box, ``Z`` without its offset; None
-    when a torsion coordinate lies outside the box."""
-    if f.kind == REPEATED_CYCLIC:
-        if len(x) > bound:
-            return None
-        return list(x) + [0] * (bound - len(x))
-    if f.kind == PRUFER:
-        a, k = x
-        if k > bound:
-            return None
-        return [a * f.param ** (bound - k)]
-    return [x]
-
-
 class BoxTables(NamedTuple):
     """Per-code tables of a :class:`DenseBox`, each indexed by code."""
 
@@ -608,10 +593,6 @@ class BoxTables(NamedTuple):
     neg: list[int]  # code -> code of the negative
     steps: list[list[tuple[int, int, int, int]]]  # code -> translation steps
     place: list[int] | None  # codes in enumeration order; None when that is code order
-
-
-# a translation step that moves every code out of the box
-_NOWHERE = (0, 0, 0, 0)
 
 
 class DenseBox:
@@ -623,13 +604,13 @@ class DenseBox:
     wrap, ``Z_n`` one digit mod n, ``Z_n^w`` one digit mod n per kept copy,
     and ``Prufer(p)`` at level L one digit mod p^L, a/p^k being a*p^(L-k).
     Bit c of a mask stands for the element with code c. Translating a set
-    is then one shift per ``Z`` digit and one masked rotation per other
-    digit, applied to the whole mask at once.
+    by an element of the box, given by its code, is then one shift per
+    ``Z`` digit and one masked rotation per other digit, applied to the
+    whole mask at once.
 
     :meth:`tables` builds the per-code tables once and keeps them with the
     box: for the process when :func:`box_for` shares it, for one call
-    otherwise. ``encode`` and ``steps`` then read them, and work out steps
-    by an element outside the box anew.
+    otherwise. ``encode``, ``steps`` and ``diff_mask`` then read them.
     """
 
     def __init__(self, group: GroupSpec, bounds: tuple):
@@ -658,10 +639,21 @@ class DenseBox:
         self._tables: BoxTables | None = None
 
     def _factor_code(self, i: int, x) -> int | None:
-        """Part of the code carried by factor i's coordinate, or None outside."""
-        digits = _factor_digits(self.group.factors[i], self.bounds[i], x)
-        if digits is None:
-            return None
+        """Part of the code carried by factor i's coordinate, or None outside.
+        ``Z`` is one digit without its offset, a ``Z_n^w`` vector one digit
+        per entry and a/p^k at level L the digit a*p^(L-k)."""
+        f, bound = self.group.factors[i], self.bounds[i]
+        if f.kind == REPEATED_CYCLIC:
+            if len(x) > bound:
+                return None
+            digits = x
+        elif f.kind == PRUFER:
+            a, k = x
+            if k > bound:
+                return None
+            digits = (a * f.param ** (bound - k),)
+        else:
+            digits = (x,)
         code = 0
         for d, j in zip(digits, self._slices[i]):
             d += self._offset[j]
@@ -739,15 +731,11 @@ class DenseBox:
             by_code = [None] * self.size
             for e, c in zip(elements, codes):
                 by_code[c] = e
-            # -x digit by digit: mod r where the digit wraps, mirrored where it is Z's
-            neg = [0]
-            for r, s, w in zip(self._radix, self._stride, self._wraps):
-                neg = [c + (-d % r if w else r - 1 - d) * s for c in neg for d in range(r)]
             self._tables = BoxTables(
                 by_code,
                 {e.coords: c for e, c in zip(elements, codes)},
-                neg,
-                [self.steps(e) for e in by_code],
+                [self.neg(c) for c in range(self.size)],
+                [self.steps(c) for c in range(self.size)],
                 None if codes == sorted(codes) else codes,
             )
         return self._tables
@@ -766,37 +754,59 @@ class DenseBox:
             mask = self._below_cache[(j, c)] = mask & ((1 << self.size) - 1)
         return mask
 
-    def steps(self, g: Element) -> list[tuple[int, int, int, int]]:
-        """Translation by g as per-digit steps ``(low, up, high, down)`` for
-        :func:`apply_steps`: the codes in ``low`` move up, those in ``high``
-        move down, and the rest leave the box."""
-        if self._tables is not None and (code := self._tables.index.get(g.coords)) is not None:
-            return self._tables.steps[code]
-        shift = []
-        for f, b, x in zip(self.group.factors, self.bounds, g.coords):
-            digits = _factor_digits(f, b, x)
-            if digits is None:
-                return [_NOWHERE]
-            shift += digits
+    def neg(self, c: int) -> int:
+        """Code of the negative of the element with code c: each digit d
+        becomes -d mod r where it wraps, and r - 1 - d where it is ``Z``'s."""
+        out = 0
+        for r, s, w in zip(self._radix, self._stride, self._wraps):
+            d = c // s % r
+            out += (-d % r if w else r - 1 - d) * s
+        return out
+
+    def steps(self, c: int) -> list[tuple[int, int, int, int]]:
+        """Translation by the element with code c as per-digit steps
+        ``(low, up, high, down)`` for :func:`apply_steps`: the codes in
+        ``low`` move up, those in ``high`` move down, and the rest leave the
+        box. Each step reads one digit of c, less its offset."""
+        if self._tables is not None:
+            return self._tables.steps[c]
         steps = []
-        for j, t in enumerate(shift):
+        for j, (r, s, o) in enumerate(zip(self._radix, self._stride, self._offset)):
+            t = c // s % r - o
             if not t:
                 continue
-            r, s = self._radix[j], self._stride[j]
             if self._wraps[j]:
                 low = self._below(j, r - t)
                 steps.append((low, t * s, ~low, (r - t) * s))
-            elif abs(t) >= r:
-                return [_NOWHERE]
             elif t > 0:
                 steps.append((self._below(j, r - t), t * s, 0, 0))
             else:
                 steps.append((0, 0, ~self._below(j, -t), -t * s))
         return steps
 
-    def translate(self, mask: int, g: Element) -> int:
-        """Mask of {x + g : x in mask} that lies inside the box."""
-        return apply_steps(mask, self.steps(g))
+    def translate(self, mask: int, c: int) -> int:
+        """Mask of {x + g : x in mask} that lies inside the box, g the
+        element with code c."""
+        return apply_steps(mask, self.steps(c))
+
+    def diff_mask(self, mask: int) -> int:
+        """Mask of the differences x - y over x, y in mask that lie inside
+        the box: the OR of mask's translates by each -y."""
+        codes = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            codes.append(low.bit_length() - 1)
+            rest ^= low
+        if self._tables is not None:
+            steps, neg = self._tables.steps, self._tables.neg
+            moves = [steps[neg[c]] for c in codes]
+        else:
+            moves = [self.steps(self.neg(c)) for c in codes]
+        diff = 0
+        for move in moves:
+            diff |= apply_steps(mask, move)
+        return diff
 
 
 # Boxes of at most this many codes are shared: each finite group of the
@@ -878,7 +888,7 @@ def parse_group(text: str) -> GroupSpec:
         rep = "w" if m["rep"] == "w" else _number(m, "rep")
         if rep not in (None, "w") and rep < 1:
             raise GroupSyntaxError("repetition must be >= 1 or 'w'", m.start("rep"))
-        modulus = _number(m, "modulus")
+        modulus = _number(m, "modulus", PRIME_DIGITS)
         if modulus is not None and modulus < 2:
             raise GroupSyntaxError(f"modulus {modulus} must be >= 2", m.start("modulus"))
         if rep == "w" and modulus is None:

@@ -145,8 +145,9 @@ class _GroupTables:
     codes and negatives and the translation steps are the tables of the
     group's shared dense box, which the sweep's solver cross-checks read
     too; ``add`` is worked out on :class:`Element` addition. The exhaustive
-    difference masks and ``_family_disjoint`` read ``add``; ``diff_mask``
-    (sampled sweeps) and ``_find_triple`` read the codec's steps.
+    difference masks and ``_family_disjoint`` read ``add``; sampled sweeps
+    take each D from the box's ``diff_mask``, and ``_find_triple`` reads
+    the box's steps.
 
     Element i has box code i, because a finite group's box numbers its codes
     in window order; so a subset is a mask of element indices. The group is
@@ -156,7 +157,8 @@ class _GroupTables:
     def __init__(self, group: GroupSpec):
         self.group = group
         self.window = window = Window.for_group(group)
-        tables = box_for(group, window.bounds).tables()
+        self.box = box_for(group, window.bounds)
+        tables = self.box.tables()
         assert tables.place is None
         self.elements, self.index, self.neg, self.steps, _ = tables
         self.n = len(self.elements)
@@ -167,19 +169,9 @@ class _GroupTables:
         self.order4 = sum(1 << i for i, o in enumerate(self.order) if o == 4)
         self.full = (1 << self.n) - 1
 
-    def diff_mask(self, mask: int) -> int:
-        """Bitmask of all differences a - a' over the subset mask, zero included."""
-        d = 0
-        rest = mask
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            d |= apply_steps(mask, self.steps[self.neg[i]])
-        return d
-
     def exhaustive_diff_masks(self) -> array:
-        """``diff_mask(m)`` for m = 1, 2, ..., 2^n - 1, as a 16-bit table
-        (``EXHAUSTIVE_LIMIT`` allows it).
+        """The box's ``diff_mask(m)`` for m = 1, 2, ..., 2^n - 1, as a 16-bit
+        table (``EXHAUSTIVE_LIMIT`` allows it).
 
         With x the top element of m and m' = m without x, D(m) = D(m') | E_x(m'),
         where E_x(m') holds 0 and x - i, i - x for each i in m'. E_x's table
@@ -392,7 +384,7 @@ def exhaustive_no_index_check(
         mode = "sampled"
         rng = random.Random(seed)
         masks = sorted({rng.randrange(1, 1 << n) for _ in range(sample)})
-        diffs = map(t.diff_mask, masks)
+        diffs = map(t.box.diff_mask, masks)
         seed_used = seed
 
     stride = max(1, len(masks) // 128)

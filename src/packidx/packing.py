@@ -105,17 +105,7 @@ def difference_mask(A: ElementSet, region: tuple) -> tuple[DenseBox, int]:
     group = A.group
     box = box_for(group, hull_bounds(region, extents(group, A.elements)))
     if box.size <= MAX_BOX_BITS:
-        amask = box.mask_of(A.elements)
-        if box.size <= SHARED_BOX_CODES:
-            # a shared box has its tables: -a's steps are found by code
-            _, index, neg, steps, _ = box.tables()
-            moves = [steps[neg[index[a.coords]]] for a in A.elements]
-        else:
-            moves = [box.steps(-a) for a in A.elements]
-        diff = 0
-        for move in moves:
-            diff |= apply_steps(amask, move)
-        return box, diff
+        return box, box.diff_mask(box.mask_of(A.elements))
     box = box_for(group, region)
     diffs = (x - y for x in A.elements for y in A.elements)
     return box, box.mask_of(d for d in diffs if box.encode(d) is not None)
@@ -159,14 +149,14 @@ def compatibility_graph(A: ElementSet, vertices: list[Element]) -> list[int]:
     codes = [box.encode(v) for v in vertices]
     full = (1 << len(vertices)) - 1
     if codes == list(range(box.size)):
-        return [full ^ box.translate(dstar, v) ^ (1 << i) for i, v in enumerate(vertices)]
+        return [full ^ box.translate(dstar, c) ^ (1 << c) for c in codes]
     # format() writes bit c at string position size-1-c; vertex n-1 comes first
     # so that the picked string reads as the row in binary
     pick = itemgetter(*(box.size - 1 - c for c in reversed(codes)))
     width = f"0{box.size}b"
     return [
-        full ^ int("".join(pick(format(box.translate(dstar, v), width))), 2) ^ (1 << i)
-        for i, v in enumerate(vertices)
+        full ^ int("".join(pick(format(box.translate(dstar, c), width))), 2) ^ (1 << i)
+        for i, c in enumerate(codes)
     ]
 
 

@@ -103,11 +103,11 @@ def build_witness(bset: BSet, window: Window) -> WitnessSet:
                 amask = box.mask_of(points)
                 forbidden = 0
                 for b in bset.elements:
-                    forbidden |= box.translate(amask, b)
+                    forbidden |= box.translate(amask, box.encode(b))
                 cursor = 0
             while cursor < len(codes) and forbidden >> codes[cursor] & 1:
                 cursor += 1
-            unsafe = forbidden | box.translate(forbidden, -g)
+            unsafe = forbidden | box.translate(forbidden, box.encode(-g))
             for c in itertools.islice(codes, cursor, None):
                 if not unsafe >> c & 1:
                     a = box.decode(c)
@@ -129,11 +129,11 @@ def build_witness(bset: BSet, window: Window) -> WitnessSet:
         trace.append(TraceStep(g, a, unsafe.bit_count()))
 
         for fresh in (a, a + g):
-            bit = 1 << box.encode(fresh)
-            if not amask & bit:
-                amask |= bit
+            code = box.encode(fresh)
+            if not amask >> code & 1:
+                amask |= 1 << code
                 points.append(fresh)
-                forbidden |= box.translate(bmask, fresh)
+                forbidden |= box.translate(bmask, code)
 
     elements = ElementSet.of(group, points)
     return WitnessSet(

@@ -7,7 +7,8 @@ commands that enumerate a window (``witness``, ``index``) get one-factor
 groups: a window over two factors has no up-front cap on the work (a
 two-element set in ``Z + Z`` at window 15 takes ``index`` about 20 s), so
 multi-factor specs go to ``bset`` and ``obstruct`` only, as do Prufer
-factors of long primes, whose windows are too large to list.
+factors of long primes and factors of 24-digit moduli, whose windows are
+too large to list.
 """
 
 import json
@@ -31,9 +32,15 @@ FACTORS = [
     "Prufer(1000000000000000000000007)", "Prufer(3317044064679887385961981)",
     # repetitions past the 4,096-factor cap, refused before they expand
     "Z^4097", "Z^10000000000", "Z_2^99999999999999999999", "Z_3^ 4097",
+    # moduli of 25 digits or more, refused at their first digit
+    f"Z_1{'0' * 24}", f"Z_{'9' * 25}^2", f"Z_{'7' * 4000}^w", f"Z_ {'0' * 24}2",
 ]
-# long primes, whose windows are too large to list: for bset and obstruct only
-LONG_PRIMES = ["Prufer(1000000000039)", "Prufer(2305843009213693951)", "Prufer(999999999999999999999743)"]
+# long primes and 24-digit moduli, whose windows are too large to list: for
+# bset and obstruct only
+LONG_PRIMES = [
+    "Prufer(1000000000039)", "Prufer(2305843009213693951)", "Prufer(999999999999999999999743)",
+    f"Z_{'9' * 24}", f"Z_{'9' * 24}^2", f"Z_1{'0' * 23}^w",
+]
 ELEMENTS = ["0", "1", "-1", "3", "(0,1)", "(1,0)", "(1,1,0)", "[1]", "[0,1]", "1/2", "3/4", "1/3", "x", "", LONG]
 
 factor = st.sampled_from(FACTORS)

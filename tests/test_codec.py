@@ -143,9 +143,39 @@ def test_translate_matches_element_arithmetic(data):
     group, bounds = data.draw(box_case())
     box = DenseBox(group, bounds)
     S = data.draw(st.lists(_element(group, bounds, reach=0), max_size=8))
-    g = data.draw(_element(group, bounds, reach=3))
+    g = data.draw(_element(group, bounds, reach=0))
     want = box.mask_of(s + g for s in S if _inside(bounds, s + g))
-    assert box.translate(box.mask_of(S), g) == want
+    assert box.translate(box.mask_of(S), box.encode(g)) == want
+
+
+def _by_code(box, us, S):
+    """Per code c: neg(c) and translate(1 << u, c) for each u in ``us``;
+    then diff_mask of the set S."""
+    per_code = [(box.neg(c), [box.translate(1 << u, c) for u in us]) for c in range(box.size)]
+    return per_code, box.diff_mask(box.mask_of(S))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_neg_translate_and_diff_mask_by_code_match_element_arithmetic(data):
+    # a fresh box works from the digits of a code; after tables() the same
+    # box reads its tables, and must answer the same
+    group, bounds = data.draw(box_case())
+    box = DenseBox(group, bounds)
+    us = data.draw(st.lists(st.integers(0, box.size - 1), min_size=1, max_size=4))
+    S = data.draw(st.lists(_element(group, bounds, reach=0), max_size=6))
+    by_digits = _by_code(box, us, S)
+    per_code, diff = by_digits
+    for c, (neg, moved) in enumerate(per_code):
+        g = box.decode(c)
+        assert neg == box.encode(-g)
+        for u, got in zip(us, moved):
+            code = box.encode(box.decode(u) + g)
+            assert got == (0 if code is None else 1 << code)
+    differences = (a - b for a in S for b in S)
+    assert diff == box.mask_of(d for d in differences if _inside(bounds, d))
+    box.tables()
+    assert _by_code(box, us, S) == by_digits
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,12 +312,12 @@ def _fresh_box_graph(A, vertices):
     amask = box.mask_of(A.elements)
     diff = 0
     for a in A.elements:
-        diff |= box.translate(amask, -a)
+        diff |= box.translate(amask, box.encode(-a))
     dstar = diff & ~(1 << box.encode(group.zero()))
     codes = [box.encode(v) for v in vertices]
     adj = []
-    for i, v in enumerate(vertices):
-        moved = box.translate(dstar, v)
+    for i, c in enumerate(codes):
+        moved = box.translate(dstar, c)
         adj.append(sum(1 << j for j, c in enumerate(codes) if j != i and not moved >> c & 1))
     return adj
 

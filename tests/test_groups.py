@@ -117,6 +117,25 @@ class TestParser:
             parse_group(text)
         assert str(err.value) == f"number of {digits} digits is too long (at position {position})"
 
+    @pytest.mark.parametrize("form, factors", [
+        ("Z + Z_{}", [Factor(INFINITE_CYCLIC), Factor(CYCLIC, 10**24 - 1)]),
+        ("Z + Z_{}^2", [Factor(INFINITE_CYCLIC)] + [Factor(CYCLIC, 10**24 - 1)] * 2),
+        ("Z + Z_{}^w", [Factor(INFINITE_CYCLIC), Factor(REPEATED_CYCLIC, 10**24 - 1)]),
+    ])
+    def test_a_modulus_of_24_digits_parses(self, form, factors):
+        assert parse_group(form.format("9" * PRIME_DIGITS)).factors == tuple(factors)
+
+    # refused at the modulus's first digit, in each form a modulus takes
+    @pytest.mark.parametrize("text, position", [
+        ("Z + Z_{}", 6), ("Z + Z_{}^2", 6), ("Z + Z_{}^w", 6), ("Z_ {}", 3), ("Z{}^w", 1),
+    ])
+    @pytest.mark.parametrize("digits", ["1" + "0" * PRIME_DIGITS, "0" * (PRIME_DIGITS - 1) + "02", "7" * 4000])
+    def test_a_modulus_of_more_than_24_digits_is_a_syntax_error(self, text, position, digits):
+        with pytest.raises(GroupSyntaxError) as err:
+            parse_group(text.format(digits))
+        assert str(err.value) == f"number of {len(digits)} digits is too long (at position {position})"
+        assert err.value.position == position
+
     @pytest.mark.parametrize("text, count", [
         ("Z^4096", 4096), ("Z_2^4095 + Z", 4096), ("Z_3^w + Z^4095", 4096), (" + ".join(["Z"] * 4096), 4096),
     ])

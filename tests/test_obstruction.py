@@ -176,7 +176,7 @@ class TestSweeps:
     def test_exhaustive_diffs_match_diff_mask(self, text):
         t = _GroupTables(parse_group(text))
         masks = range(1, 1 << t.n)
-        assert list(t.exhaustive_diff_masks()) == [t.diff_mask(m) for m in masks]
+        assert list(t.exhaustive_diff_masks()) == [t.box.diff_mask(m) for m in masks]
 
     # every subset of the two small groups, a seeded sample of the two large ones
     @pytest.mark.parametrize("text, sample", [("Z_3^2", None), ("Z_4 + Z_2", None), ("Z_2^4", 400), ("Z_4 + Z_2^2", 400)])
@@ -239,7 +239,7 @@ def reference_sweep(group, kappa, sample=None, seed=0):
     cases = {}
     violations = []
     for mask in masks:
-        dstar = t.diff_mask(mask) & ~1
+        dstar = t.box.diff_mask(mask) & ~1
         compat0 = ~dstar & t.full & ~1
         families = []
         if kappa == 3:
@@ -334,7 +334,7 @@ def test_planted_fault_is_listed_for_every_subset_with_its_mask(monkeypatch):
     t = _GroupTables(Z42)
     subsets = {}
     for mask in range(1, 1 << t.n):
-        subsets.setdefault(t.diff_mask(mask), []).append(mask)
+        subsets.setdefault(t.box.diff_mask(mask), []).append(mask)
     with_family = [d for d in subsets if _find_triple(t, d & ~1, ~d & t.full & ~1)]
     target = max(with_family, key=lambda d: (len(subsets[d]), d))
     assert len(subsets[target]) > 1
