@@ -3,16 +3,24 @@
 Graphs are given as ``adj``: a list where ``adj[v]`` is the integer bitmask
 of v's neighbours. The solver is a branch-and-bound search with a greedy
 sequential-coloring bound (MCQ: Tomita & Seki, DMTCS 2003); it is exact and
-fully deterministic. Two refinements from the bit-parallel BBMC line (San
-Segundo et al., Comput. Oper. Res. 2011) cut its cost:
+fully deterministic. These refinements, the first three from the
+bit-parallel BBMC line (San Segundo et al., Comput. Oper. Res. 2011), cut
+its cost:
 
 * k_min pruning: a node's coloring keeps only the vertices whose color could
   still beat the bound (``kmin`` in ``color_sort``); the rest can never pass
-  the bound test, so they are colored but not listed or branched on there.
+  the bound test, so they are colored, in a loop that lists nothing, but not
+  listed or branched on there.
+* complement rows: the coloring reads ``nadj[v] = ~(adj[v] | 1 << v)``
+  (``complement_rows``), so a colored vertex drops itself and its
+  neighbours from its class with one AND. The table is built once per graph
+  searched and shared by the size search and every extraction decision.
 * a degree-ordered root: ``max_clique_size`` on a whole graph renumbers the
   vertices by descending degree first, so the greedy coloring takes the
   dense part of the graph first and finds a large clique early.
-
+* one root branch: ``first_max_clique`` given a vertex known to lie in a
+  maximum clique (the corner of a window with one ``Z`` factor) searches
+  that vertex's neighbourhood alone.
 * translation symmetry, on a Cayley graph searched around vertex 0 (the
   root search of a subgroup window): a root vertex v whose branch is done
   joins an explored set E together with -v, and a node that adds w drops
@@ -72,34 +80,49 @@ def relabel(adj: list[int], place: list[int]) -> list[int]:
     return renamed
 
 
-def color_sort(P: int, adj: list[int], kmin: int) -> tuple[list[int], list[int]]:
+def complement_rows(adj: list[int]) -> list[int]:
+    """The table ``nadj[v] = ~(adj[v] | 1 << v)`` that ``color_sort`` reads:
+    ANDed into a color class, one row drops v and its neighbours at once."""
+    return [~(row | 1 << v) for v, row in enumerate(adj)]
+
+
+def color_sort(P: int, nadj: list[int], kmin: int) -> tuple[list[int], list[int]]:
     """Order the vertices of P into greedy color classes.
 
     Returns (order, colors) with colors non-decreasing; ``colors[i]`` is an
     upper bound on the largest clique among the vertices of P whose color
     is at most ``colors[i]``, listed or not. All of P is colored, but only
     vertices of color at least ``kmin`` are listed: a vertex of lower color
-    cannot lead to a clique large enough to matter.
+    cannot lead to a clique large enough to matter. ``nadj`` is the graph's
+    ``complement_rows`` table.
     """
+    color = 0
+    # the classes below kmin: colored, never listed
+    while P and color < kmin - 1:
+        color += 1
+        Q = P
+        while Q:
+            bit = Q & -Q
+            P ^= bit
+            Q &= nadj[bit.bit_length() - 1]
     order: list[int] = []
     colors: list[int] = []
-    color = 0
     while P:
         color += 1
         Q = P
         while Q:
             bit = Q & -Q
             v = bit.bit_length() - 1
-            if color >= kmin:
-                order.append(v)
-                colors.append(color)
+            order.append(v)
+            colors.append(color)
             P ^= bit
-            Q &= ~(bit | adj[v])
+            Q &= nadj[v]
     return order, colors
 
 
 def _search(
     adj: list[int],
+    nadj: list[int],
     P: int,
     best: int,
     stop: int,
@@ -111,6 +134,7 @@ def _search(
     else ``best``; the search ends at the first clique of ``stop`` vertices.
     When it does, that clique's vertices are appended to ``witness``, if
     given, on the way back up, so a search that fails pays nothing for it.
+    ``nadj`` is adj's ``complement_rows`` table.
 
     With ``neg`` and ``translate``, adj is a Cayley graph with vertex 0 the
     identity and P is N(0): ``neg[v]`` is the vertex -v, and
@@ -125,7 +149,7 @@ def _search(
 
     def expand(size: int, cand: int) -> bool:
         nonlocal best, explored
-        order, colors = color_sort(cand, adj, best - size + 1)
+        order, colors = color_sort(cand, nadj, best - size + 1)
         for i in range(len(order) - 1, -1, -1):
             if size + colors[i] <= best:
                 return False
@@ -163,26 +187,42 @@ def max_clique_size(
     P: int | None = None,
     neg: list[int] | None = None,
     translate: Callable[[int, int], int] | None = None,
+    nadj: list[int] | None = None,
 ) -> int:
     """Exact clique number of the subgraph induced by the mask P.
 
     Without P the whole graph is searched, renumbered by descending degree
     (ties by index); the size does not depend on the numbering. On a Cayley
     graph, P = N(0) with ``neg`` and ``translate`` (see ``_search``) prunes
-    the search by translation symmetry.
+    the search by translation symmetry. With P, ``nadj`` may hand in adj's
+    ``complement_rows`` table, built here otherwise.
     """
     if P is None:
         adj, _ = _by_degree(adj)
         P = (1 << len(adj)) - 1
-    return _search(adj, P, 0, len(adj) + 1, neg, translate)
+        nadj = None
+    if nadj is None:
+        nadj = complement_rows(adj)
+    return _search(adj, nadj, P, 0, len(adj) + 1, neg, translate)
 
 
-def exists_clique(adj: list[int], P: int, target: int, witness: list[int] | None = None) -> bool:
+def exists_clique(
+    adj: list[int],
+    P: int,
+    target: int,
+    witness: list[int] | None = None,
+    nadj: list[int] | None = None,
+) -> bool:
     """Exact decision: does the subgraph induced by P contain a target-clique?
 
-    On yes, the clique found is appended to ``witness``, if given.
+    On yes, the clique found is appended to ``witness``, if given. ``nadj``
+    may hand in adj's ``complement_rows`` table, built here otherwise.
     """
-    return target <= 0 or _search(adj, P, target - 1, target, witness=witness) >= target
+    if target <= 0:
+        return True
+    if nadj is None:
+        nadj = complement_rows(adj)
+    return _search(adj, nadj, P, target - 1, target, witness=witness) >= target
 
 
 def clique_of_size(
@@ -190,6 +230,7 @@ def clique_of_size(
     target: int,
     P: int | None = None,
     copy: tuple[list[int], list[int]] | None = None,
+    nadj: list[int] | None = None,
 ) -> list[int] | None:
     """Lexicographically-first clique of exactly ``target`` vertices, or None.
 
@@ -203,13 +244,16 @@ def clique_of_size(
     ``copy`` is an optional pair (graph, place): ``adj`` with vertex v
     renamed ``place[v]``. A decision's answer does not depend on the
     numbering, so the decisions run on the copy, and their cliques are
-    renamed back.
+    renamed back. Every decision reads one ``complement_rows`` table of the
+    graph it runs on: ``nadj``, if given, else one built here.
     """
     if P is None:
         P = (1 << len(adj)) - 1
     if target == 0:
         return []
     search, place = copy if copy is not None else (adj, None)
+    if nadj is None:
+        nadj = complement_rows(search)
     if place is not None:
         back = [0] * len(place)
         for v, w in enumerate(place):
@@ -229,7 +273,7 @@ def clique_of_size(
                 known ^= bit
             else:
                 found: list[int] = []
-                if not exists_clique(search, sub if place is None else _rename(sub, place), needed - 1, found):
+                if not exists_clique(search, sub if place is None else _rename(sub, place), needed - 1, found, nadj):
                     P ^= bit
                     continue
                 known = 0
@@ -244,15 +288,23 @@ def clique_of_size(
     return chosen
 
 
-def first_max_clique(adj: list[int]) -> tuple[int, list[int]]:
+def first_max_clique(adj: list[int], root: int | None = None) -> tuple[int, list[int]]:
     """Exact clique number plus its lexicographically-first witness.
 
     The size search and every extraction decision run on one
-    degree-ordered copy of the graph.
+    degree-ordered copy of the graph and share its ``complement_rows``
+    table. A ``root`` vertex that the caller knows to lie in some maximum
+    clique narrows the size search to its one branch: the clique number is
+    1 + ω(N(root)). The witness is still the whole graph's.
     """
     copy = _by_degree(adj)
-    size = max_clique_size(copy[0], (1 << len(adj)) - 1)
-    witness = clique_of_size(adj, size, None, copy) or []
+    graph, place = copy
+    nadj = complement_rows(graph)
+    if root is None:
+        size = max_clique_size(graph, (1 << len(adj)) - 1, None, None, nadj)
+    else:
+        size = 1 + max_clique_size(graph, graph[place[root]], None, None, nadj)
+    witness = clique_of_size(adj, size, None, copy, nadj) or []
     return size, witness
 
 

@@ -176,22 +176,39 @@ def _certify_family(A: ElementSet, shifts: list[Element]) -> bool:
 
 def _root_clique_size(
     adj: list[int], window: Window, vertices: list[Element]
-) -> tuple[int, tuple[list[int], list[int]] | None]:
+) -> tuple[int, tuple[list[int], list[int]] | None, list[int] | None]:
     """Clique number of N(0) in the Cayley graph of a subgroup window,
-    searched in code order under the translation rule of ``clique._search``,
-    and the code-ordered copy it searched as ``(graph, place)``, or None
-    when that copy is ``adj`` itself. The window is its own box, and the
-    search reads that box's tables: ``place`` to renumber the graph, ``neg``
-    and ``steps`` for the rule."""
+    searched in code order under the translation rule of ``clique._search``;
+    the code-ordered copy it searched as ``(graph, place)``, or None when
+    that copy is ``adj`` itself; and the ``clique.complement_rows`` table of
+    the graph searched, for the extraction's decisions to share (None when
+    N(0) is empty). The window is its own box, and the search reads that
+    box's tables: ``place`` to renumber the graph, ``neg`` and ``steps``
+    for the rule."""
     if not adj[0]:
-        return 0, None
+        return 0, None, None
     _, _, neg, steps, place = box_for(window.group, window.bounds).tables(vertices)
     copy = None
     if place is not None:
         copy = clique.relabel(adj, place), place
         adj = copy[0]
-    size = clique.max_clique_size(adj, adj[0], neg, lambda mask, v: apply_steps(mask, steps[v]))
-    return size, copy
+    nadj = clique.complement_rows(adj)
+    size = clique.max_clique_size(adj, adj[0], neg, lambda mask, v: apply_steps(mask, steps[v]), nadj)
+    return size, copy, nadj
+
+
+def _corner(window: Window, vertices: list[Element]) -> int | None:
+    """Index in ``vertices`` of the corner (-w, 0) of a window with one
+    ``Z`` factor, of bound w; None for a window with no ``Z`` factor or
+    several."""
+    group = window.group
+    z = [i for i, f in enumerate(group.factors) if f.kind == INFINITE_CYCLIC]
+    if len(z) != 1:
+        return None
+    coords = list(group.zero().coords)
+    coords[z[0]] = -window.bounds[z[0]]
+    corner = tuple(coords)
+    return next(i for i, v in enumerate(vertices) if v.coords == corner)
 
 
 def _window_vertices(window: Window) -> list[Element]:
@@ -218,8 +235,17 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     translated by each vertex a deeper node adds, from its candidates. The
     lexicographically-first family then starts at vertex 0, the lowest
     index, so its extraction runs inside N(0), deciding on the copy the
-    root search used. A window with a ``Z`` factor is no subgroup and gets
-    the full search.
+    root search used.
+
+    A window with a ``Z`` factor is no subgroup. With exactly one, of bound
+    w, say Z + H, translate any family so that its lowest ``Z`` coordinate
+    becomes -w and that shift's H part 0: the ``Z`` span of a family in the
+    window is at most 2w and H is a subgroup, so the translate stays inside
+    the window, and differences, hence compatibility, do not change. So the
+    corner (-w, 0) lies in a maximum family, and one root branch at the
+    corner proves the size. The family itself is the whole graph's
+    lexicographically-first one, which need not hold the corner. A window
+    with several ``Z`` factors gets the whole-graph search.
     """
     if not A.elements:
         raise EmptySetError("packing index of the empty set is undefined")
@@ -231,10 +257,10 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     vertices = _window_vertices(window)
     adj = compatibility_graph(A, vertices)
     if any(f.kind == INFINITE_CYCLIC for f in A.group.factors):
-        _, picked = clique.first_max_clique(adj)
+        _, picked = clique.first_max_clique(adj, _corner(window, vertices))
     else:
-        root, copy = _root_clique_size(adj, window, vertices)
-        picked = [0] + clique.clique_of_size(adj, root, adj[0], copy)
+        root, copy, nadj = _root_clique_size(adj, window, vertices)
+        picked = [0] + clique.clique_of_size(adj, root, adj[0], copy, nadj)
     shifts = [vertices[i] for i in picked]
     if not _certify_family(A, shifts):
         raise CertificationError("the solver's family has intersecting translates")

@@ -116,8 +116,9 @@ def run_witness(cfg: RunConfig):
     window = Window.for_group(
         group, bound=cfg.window, repeated_m=cfg.m, prufer_level=cfg.level
     )
-    # the index solve would refuse this window; say so before building
-    if cfg.verify and window.size() > DEFAULT_MAX_VERTICES:
+    # the index solve would refuse this window, and the builder lists it
+    # whole; say so before building, with or without --verify
+    if window.size() > DEFAULT_MAX_VERTICES:
         raise WindowTooLargeError(window.size(), DEFAULT_MAX_VERTICES)
     w = witness_mod.build_witness(built, window)
     results = {

@@ -74,6 +74,31 @@ class TestFailFast:
             "message": "window has 1201 elements, limit is 1024",
         }
 
+    @pytest.mark.parametrize(
+        "group,window,size",
+        [
+            ("Z_9223372036854775808^w", [], 9223372036854775808**4),
+            ("Z_1000000000000^w", [], 10**48),
+            ("Z + Z", ["--window", "20"], 41**2),
+        ],
+    )
+    def test_witness_window_cap_holds_without_verify(self, runner, monkeypatch, group, window, size):
+        from packidx import witness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a witness for a window past the cap")
+
+        # the builder would list the window whole: a 2^63 modulus overflows
+        # range(), 10^12 runs out of memory, Z + Z at 20 takes seconds
+        monkeypatch.setattr(witness, "build_witness", refuse)
+        result = runner.invoke(main, ["witness", "--group", group, "--kappa", "7", *window])
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
+        assert payload(result)["results"]["error"] == {
+            "type": "WindowTooLarge",
+            "message": f"window has {size} elements, limit is 1024",
+        }
+
     def test_obstruct_element_cap_is_checked_before_enumerating(self, runner, monkeypatch):
         from packidx import obstruction
 

@@ -6,9 +6,10 @@ b <= 6, budget <= 1,000, sample <= 50), so every run is cheap. The
 commands that enumerate a window (``witness``, ``index``) get one-factor
 groups: a window over two factors has no up-front cap on the work (a
 two-element set in ``Z + Z`` at window 15 takes ``index`` about 20 s), so
-multi-factor specs go to ``bset`` and ``obstruct`` only, as do Prufer
-factors of long primes and factors of 24-digit moduli, whose windows are
-too large to list.
+multi-factor specs go to ``bset`` and ``obstruct`` only. Prufer factors of
+long primes and factors of 24-digit moduli, whose windows are too large to
+list, go to ``bset``, ``obstruct`` and ``witness``, which refuses a window
+past its 1,024-element cap before it lists one.
 """
 
 import json
@@ -36,7 +37,7 @@ FACTORS = [
     f"Z_1{'0' * 24}", f"Z_{'9' * 25}^2", f"Z_{'7' * 4000}^w", f"Z_ {'0' * 24}2",
 ]
 # long primes and 24-digit moduli, whose windows are too large to list: for
-# bset and obstruct only
+# bset, obstruct and witness
 LONG_PRIMES = [
     "Prufer(1000000000039)", "Prufer(2305843009213693951)", "Prufer(999999999999999999999743)",
     f"Z_{'9' * 24}", f"Z_{'9' * 24}^2", f"Z_1{'0' * 23}^w",
@@ -50,6 +51,7 @@ groups = st.one_of(
     *[st.lists(factor | st.sampled_from(LONG_PRIMES), min_size=1, max_size=3).map(" + ".join)] * 3, near_dsl
 )
 window_groups = st.one_of(*[factor] * 3, near_dsl)
+witness_groups = st.one_of(*[factor | st.sampled_from(LONG_PRIMES)] * 3, near_dsl)
 
 elements = st.lists(st.one_of(st.sampled_from(ELEMENTS), st.text(max_size=6)), max_size=5)
 set_files = st.one_of(
@@ -86,7 +88,7 @@ window = (flag("m", upto(4)), flag("level", upto(4)))
 invocations = st.one_of(
     st.tuples(st.just(["bset"]), given_flag("group", groups), kappa,
               st.sampled_from([[], ["--check"]]), *window),
-    st.tuples(st.just(["witness"]), given_flag("group", window_groups), kappa,
+    st.tuples(st.just(["witness"]), given_flag("group", witness_groups), kappa,
               flag("window", upto(20)), st.sampled_from([[], ["--verify"]]), *window),
     st.tuples(st.just(["index", "--set", "SETFILE"]), flag("window", upto(20)), *window),
     st.tuples(st.just(["obstruct"]), given_flag("group", groups), kappa,

@@ -9,6 +9,8 @@ import packidx.clique as clique_module
 from packidx.clique import (
     _by_degree,
     clique_of_size,
+    color_sort,
+    complement_rows,
     exhaustive_max_clique_size,
     exists_clique,
     first_max_clique,
@@ -93,6 +95,44 @@ def test_clique_of_size_none_when_too_big():
     adj = [0b10, 0b01, 0]
     assert clique_of_size(adj, 3) is None
     assert clique_of_size(adj, 2) == [0, 1]
+
+
+def reference_color_sort(P, adj, kmin):
+    """The coloring before it read complement rows: OR, NOT and AND per
+    colored vertex, and one loop for every class, listed or not."""
+    order = []
+    colors = []
+    color = 0
+    while P:
+        color += 1
+        Q = P
+        while Q:
+            bit = Q & -Q
+            v = bit.bit_length() - 1
+            if color >= kmin:
+                order.append(v)
+                colors.append(color)
+            P ^= bit
+            Q &= ~(bit | adj[v])
+    return order, colors
+
+
+@pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
+def test_color_sort_matches_reference(density):
+    for n in range(65):
+        rng = random.Random(1000 * n + int(10 * density))
+        adj = random_graph(rng, n, density)
+        nadj = complement_rows(adj)
+        full = (1 << n) - 1
+        for P in (full, rng.randrange(full + 1)):
+            for kmin in range(n + 3):
+                assert color_sort(P, nadj, kmin) == reference_color_sort(P, adj, kmin), (n, P, kmin)
+
+
+def test_complement_rows_drop_the_vertex_and_its_neighbours():
+    adj = [0b110, 0b001, 0b001]
+    assert [row & 0b111 for row in complement_rows(adj)] == [0b000, 0b100, 0b010]
+    assert all(row < 0 for row in complement_rows(adj))
 
 
 @settings(max_examples=40, deadline=None)
@@ -401,9 +441,9 @@ def test_window_extraction_matches_reference(text, elements, window_args):
         assert picked == reference_clique_of_size(adj, omega)
         assert clique_of_size(adj, omega + 1, None, _by_degree(adj)) is None
     else:
-        root, copy = _root_clique_size(adj, window, vertices)
+        root, copy, nadj = _root_clique_size(adj, window, vertices)
         assert (copy is not None) == (text == "Prufer(2)")
-        picked = [0] + clique_of_size(adj, root, adj[0], copy)
+        picked = [0] + clique_of_size(adj, root, adj[0], copy, nadj)
         assert picked == [0] + reference_clique_of_size(adj, root, adj[0])
         assert clique_of_size(adj, root + 1, adj[0], copy) is None
     assert max_packing_family(A, window).shifts == ElementSet.of(group, [vertices[i] for i in picked])

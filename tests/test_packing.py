@@ -259,6 +259,68 @@ class TestSubgroupRoot:
         assert family.shifts.to_texts() == ["1", "2", "-2"]
 
 
+# windows with one Z factor, at most 60 vertices, with the larger window
+# their bases are drawn from
+CORNER_WINDOWS = [
+    ("Z", {"bound": 12}, {"bound": 15}),
+    ("Z + Z_3", {"bound": 5}, {"bound": 7}),
+    ("Z_4 + Z", {"bound": 3}, {"bound": 5}),
+    ("Z + Z_2^w", {"bound": 3, "repeated_m": 2}, {"bound": 5, "repeated_m": 3}),
+    ("Z + Prufer(2)", {"bound": 3, "prufer_level": 2}, {"bound": 5, "prufer_level": 3}),
+]
+
+
+class TestCornerRoot:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "text,window_args,pool_args", CORNER_WINDOWS, ids=[w[0] for w in CORNER_WINDOWS]
+    )
+    def test_matches_whole_graph_search(self, monkeypatch, text, window_args, pool_args, seed):
+        group = parse_group(text)
+        window = Window.for_group(group, **window_args)
+        vertices = list(enumerate_window(window))
+        rng = random.Random(seed)
+        pool = list(enumerate_window(Window.for_group(group, **pool_args)))
+        A = ElementSet.of(group, rng.sample(pool, rng.randint(1, 4)))
+        adj = compatibility_graph(A, vertices)
+        roots = []
+
+        def spy(adj, root=None):
+            roots.append(root)
+            return first_max_clique(adj, root)
+
+        monkeypatch.setattr(packidx.clique, "first_max_clique", spy)
+        family = max_packing_family(A, window)
+        # the root is the corner: lowest Z coordinate, zero elsewhere
+        (root,) = roots
+        z = next(i for i, f in enumerate(group.factors) if f.kind == INFINITE_CYCLIC)
+        corner = list(group.zero().coords)
+        corner[z] = -window.bounds[z]
+        assert vertices[root].coords == tuple(corner)
+        size, picked = first_max_clique(adj)
+        assert 1 + max_clique_size(adj, adj[root]) == size
+        assert family.size == size and family.certified
+        assert family.shifts == ElementSet.of(group, [vertices[i] for i in picked])
+
+    def test_two_z_factors_take_the_whole_graph_search(self, monkeypatch):
+        group = parse_group("Z + Z")
+        window = Window.for_group(group, bound=3)
+        A = ElementSet.parse(group, ["(0,0)", "(1,0)", "(0,2)"])
+        roots = []
+
+        def spy(adj, root=None):
+            roots.append(root)
+            return first_max_clique(adj, root)
+
+        monkeypatch.setattr(packidx.clique, "first_max_clique", spy)
+        family = max_packing_family(A, window)
+        assert roots == [None]
+        vertices = list(enumerate_window(window))
+        size, picked = first_max_clique(compatibility_graph(A, vertices))
+        assert family.size == size
+        assert family.shifts == ElementSet.of(group, [vertices[i] for i in picked])
+
+
 ROOT = Path(__file__).resolve().parent.parent
 _cells_spec = importlib.util.spec_from_file_location("perfbench_cells", ROOT / "perfbench" / "cells.py")
 perfbench_cells = importlib.util.module_from_spec(_cells_spec)
@@ -293,7 +355,7 @@ def test_pruned_root_matches_whole_graph_search(index):
     vertices = list(enumerate_window(window))
     adj = compatibility_graph(A, vertices)
     omega, picked = first_max_clique(adj)
-    root, copy = _root_clique_size(adj, window, vertices)
+    root, copy, _ = _root_clique_size(adj, window, vertices)
     assert 1 + root == omega
     # the copy the extraction decides on is the same graph, renumbered
     assert copy is None or copy[0] == relabel(adj, copy[1])
