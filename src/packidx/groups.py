@@ -791,21 +791,21 @@ class DenseBox:
 
     def diff_mask(self, mask: int) -> int:
         """Mask of the differences x - y over x, y in mask that lie inside
-        the box: the OR of mask's translates by each -y."""
-        codes = []
+        the box: the OR of mask's translates by each -y, low y first. It
+        stops once the OR is the whole box, which no later translate can
+        add to."""
+        full = (1 << self.size) - 1
+        tables = self._tables
+        diff = 0
         rest = mask
         while rest:
             low = rest & -rest
-            codes.append(low.bit_length() - 1)
+            c = low.bit_length() - 1
             rest ^= low
-        if self._tables is not None:
-            steps, neg = self._tables.steps, self._tables.neg
-            moves = [steps[neg[c]] for c in codes]
-        else:
-            moves = [self.steps(self.neg(c)) for c in codes]
-        diff = 0
-        for move in moves:
+            move = tables.steps[tables.neg[c]] if tables is not None else self.steps(self.neg(c))
             diff |= apply_steps(mask, move)
+            if diff == full:
+                break
         return diff
 
 

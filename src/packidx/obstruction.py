@@ -18,10 +18,12 @@ cardinality, before it enumerates a single element.
 from __future__ import annotations
 
 import random
+import sys
 from array import array
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import or_
+from operator import itemgetter
 
 from .bsets import exceptional_family
 from .errors import (
@@ -145,9 +147,10 @@ class _GroupTables:
     codes and negatives and the translation steps are the tables of the
     group's shared dense box, which the sweep's solver cross-checks read
     too; ``add`` is worked out on :class:`Element` addition. The exhaustive
-    difference masks and ``_family_disjoint`` read ``add``; sampled sweeps
-    take each D from the box's ``diff_mask``, and ``_find_triple`` reads
-    the box's steps.
+    difference masks (one 16-bit lane per subset) and ``_family_disjoint``
+    read ``add``; sampled sweeps take each D from the box's ``diff_mask``,
+    which stops once D is the whole group, and ``_find_triple`` reads the
+    box's steps.
 
     Element i has box code i, because a finite group's box numbers its codes
     in window order; so a subset is a mask of element indices. The group is
@@ -174,18 +177,27 @@ class _GroupTables:
         table (``EXHAUSTIVE_LIMIT`` allows it).
 
         With x the top element of m and m' = m without x, D(m) = D(m') | E_x(m'),
-        where E_x(m') holds 0 and x - i, i - x for each i in m'. E_x's table
-        doubles once per element below x, and D's once per x, by array operations.
+        where E_x(m') holds 0 and x - i, i - x for each i in m'. Each table is
+        one int with a 16-bit lane per subset, lane m' at bit 16 m': E_x's
+        table doubles once per element i below x, each new lane the old lane
+        OR i's two bits, and D's doubles once per x. The int becomes an
+        ``array`` once, at the end.
         """
         add, neg = self.add, self.neg
-        diffs = array("H", [0])
+        diffs = 0  # D's lanes for the subsets of the elements below x
         for x in range(self.n):
-            e = array("H", [1])
+            e = ones = 1  # E_x's lanes, and a 1 in each of them
             for i in range(x):
                 b = (1 << add[i][neg[x]]) | (1 << add[x][neg[i]])
-                e += array("H", map(b.__or__, e))
-            diffs += array("H", map(or_, diffs, e))
-        return diffs[1:]
+                shift = 16 << i  # 16 bits a lane, 2^i lanes
+                e |= (e | b * ones) << shift
+                ones |= ones << shift
+            diffs |= (diffs | e) << (16 << x)
+        table = array("H")
+        table.frombytes(diffs.to_bytes(2 << self.n, "little")[2:])
+        if sys.byteorder == "big":
+            table.byteswap()
+        return table
 
     def family(self, b1: int, b2: int) -> tuple[str, tuple[int, ...]]:
         """Variant and element indices of the quadruple {0, b1, b2, b3} that
@@ -266,58 +278,69 @@ def _verdict(t: _GroupTables, kappa: int, d: int) -> str | tuple[tuple[str, bool
 
 
 def _sweep(
-    t: _GroupTables, kappa: int, masks: Iterable[int], diffs: Iterable[int], stride: int
+    t: _GroupTables, kappa: int, masks: Sequence[int], diffs: Sequence[int], stride: int
 ) -> dict:
-    """SweepReport's counting fields; ``diffs`` holds each mask's difference
-    mask, and ascending masks keep violations in subset order.
+    """SweepReport's counting fields; ``diffs[k]`` is the difference mask of
+    ``masks[k]``, and ascending masks keep violations in subset order.
 
-    Subsets share few difference masks, so each mask's verdict is worked out
-    once and then counted, and its violations listed, for every subset that
-    has it. The solver cross-check runs on the subset itself.
+    Subsets share few difference masks, so the subsets are counted per
+    distinct D, and each D's verdict is worked out once and counted that
+    many times. Only when some D is bad are the subsets scanned, to list
+    each one's violations. The solver cross-check runs on the subset itself.
     """
     found = certified = nofam = checks = 0
     cases: dict[str, int] = {}
-    violations: list[dict] = []
+    bad: set[int] = set()
     verdicts: dict[int, str | tuple[tuple[str, bool], ...]] = {}
 
-    for mask, d in zip(masks, diffs):
-        verdict = verdicts.get(d)
-        if verdict is None:
-            verdict = verdicts[d] = _verdict(t, kappa, d)
+    for d, count in Counter(diffs).items():
+        verdict = verdicts[d] = _verdict(t, kappa, d)
         if isinstance(verdict, str):
-            violations.append({"subset": mask, "reason": verdict})
-            families = ()
-        else:
-            families = verdict
+            bad.add(d)
+            verdict = ()
+        if not verdict:
+            nofam += count
+            continue
+        found += count
+        for variant, disjoint in verdict:
+            cases[variant] = cases.get(variant, 0) + count
+            if disjoint:
+                certified += count
+            else:
+                bad.add(d)
 
-        if not families:
-            nofam += 1
-        else:
-            found += 1
-            for variant, disjoint in families:
-                cases[variant] = cases.get(variant, 0) + 1
-                if disjoint:
-                    certified += 1
-                else:
+    violations: list[dict] = []
+    if bad:
+        for mask, d in zip(masks, diffs):
+            if d not in bad:
+                continue
+            verdict = verdicts[d]
+            if isinstance(verdict, str):
+                violations.append({"subset": mask, "reason": verdict})
+                continue
+            for variant, disjoint in verdict:
+                if not disjoint:
                     violations.append(
                         {"subset": mask, "reason": f"{variant} extension not disjoint"}
                     )
 
-        if mask % stride == 0:
-            checks += 1
-            A = ElementSet.of(
-                t.group,
-                [t.elements[i] for i in range(t.n) if (mask >> i) & 1],
-            )
-            size = max_packing_family(A, t.window).size
-            if families and size < kappa:
-                violations.append(
-                    {"subset": mask, "reason": f"solver max {size} < {kappa}"}
-                )
-            if not families and size > kappa - 2:
-                violations.append(
-                    {"subset": mask, "reason": f"solver max {size} > {kappa - 2}"}
-                )
+    for mask, d in zip(masks, diffs):
+        if mask % stride:
+            continue
+        checks += 1
+        verdict = verdicts[d]
+        found_family = not isinstance(verdict, str) and bool(verdict)
+        A = ElementSet.of(
+            t.group,
+            [t.elements[i] for i in range(t.n) if (mask >> i) & 1],
+        )
+        size = max_packing_family(A, t.window).size
+        if found_family and size < kappa:
+            violations.append({"subset": mask, "reason": f"solver max {size} < {kappa}"})
+        if not found_family and size > kappa - 2:
+            violations.append({"subset": mask, "reason": f"solver max {size} > {kappa - 2}"})
+    # a stable sort: within a subset, the verdict's violations stay first
+    violations.sort(key=itemgetter("subset"))
 
     return {
         "families_found": found,
@@ -384,7 +407,7 @@ def exhaustive_no_index_check(
         mode = "sampled"
         rng = random.Random(seed)
         masks = sorted({rng.randrange(1, 1 << n) for _ in range(sample)})
-        diffs = map(t.box.diff_mask, masks)
+        diffs = list(map(t.box.diff_mask, masks))  # read twice
         seed_used = seed
 
     stride = max(1, len(masks) // 128)

@@ -96,15 +96,6 @@ def validate_pairmap(f: PairMap) -> Validation:
     return Validation(sep, pres)
 
 
-def _overlaps(i: int, j: int) -> list[int]:
-    """Ranks of the earlier pairs meeting {i, j} in one index, ascending:
-    {i, x} for x < j and {x, j} for x < i."""
-    return sorted(
-        [_pair_rank(min(i, x), max(i, x)) for x in range(j) if x != i]
-        + [_pair_rank(x, j) for x in range(i)]
-    )
-
-
 class _Search:
     """Depth-first assignment of images to domain pairs in colex order.
 
@@ -115,7 +106,12 @@ class _Search:
 
     Images are bits: ``compat[p]`` holds the images that differ from image p
     but meet it, so a level's candidates are the AND of ``compat`` over the
-    images of its overlapping predecessors. Levels keep their untried
+    images of its overlapping predecessors. Level k = (i, j) keeps that AND
+    in two parts: ``col[k]`` over {x, j} for x < i, and ``row[k]`` over
+    {i, x} for x < j, x != i. Each is one AND on a part an earlier level
+    holds: ``col[k]`` on ``col[k - 1]``, level (i - 1, j); ``row[k]`` on
+    ``row[k - (j - 1)]``, level (i, j - 1), or at i = j - 1 on
+    ``col[k - j]``, level (j - 2, j - 1). Levels keep their untried
     candidates on an explicit stack and are walked low bit first, which is
     lexicographic image order.
     """
@@ -130,9 +126,13 @@ class _Search:
             through[k] |= 1 << s
             through[l] |= 1 << s
         self.compat = [(through[k] | through[l]) & ~(1 << s) for s, (k, l) in enumerate(self.images)]
-        # each level's overlapping predecessors, built at the first
-        # placement on the level before; the first level has none
-        self.overlaps: list[list[int]] = [[]]
+        # per level k = (i, j): whether col narrows level k - 1's, whether
+        # row narrows a row (else a col), and the level it narrows; level
+        # 0's entry is never read, as level 0 has no predecessors
+        self.links = [
+            (i > 0, i < j - 1, k - j + 1 if i < j - 1 else k - j)
+            for k, (i, j) in enumerate(self.pairs)
+        ]
         self.size_a = size_a
         self.size_b = size_b
         self.node_budget = node_budget
@@ -149,11 +149,14 @@ class _Search:
         found: list[PairMap] = []
         if limit < 1:
             return found
-        images, compat, overlaps = self.images, self.compat, self.overlaps
+        images, compat = self.images, self.compat
         last = len(self.pairs)
+        full = (1 << len(images)) - 1
+        col = [full] * last
+        row = [full] * last
+        links = [(narrow, row if from_row else col, p) for narrow, from_row, p in self.links]
         assignment = [0] * last
         budget = self.node_budget
-        full = (1 << len(images)) - 1
         nodes = depth = 0
         cand = [0] * last
         cand[0] = full
@@ -167,10 +170,7 @@ class _Search:
             cand[idx] = c ^ low
             nodes += 1
             if idx >= depth:
-                # the first placement at this level; the next one is new
                 depth = idx + 1
-                if depth < last:
-                    overlaps.append(_overlaps(*self.pairs[depth]))
             if nodes > budget:
                 raise SearchBudgetExceededError(nodes, budget, depth)
             assignment[idx] = low.bit_length() - 1
@@ -181,10 +181,10 @@ class _Search:
                     break
                 idx -= 1
                 continue
-            c = full
-            for prev in overlaps[idx]:
-                c &= compat[assignment[prev]]
-            cand[idx] = c
+            narrow, parts, p = links[idx]
+            c = col[idx] = col[idx - 1] & compat[assignment[idx - 1]] if narrow else full
+            r = row[idx] = parts[p] & compat[assignment[p]]
+            cand[idx] = c & r
         self.nodes = nodes
         return found
 

@@ -178,6 +178,66 @@ def test_neg_translate_and_diff_mask_by_code_match_element_arithmetic(data):
     assert _by_code(box, us, S) == by_digits
 
 
+def _or_of_every_translate(box, mask):
+    """diff_mask with no early stop: the OR over every y in mask of the
+    translate by -y."""
+    diff = 0
+    for y in range(box.size):
+        if mask >> y & 1:
+            diff |= box.translate(mask, box.neg(y))
+    return diff
+
+
+def _diff_masks_both_ways(box, masks):
+    before = [box.diff_mask(m) for m in masks]
+    box.tables()
+    return before, [box.diff_mask(m) for m in masks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_diff_mask_matches_the_or_of_every_translate(data):
+    # a random mask of the box's codes, sparse or dense, on a fresh box and
+    # again once it reads its tables
+    group, bounds = data.draw(box_case())
+    box = DenseBox(group, bounds)
+    full = (1 << box.size) - 1
+    all_but_one = st.integers(0, box.size - 1).map(lambda c: full ^ (1 << c))
+    masks = data.draw(st.lists(st.one_of(st.integers(0, full), all_but_one), max_size=4))
+    want = [_or_of_every_translate(box, m) for m in masks]
+    assert _diff_masks_both_ways(box, masks) == (want, want)
+
+
+@pytest.mark.parametrize("text", ["Z_6", "Z_3^3", "Z_2^5", "Z_4 + Z_2^2", "Z_10 + Z_10"])
+def test_diff_mask_of_a_whole_finite_group_box_matches_every_translate(text):
+    # uniform masks hold about half the group, so most fill their box
+    group = parse_group(text)
+    box = DenseBox(group, Window.for_group(group).bounds)
+    rng = random.Random(5)
+    masks = [rng.getrandbits(box.size) for _ in range(40)] + [1, (1 << box.size) - 1]
+    want = [_or_of_every_translate(box, m) for m in masks]
+    assert sum(d == (1 << box.size) - 1 for d in want) > 20
+    assert _diff_masks_both_ways(box, masks) == (want, want)
+
+
+def test_diff_mask_stops_once_it_fills_the_box(monkeypatch):
+    group = parse_group("Z_2^5")
+    box = box_for(group, Window.for_group(group).bounds)
+    # 11 elements, whose first 4 translates fill the 32 codes of Z_2^5
+    mask = sum(1 << c for c in (6, 7, 8, 9, 10, 13, 15, 16, 19, 20, 22))
+    calls = []
+    apply_steps = groups.apply_steps
+
+    def spy(m, steps):
+        calls.append(m)
+        return apply_steps(m, steps)
+
+    monkeypatch.setattr(groups, "apply_steps", spy)
+    assert box.diff_mask(mask) == (1 << 32) - 1
+    assert len(calls) == 4
+    assert _or_of_every_translate(box, mask) == (1 << 32) - 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_extents_of_z_n_groups_read_no_element(data):

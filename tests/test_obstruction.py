@@ -1,6 +1,9 @@
 import itertools
 import random
+import sys
+from array import array
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -172,11 +175,17 @@ class TestSweeps:
         assert a != c
         assert not a.violations
 
-    @pytest.mark.parametrize("text", ["Z_3^2", "Z_2^4", "Z_4 + Z_2", "Z_4 + Z_2^2"])
+    @pytest.mark.parametrize(
+        "text", ["Z_3", "Z_2^2", "Z_4", "Z_2^3", "Z_3^2", "Z_2^4", "Z_4 + Z_2", "Z_4 + Z_2^2"]
+    )
     def test_exhaustive_diffs_match_diff_mask(self, text):
         t = _GroupTables(parse_group(text))
         masks = range(1, 1 << t.n)
-        assert list(t.exhaustive_diff_masks()) == [t.box.diff_mask(m) for m in masks]
+        diffs = t.exhaustive_diff_masks()
+        # _sweep and the tests index the table by mask - 1
+        assert isinstance(diffs, array) and diffs.typecode == "H"
+        assert len(diffs) == (1 << t.n) - 1
+        assert list(diffs) == [t.box.diff_mask(m) for m in masks]
 
     # every subset of the two small groups, a seeded sample of the two large ones
     @pytest.mark.parametrize("text, sample", [("Z_3^2", None), ("Z_4 + Z_2", None), ("Z_2^4", 400), ("Z_4 + Z_2^2", 400)])
@@ -350,3 +359,45 @@ def test_planted_fault_is_listed_for_every_subset_with_its_mask(monkeypatch):
     clean = reference_sweep(Z42, 4)
     lost = sum(listed.values())
     assert report.extensions_certified == clean.extensions_certified - lost
+
+
+@pytest.mark.parametrize("text,kappa", [("Z_3^2", 3), ("Z_4 + Z_2", 4)])
+def test_planted_faults_keep_every_subsets_violations_in_order(text, kappa, monkeypatch):
+    # the same faults in the sweep and in reference_sweep: several bad D's,
+    # and a solver that lies on a checked subset of a bad D (a verdict and
+    # a solver violation on one subset) and on one of a good D
+    group = parse_group(text)
+    t = _GroupTables(group)
+    stride = max(1, ((1 << t.n) - 1) // 128)
+    subsets = {}
+    for mask in range(1, 1 << t.n):
+        subsets.setdefault(t.box.diff_mask(mask), []).append(mask)
+    with_family = sorted(d for d in subsets if obstruction._verdict(t, kappa, d))
+    checked = range(stride, 1 << t.n, stride)
+    both = next(m for m in checked if t.box.diff_mask(m) in with_family)
+    bad = {t.box.diff_mask(both) & ~1} | {d & ~1 for d in with_family[::2]}
+    alone = next(m for m in checked if t.box.diff_mask(m) & ~1 not in bad)
+    assert len(bad) >= 3
+    disjoint, solver = _family_disjoint, max_packing_family
+
+    def planted_disjoint(t, dstar, family):
+        return dstar not in bad and disjoint(t, dstar, family)
+
+    def planted_solver(A, window):
+        # kappa - 1 is a violation whether or not the subset has a family
+        if t.box.mask_of(A) in (both, alone):
+            return SimpleNamespace(size=kappa - 1)
+        return solver(A, window)
+
+    for module in (obstruction, sys.modules[__name__]):
+        monkeypatch.setattr(module, "_family_disjoint", planted_disjoint)
+        monkeypatch.setattr(module, "max_packing_family", planted_solver)
+    report = exhaustive_no_index_check(group, kappa)
+    assert report == reference_sweep(group, kappa)
+    listed = [v["subset"] for v in report.violations]
+    assert listed == sorted(listed)
+    assert len({t.box.diff_mask(m) for m in listed}) >= 3
+    reasons = [v["reason"] for v in report.violations if v["subset"] == both]
+    assert reasons[0].endswith("not disjoint") and reasons[-1].startswith("solver max")
+    solver_listed = {v["subset"] for v in report.violations if v["reason"].startswith("solver")}
+    assert solver_listed == {both, alone}

@@ -1,11 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from packidx.errors import PreconditionError, SearchBudgetExceededError
 from packidx.pairmap import (
     PairMap,
-    _overlaps,
     _Search,
     codomain_pairs,
     common_point,
@@ -165,6 +165,7 @@ class TestSearch:
 
 
 GRID = [(a, b) for a in range(2, 8) for b in range(2, 8)]
+BUDGETS = (1, 10, 1000, 5000)
 
 
 @pytest.mark.parametrize("size_a,size_b", GRID)
@@ -172,7 +173,7 @@ def test_search_matches_recursive_reference(size_a, size_b):
     maps, nodes, _ = reference_search(size_a, size_b, limit=1)
     assert search_pairmap(size_a, size_b) == ((maps[0] if maps else None), nodes)
     assert iter_valid_maps(size_a, size_b, limit=50) == reference_search(size_a, size_b, limit=50)[0]
-    for budget in (1, 10, 1000):
+    for budget in BUDGETS:
         try:
             reference_search(size_a, size_b, limit=1, node_budget=budget)
         except SearchBudgetExceededError as exc:
@@ -187,28 +188,57 @@ def test_search_matches_recursive_reference(size_a, size_b):
             assert expected is None
 
 
+@pytest.mark.parametrize("size_a,size_b", [(7, 6), (8, 6)])
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_budget_stops_match_recursive_reference(size_a, size_b, budget):
+    # both searches run out, at the same node and depth
+    with pytest.raises(SearchBudgetExceededError) as want:
+        reference_search(size_a, size_b, limit=1, node_budget=budget)
+    with pytest.raises(SearchBudgetExceededError) as got:
+        search_pairmap(size_a, size_b, node_budget=budget)
+    assert (got.value.nodes, got.value.depth) == (want.value.nodes, want.value.depth)
+    assert got.value.nodes == budget + 1
+
+
+def _level_parts(search, value, full):
+    """Each level's col & row as the search narrows them, ``value(p)``
+    standing for ``compat`` of the image placed on level p."""
+    last = len(search.pairs)
+    col, row, out = [full] * last, [full] * last, [full]
+    for k in range(1, last):
+        narrow, from_row, p = search.links[k]
+        col[k] = col[k - 1] & value(k - 1) if narrow else full
+        row[k] = (row if from_row else col)[p] & value(p)
+        out.append(col[k] & row[k])
+    return out
+
+
 @pytest.mark.parametrize("size_a", range(2, 13))
 def test_overlaps_match_pairwise_scan(size_a):
-    # the table as the search built it before, by testing every earlier pair
+    # the earlier pairs meeting each pair in one index, by testing them all
     pairs = domain_pairs(size_a)
-    reference = [
+    overlaps = [
         [prev for prev in range(idx) if len({i, j} & set(pairs[prev])) == 1]
         for idx, (i, j) in enumerate(pairs)
     ]
-    assert [_overlaps(i, j) for i, j in pairs] == reference
-
-
-@pytest.mark.parametrize("size_a,size_b,budget", [(100, 100, 10), (7, 6, 1000), (6, 5, 300), (9, 8, 2000)])
-def test_overlaps_follow_search_depth(size_a, size_b, budget):
-    # the first level has no predecessors, and each deeper level is built
-    # at the first placement on the level before: a stop at depth d has
-    # built at most d levels past the first
-    search = _Search(size_a, size_b, budget)
-    with pytest.raises(SearchBudgetExceededError) as err:
-        search.run(limit=1)
-    assert len(search.overlaps) - 1 <= err.value.depth
-    pairs = domain_pairs(size_a)
-    assert search.overlaps[1:] == [_overlaps(i, j) for i, j in pairs[1 : len(search.overlaps)]]
+    search = _Search(size_a, 6, 1)
+    # one bit cleared per level: the AND names exactly the levels it read
+    full = (1 << len(pairs)) - 1
+    parts = _level_parts(search, lambda p: full ^ (1 << p), full)
+    assert parts == [full ^ sum(1 << p for p in prev) for prev in overlaps]
+    # and on random image assignments, as the search reads them
+    full = (1 << len(search.images)) - 1
+    rng = random.Random(size_a)
+    for _ in range(20):
+        assignment = [rng.randrange(len(search.images)) for _ in pairs]
+        parts = _level_parts(search, lambda p: search.compat[assignment[p]], full)
+        want = []
+        for prev in overlaps:
+            c = full
+            for p in prev:
+                c &= search.compat[assignment[p]]
+            want.append(c)
+        assert parts == want
 
 
 class TestCommonPoint:
