@@ -15,9 +15,9 @@ its cost:
   (``complement_rows``), so a colored vertex drops itself and its
   neighbours from its class with one AND. The table is built once per graph
   searched and shared by the size search and every extraction decision.
-* a degree-ordered root: ``max_clique_size`` on a whole graph renumbers the
-  vertices by descending degree first, so the greedy coloring takes the
-  dense part of the graph first and finds a large clique early.
+* a degree-ordered root: ``first_max_clique`` renumbers the vertices by
+  descending degree first, so the greedy coloring takes the dense part of
+  the graph first and finds a large clique early.
 * one root branch: ``first_max_clique`` given a vertex known to lie in a
   maximum clique (the corner of a window with one ``Z`` factor) searches
   that vertex's neighbourhood alone.
@@ -30,12 +30,12 @@ its cost:
 decision stops at its first clique of the target size and can hand that
 clique back. ``clique_of_size`` picks vertices in the caller's numbering, so
 the lexicographically-first witness is the same under any search schedule,
-but it may run its decisions on a relabelled copy of the graph (the one the
-size search used), and it reuses each clique a decision found as the answer
-one level down. A separate subset-DP oracle re-derives the clique number by
-brute force so the two routes can be cross-checked against each other: it
-decides every one of the 2^n vertex masks, bit-parallel in one big-int
-bitset per clique size, with no bound and no search order.
+but it decides on the graph the size search used, through a ``place`` map,
+and it reuses each clique a decision found as the answer one level down. A
+separate subset-DP oracle re-derives the clique number by brute force so
+the two routes can be cross-checked against each other: it decides every
+one of the 2^n vertex masks, bit-parallel in one big-int bitset per clique
+size, with no bound and no search order.
 """
 
 from __future__ import annotations
@@ -184,23 +184,17 @@ def _search(
 
 def max_clique_size(
     adj: list[int],
-    P: int | None = None,
+    P: int,
     neg: list[int] | None = None,
     translate: Callable[[int, int], int] | None = None,
     nadj: list[int] | None = None,
 ) -> int:
     """Exact clique number of the subgraph induced by the mask P.
 
-    Without P the whole graph is searched, renumbered by descending degree
-    (ties by index); the size does not depend on the numbering. On a Cayley
-    graph, P = N(0) with ``neg`` and ``translate`` (see ``_search``) prunes
-    the search by translation symmetry. With P, ``nadj`` may hand in adj's
-    ``complement_rows`` table, built here otherwise.
+    On a Cayley graph, P = N(0) with ``neg`` and ``translate`` (see
+    ``_search``) prunes the search by translation symmetry. ``nadj`` may
+    hand in adj's ``complement_rows`` table, built here otherwise.
     """
-    if P is None:
-        adj, _ = _by_degree(adj)
-        P = (1 << len(adj)) - 1
-        nadj = None
     if nadj is None:
         nadj = complement_rows(adj)
     return _search(adj, nadj, P, 0, len(adj) + 1, neg, translate)
@@ -229,63 +223,54 @@ def clique_of_size(
     adj: list[int],
     target: int,
     P: int | None = None,
-    copy: tuple[list[int], list[int]] | None = None,
+    place: list[int] | None = None,
     nadj: list[int] | None = None,
 ) -> list[int] | None:
     """Lexicographically-first clique of exactly ``target`` vertices, or None.
 
-    The extraction is a deterministic pass over vertex indices in ascending
-    order, so the witness does not depend on any search schedule. It also
-    decides feasibility: when no vertex extends the clique, there is none.
+    The decisions run on ``adj``, while the picks follow the caller's
+    numbering: ``place[v]`` is the vertex of adj that the caller numbers v
+    (None: the same numbering). ``P`` is a mask in adj's numbering, and
+    the clique comes back in the caller's. The extraction is one pass over
+    v = 0, 1, ...: every vertex scanned before a pick has left P, so the
+    picks ascend, and the witness does not depend on any search schedule.
+    It also decides feasibility: when the pass ends short, there is none.
 
     Each decision that picks v yields a clique K of the size still needed
-    inside P ∩ N(v); at the next level the answer for min(K) is then yes,
-    witnessed by K less min(K), so only the vertices below it are searched.
-    ``copy`` is an optional pair (graph, place): ``adj`` with vertex v
-    renamed ``place[v]``. A decision's answer does not depend on the
-    numbering, so the decisions run on the copy, and their cliques are
-    renamed back. Every decision reads one ``complement_rows`` table of the
-    graph it runs on: ``nadj``, if given, else one built here.
+    inside P ∩ N(v); at the next level the first vertex of K in scan order
+    is then taken without a search, witnessed by the rest of K, so only
+    the vertices scanned before it are searched. Every decision reads one
+    ``complement_rows`` table of adj: ``nadj``, else one built here.
     """
     if P is None:
         P = (1 << len(adj)) - 1
     if target == 0:
         return []
-    search, place = copy if copy is not None else (adj, None)
     if nadj is None:
-        nadj = complement_rows(search)
-    if place is not None:
-        back = [0] * len(place)
-        for v, w in enumerate(place):
-            back[w] = v
+        nadj = complement_rows(adj)
     chosen: list[int] = []
     known = 0  # a clique of `needed` vertices inside P, once a decision finds one
     needed = target
-    while needed:
-        rest = P
-        while rest:
-            bit = rest & -rest
-            v = bit.bit_length() - 1
-            rest ^= bit
-            sub = P & adj[v]
-            if known & bit:
-                # v is the lowest vertex of the known clique
-                known ^= bit
-            else:
-                found: list[int] = []
-                if not exists_clique(search, sub if place is None else _rename(sub, place), needed - 1, found, nadj):
-                    P ^= bit
-                    continue
-                known = 0
-                for w in found:
-                    known |= 1 << (w if place is None else back[w])
-            chosen.append(v)
-            P = sub
-            needed -= 1
-            break
+    for v in range(len(adj)):
+        bit = 1 << (v if place is None else place[v])
+        if not P & bit:
+            continue
+        sub = P & adj[bit.bit_length() - 1]
+        if known & bit:
+            # the first vertex of the known clique in scan order
+            known ^= bit
         else:
-            return None
-    return chosen
+            found: list[int] = []
+            if not exists_clique(adj, sub, needed - 1, found, nadj):
+                P ^= bit
+                continue
+            known = sum(1 << w for w in found)
+        chosen.append(v)
+        needed -= 1
+        if not needed:
+            return chosen
+        P = sub
+    return None
 
 
 def first_max_clique(adj: list[int], root: int | None = None) -> tuple[int, list[int]]:
@@ -297,14 +282,13 @@ def first_max_clique(adj: list[int], root: int | None = None) -> tuple[int, list
     clique narrows the size search to its one branch: the clique number is
     1 + ω(N(root)). The witness is still the whole graph's.
     """
-    copy = _by_degree(adj)
-    graph, place = copy
+    graph, place = _by_degree(adj)
     nadj = complement_rows(graph)
     if root is None:
         size = max_clique_size(graph, (1 << len(adj)) - 1, None, None, nadj)
     else:
         size = 1 + max_clique_size(graph, graph[place[root]], None, None, nadj)
-    witness = clique_of_size(adj, size, None, copy, nadj) or []
+    witness = clique_of_size(graph, size, None, place, nadj) or []
     return size, witness
 
 

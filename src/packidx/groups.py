@@ -720,14 +720,15 @@ class DenseBox:
             out = [c + p for c in out for p in part]
         return out
 
-    def tables(self, elements: list[Element] | None = None) -> BoxTables:
-        """The box's per-code tables, built on the first call. ``elements``
-        may pass the box's elements in :func:`enumerate_window` order, when
-        the caller has listed them already."""
+    def tables(self) -> BoxTables:
+        """The box's per-code tables, built on the first call. The elements
+        are listed as :func:`enumerate_window` lists a window, one
+        :func:`iter_coords` stream per factor (a ``Z`` radius of 0 gives 0
+        alone), and each is filed under its code from :meth:`codes`."""
         if self._tables is None:
             codes = self.codes(self.bounds)
-            if elements is None:
-                elements = [self.decode(c) for c in codes]
+            pools = [iter_coords(f, b) for f, b in zip(self.group.factors, self.bounds)]
+            elements = [Element(self.group, coords) for coords in itertools.product(*pools)]
             by_code = [None] * self.size
             for e, c in zip(elements, codes):
                 by_code[c] = e

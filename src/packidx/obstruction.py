@@ -21,7 +21,7 @@ import random
 import sys
 from array import array
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -278,7 +278,11 @@ def _verdict(t: _GroupTables, kappa: int, d: int) -> str | tuple[tuple[str, bool
 
 
 def _sweep(
-    t: _GroupTables, kappa: int, masks: Sequence[int], diffs: Sequence[int], stride: int
+    t: _GroupTables,
+    kappa: int,
+    masks: Sequence[int],
+    diffs: Sequence[int],
+    checked: Iterable[tuple[int, int]],
 ) -> dict:
     """SweepReport's counting fields; ``diffs[k]`` is the difference mask of
     ``masks[k]``, and ascending masks keep violations in subset order.
@@ -286,7 +290,10 @@ def _sweep(
     Subsets share few difference masks, so the subsets are counted per
     distinct D, and each D's verdict is worked out once and counted that
     many times. Only when some D is bad are the subsets scanned, to list
-    each one's violations. The solver cross-check runs on the subset itself.
+    each one's violations. ``checked`` holds the (mask, D) pairs of the
+    subsets cross-checked against the solver, which runs on the subset
+    itself. Element i has code i, window order and so ``sort_key`` order,
+    so a subset's elements in index order make its ``ElementSet`` as is.
     """
     found = certified = nofam = checks = 0
     cases: dict[str, int] = {}
@@ -324,16 +331,11 @@ def _sweep(
                         {"subset": mask, "reason": f"{variant} extension not disjoint"}
                     )
 
-    for mask, d in zip(masks, diffs):
-        if mask % stride:
-            continue
+    for mask, d in checked:
         checks += 1
         verdict = verdicts[d]
         found_family = not isinstance(verdict, str) and bool(verdict)
-        A = ElementSet.of(
-            t.group,
-            [t.elements[i] for i in range(t.n) if (mask >> i) & 1],
-        )
+        A = ElementSet(t.group, tuple(t.elements[i] for i in range(t.n) if mask >> i & 1))
         size = max_packing_family(A, t.window).size
         if found_family and size < kappa:
             violations.append({"subset": mask, "reason": f"solver max {size} < {kappa}"})
@@ -402,15 +404,18 @@ def exhaustive_no_index_check(
         mode = "exhaustive"
         masks = range(1, 1 << n)
         diffs = t.exhaustive_diff_masks()
+        stride = max(1, len(masks) // 128)
+        # mask k sits at index k - 1, so the multiples of stride are a slice
+        checked = zip(range(stride, 1 << n, stride), diffs[stride - 1 :: stride])
         seed_used = None
     else:
         mode = "sampled"
         rng = random.Random(seed)
         masks = sorted({rng.randrange(1, 1 << n) for _ in range(sample)})
         diffs = list(map(t.box.diff_mask, masks))  # read twice
+        stride = max(1, len(masks) // 128)
+        checked = [(mask, d) for mask, d in zip(masks, diffs) if mask % stride == 0]
         seed_used = seed
-
-    stride = max(1, len(masks) // 128)
 
     return SweepReport(
         group=str(group),
@@ -419,5 +424,5 @@ def exhaustive_no_index_check(
         seed=seed_used,
         sample=sample,
         subsets_examined=len(masks),
-        **_sweep(t, kappa, masks, diffs, stride),
+        **_sweep(t, kappa, masks, diffs, checked),
     )

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .groups import (
     INFINITE_CYCLIC,
-    SHARED_BOX_CODES,
     DenseBox,
     Element,
     GroupSpec,
@@ -80,9 +79,6 @@ class ElementSet:
 
     def coords_set(self) -> frozenset:
         return frozenset(e.coords for e in self.elements)
-
-    def translate(self, b: Element) -> ElementSet:
-        return ElementSet.of(self.group, (b + a for a in self.elements))
 
     def to_texts(self) -> list[str]:
         return [format_element(e) for e in self.elements]
@@ -174,29 +170,6 @@ def _certify_family(A: ElementSet, shifts: list[Element]) -> bool:
     return True
 
 
-def _root_clique_size(
-    adj: list[int], window: Window, vertices: list[Element]
-) -> tuple[int, tuple[list[int], list[int]] | None, list[int] | None]:
-    """Clique number of N(0) in the Cayley graph of a subgroup window,
-    searched in code order under the translation rule of ``clique._search``;
-    the code-ordered copy it searched as ``(graph, place)``, or None when
-    that copy is ``adj`` itself; and the ``clique.complement_rows`` table of
-    the graph searched, for the extraction's decisions to share (None when
-    N(0) is empty). The window is its own box, and the search reads that
-    box's tables: ``place`` to renumber the graph, ``neg`` and ``steps``
-    for the rule."""
-    if not adj[0]:
-        return 0, None, None
-    _, _, neg, steps, place = box_for(window.group, window.bounds).tables(vertices)
-    copy = None
-    if place is not None:
-        copy = clique.relabel(adj, place), place
-        adj = copy[0]
-    nadj = clique.complement_rows(adj)
-    size = clique.max_clique_size(adj, adj[0], neg, lambda mask, v: apply_steps(mask, steps[v]), nadj)
-    return size, copy, nadj
-
-
 def _corner(window: Window, vertices: list[Element]) -> int | None:
     """Index in ``vertices`` of the corner (-w, 0) of a window with one
     ``Z`` factor, of bound w; None for a window with no ``Z`` factor or
@@ -209,16 +182,6 @@ def _corner(window: Window, vertices: list[Element]) -> int | None:
     coords[z[0]] = -window.bounds[z[0]]
     corner = tuple(coords)
     return next(i for i, v in enumerate(vertices) if v.coords == corner)
-
-
-def _window_vertices(window: Window) -> list[Element]:
-    """The window's elements in :func:`enumerate_window` order. A window of
-    at most ``SHARED_BOX_CODES`` elements is its own shared box, so they are
-    read off that box's tables, listed once for the process."""
-    if window.size() > SHARED_BOX_CODES:
-        return list(enumerate_window(window))
-    elements, _, _, _, place = box_for(window.group, window.bounds).tables()
-    return [elements[c] for c in (range(len(elements)) if place is None else place)]
 
 
 def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
@@ -234,8 +197,12 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     clique through 0 and v or -v, so both are dropped from the root and,
     translated by each vertex a deeper node adds, from its candidates. The
     lexicographically-first family then starts at vertex 0, the lowest
-    index, so its extraction runs inside N(0), deciding on the copy the
-    root search used.
+    index, so its extraction runs inside N(0). The window is its own box:
+    the graph is built on the box's elements in code order, where each row
+    of a set A inside the window is a translate of D* with no gather, and
+    the box's tables give ``neg`` and the steps for the rule. The search
+    runs on that graph, and the extraction scans the window's enumeration
+    order through the box's ``place``.
 
     A window with a ``Z`` factor is no subgroup. With exactly one, of bound
     w, say Z + H, translate any family so that its lowest ``Z`` coordinate
@@ -254,13 +221,20 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     size = window.size()
     if size > DEFAULT_MAX_VERTICES:
         raise WindowTooLargeError(size, DEFAULT_MAX_VERTICES)
-    vertices = _window_vertices(window)
-    adj = compatibility_graph(A, vertices)
     if any(f.kind == INFINITE_CYCLIC for f in A.group.factors):
+        vertices = list(enumerate_window(window))
+        adj = compatibility_graph(A, vertices)
         _, picked = clique.first_max_clique(adj, _corner(window, vertices))
     else:
-        root, copy, nadj = _root_clique_size(adj, window, vertices)
-        picked = [0] + clique.clique_of_size(adj, root, adj[0], copy, nadj)
+        vertices, _, neg, steps, place = box_for(window.group, window.bounds).tables()
+        adj = compatibility_graph(A, vertices)
+        size, nadj = 0, None
+        if adj[0]:  # else D* covers the window, and {0} is a maximum family
+            nadj = clique.complement_rows(adj)
+            size = clique.max_clique_size(adj, adj[0], neg, lambda mask, v: apply_steps(mask, steps[v]), nadj)
+        picked = [0] + clique.clique_of_size(adj, size, adj[0], place, nadj)
+        if place is not None:
+            picked = [place[i] for i in picked]
     shifts = [vertices[i] for i in picked]
     if not _certify_family(A, shifts):
         raise CertificationError("the solver's family has intersecting translates")

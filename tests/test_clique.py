@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import packidx.clique as clique_module
 from packidx.clique import (
     _by_degree,
+    _rename,
     clique_of_size,
     color_sort,
     complement_rows,
@@ -17,8 +18,8 @@ from packidx.clique import (
     max_clique_size,
     relabel,
 )
-from packidx.groups import INFINITE_CYCLIC, Window, enumerate_window, parse_group
-from packidx.packing import ElementSet, _root_clique_size, compatibility_graph, max_packing_family
+from packidx.groups import INFINITE_CYCLIC, Window, apply_steps, box_for, enumerate_window, parse_group
+from packidx.packing import ElementSet, compatibility_graph, max_packing_family
 
 
 def random_graph(rng, n, p):
@@ -60,7 +61,8 @@ def test_solver_matches_both_oracles(seed):
 
 
 def test_empty_and_edgeless():
-    assert max_clique_size([]) == 0
+    assert first_max_clique([]) == (0, [])
+    assert max_clique_size([], 0) == 0
     assert first_max_clique([0, 0, 0]) == (1, [0])
 
 
@@ -84,8 +86,8 @@ def test_witness_is_lexicographically_first():
 def test_exists_clique_thresholds():
     rng = random.Random(7)
     adj = random_graph(rng, 11, 0.5)
-    size = max_clique_size(adj)
     full = (1 << 11) - 1
+    size = max_clique_size(adj, full)
     assert exists_clique(adj, full, size)
     assert not exists_clique(adj, full, size + 1)
     assert exists_clique(adj, full, 0)
@@ -229,7 +231,7 @@ def assert_matches_oracle(adj, rng):
     n = len(adj)
     full = (1 << n) - 1
     omega = exhaustive_max_clique_size(adj)
-    assert max_clique_size(adj) == omega
+    assert first_max_clique(adj)[0] == max_clique_size(adj, full) == omega
     assert exists_clique(adj, full, omega)
     assert not exists_clique(adj, full, omega + 1)
     assert clique_of_size(adj, omega) == first_clique(adj, full, omega)
@@ -386,21 +388,25 @@ def shuffled_copy(adj, rng):
 @pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
 @pytest.mark.parametrize("seed", range(6))
 def test_extraction_matches_reference(seed, density):
+    # the decisions run on the graph as given, or on a degree-ordered or
+    # shuffled copy read through its place map, P renamed into the copy
     rng = random.Random(10 * seed + int(10 * density))
     n = rng.randint(1, 40)
     adj = random_graph(rng, n, density)
     full = (1 << n) - 1
-    copies = [None, _by_degree(adj), shuffled_copy(adj, rng)]
-    for P in (None, rng.randrange(1, full + 1)):
+    identity = list(range(n))
+    copies = [(adj, None), _by_degree(adj), shuffled_copy(adj, rng)]
+    for P in (full, rng.randrange(1, full + 1)):
         omega = max_clique_size(adj, P)
         assert reference_clique_of_size(adj, omega + 1, P) is None
         for target in sorted({omega, max(omega - 1, 0)}):
             expected = reference_clique_of_size(adj, target, P)
             assert expected is not None
-            for copy in copies:
-                assert clique_of_size(adj, target, P, copy) == expected
-        for copy in copies:
-            assert clique_of_size(adj, omega + 1, P, copy) is None
+            for graph, place in copies:
+                moved = _rename(P, place or identity)
+                assert clique_of_size(graph, target, moved, place) == expected
+        for graph, place in copies:
+            assert clique_of_size(graph, omega + 1, _rename(P, place or identity), place) is None
 
 
 def test_extraction_reuses_the_clique_a_decision_found(monkeypatch):
@@ -413,14 +419,15 @@ def test_extraction_reuses_the_clique_a_decision_found(monkeypatch):
         return exists_clique(*args)
 
     monkeypatch.setattr(clique_module, "exists_clique", counting)
-    adj = complete_graph(12)
-    assert clique_of_size(adj, 12, None, _by_degree(adj)) == list(range(12))
+    graph, place = _by_degree(complete_graph(12))
+    assert clique_of_size(graph, 12, None, place) == list(range(12))
     assert len(calls) == 1
 
 
 # windows the solver meets: a Z window, a subgroup window searched in
-# enumeration order, a Prufer window searched on its code-ordered copy, and
-# a dense Z + Z window where the clique is half the graph
+# enumeration order, a Prufer window searched in code order and scanned
+# through the box's place, and a dense Z + Z window where the clique is half
+# the graph
 EXTRACTION_WINDOWS = [
     ("Z", ["0", "1", "3", "7"], {"bound": 40}),
     ("Z_10 + Z_10", ["(5,1)", "(8,5)", "(9,0)", "(9,2)"], {}),
@@ -436,14 +443,23 @@ def test_window_extraction_matches_reference(text, elements, window_args):
     window = Window.for_group(group, **window_args)
     vertices = list(enumerate_window(window))
     adj = compatibility_graph(A, vertices)
+    family = max_packing_family(A, window)
     if any(f.kind == INFINITE_CYCLIC for f in group.factors):
         omega, picked = first_max_clique(adj)
         assert picked == reference_clique_of_size(adj, omega)
-        assert clique_of_size(adj, omega + 1, None, _by_degree(adj)) is None
+        graph, place = _by_degree(adj)
+        assert clique_of_size(graph, omega + 1, None, place) is None
     else:
-        root, copy, nadj = _root_clique_size(adj, window, vertices)
-        assert (copy is not None) == (text == "Prufer(2)")
-        picked = [0] + clique_of_size(adj, root, adj[0], copy, nadj)
+        # the family in enumeration order: vertex 0, then N(0)'s first clique
+        index = {v.coords: i for i, v in enumerate(vertices)}
+        picked = sorted(index[b.coords] for b in family.shifts)
+        root = family.size - 1
         assert picked == [0] + reference_clique_of_size(adj, root, adj[0])
-        assert clique_of_size(adj, root + 1, adj[0], copy) is None
-    assert max_packing_family(A, window).shifts == ElementSet.of(group, [vertices[i] for i in picked])
+        assert reference_clique_of_size(adj, root + 1, adj[0]) is None
+        # the search's own graph is in code order, scanned through place
+        elements, _, neg, steps, place = box_for(group, window.bounds).tables()
+        assert (place is not None) == (text == "Prufer(2)")
+        coded = compatibility_graph(A, elements)
+        assert max_clique_size(coded, coded[0], neg, lambda mask, v: apply_steps(mask, steps[v])) == root
+        assert clique_of_size(coded, root + 1, coded[0], place) is None
+    assert family.shifts == ElementSet.of(group, [vertices[i] for i in picked])

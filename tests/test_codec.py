@@ -27,7 +27,6 @@ from packidx.groups import (
     parse_group,
     sum_bounds,
 )
-from packidx.obstruction import exhaustive_no_index_check
 from packidx.packing import ElementSet, compatibility_graph, write_set_file
 from packidx.runners import RunConfig, run_index, run_witness
 from packidx.witness import WitnessSet, verify_witness
@@ -439,28 +438,24 @@ def test_large_runs_leave_no_large_box_shared(tmp_path, monkeypatch):
     assert all(size <= SHARED_BOX_CODES for size in _box_sizes())
 
 
-# the groups of the benchmark's obstruction sweeps, each with a kappa its
-# family admits
-SWEEP_GROUPS = [("Z_3^2", 3), ("Z_2^4", 4), ("Z_4 + Z_2", 4), ("Z_4 + Z_2^2", 4), ("Z_3^3", 3), ("Z_2^5", 4)]
+# boxes whose every bound is 0, a Z radius of 0 among them
+ZERO_BOXES = [("Z", (0,)), ("Z + Z_2", (0, None)), ("Z_2^w + Z", (0, 0)), ("Z + Prufer(2)", (0, 0))]
 
 
-def test_shared_boxes_list_their_window_in_enumeration_order(monkeypatch):
-    # max_packing_family takes a small window's vertices from its shared box
-    monkeypatch.setattr(groups, "_SHARED_BOXES", {})
-    for text, kappa in SWEEP_GROUPS:
-        report = exhaustive_no_index_check(parse_group(text), kappa, sample=40, seed=1)
-        assert report.cross_checks and not report.violations
-    # small windows of the other kinds, whose codes are not in window order
-    for text, window_opts, _ in GRAPH_CASES:
-        window = Window.for_group(parse_group(text), **window_opts)
-        if window.size() <= SHARED_BOX_CODES:
-            packing.max_packing_family(ElementSet.of(window.group, [window.group.zero()]), window)
-    windows = [
-        Window(box.group, box.bounds)
-        for box in groups._SHARED_BOXES.values()
-        if all(b is None or b > 0 for b in box.bounds)
-    ]
-    want = [text for text, _ in SWEEP_GROUPS] + ["Z", "Z_2^w", "Prufer(2)"]
-    assert {w.group for w in windows} >= {parse_group(text) for text in want}
-    for window in windows:
-        assert packing._window_vertices(window) == list(enumerate_window(window))
+def _assert_tables_decode(group, bounds):
+    tables = DenseBox(group, bounds).tables()
+    plain = DenseBox(group, bounds)
+    assert len(tables.elements) == plain.size
+    for c, e in enumerate(tables.elements):
+        assert e == plain.decode(c)
+        assert tables.index[e.coords] == c
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tables_hold_the_decoded_element_of_every_code(data):
+    # tables() lists a box as enumerate_window lists a window, with no
+    # decode; the element it files under each code is the one decode gives
+    for text, bounds in ZERO_BOXES:
+        _assert_tables_decode(parse_group(text), bounds)
+    _assert_tables_decode(*data.draw(box_case()))

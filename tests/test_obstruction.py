@@ -233,15 +233,19 @@ def test_sweep_agrees_with_solver_on_any_subset(mask):
     assert size != 3
 
 
+def swept_masks(n, sample, seed):
+    """The subsets a sweep of an n-element group examines, ascending."""
+    if sample is None:
+        return range(1, 1 << n)
+    rng = random.Random(seed)
+    return sorted({rng.randrange(1, 1 << n) for _ in range(sample)})
+
+
 def reference_sweep(group, kappa, sample=None, seed=0):
     """The sweep as a per-subset loop with no memo: each subset finds its
     own families in its own difference mask and certifies them."""
     t = _GroupTables(group)
-    if sample is None:
-        masks = range(1, 1 << t.n)
-    else:
-        rng = random.Random(seed)
-        masks = sorted({rng.randrange(1, 1 << t.n) for _ in range(sample)})
+    masks = swept_masks(t.n, sample, seed)
     stride = max(1, len(masks) // 128)
     order4 = sum(1 << i for i, o in enumerate(t.order) if o == 4)
     found = certified = nofam = checks = 0
@@ -315,6 +319,32 @@ def test_memoised_sweep_matches_per_subset_reference(text, kappa, sample, seed):
     group = parse_group(text)
     got = exhaustive_no_index_check(group, kappa, sample=sample, seed=seed)
     assert got == reference_sweep(group, kappa, sample, seed)
+
+
+@pytest.mark.parametrize("text,kappa,sample,seed", SWEEP_CELLS)
+def test_cross_checks_solve_the_sorted_set_of_every_strided_subset(text, kappa, sample, seed, monkeypatch):
+    # the sweep slices its strided subsets out of the exhaustive table and
+    # builds each set in index order with no sort: the solver must still
+    # see ElementSet.of of each mask that is a multiple of the stride
+    group = parse_group(text)
+    seen = []
+    solve = obstruction.max_packing_family
+
+    def spy(A, window):
+        seen.append(A)
+        return solve(A, window)
+
+    monkeypatch.setattr(obstruction, "max_packing_family", spy)
+    report = exhaustive_no_index_check(group, kappa, sample=sample, seed=seed)
+    t = _GroupTables(group)
+    masks = swept_masks(t.n, sample, seed)
+    stride = max(1, len(masks) // 128)
+    want = [
+        ElementSet.of(group, [t.elements[i] for i in range(t.n) if mask >> i & 1])
+        for mask in masks
+        if mask % stride == 0
+    ]
+    assert seen == want and report.cross_checks == len(want)
 
 
 def test_sweep_and_cross_check_read_one_set_of_box_tables(monkeypatch):

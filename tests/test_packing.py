@@ -36,7 +36,6 @@ from packidx.groups import (
 from packidx.packing import (
     ElementSet,
     _certify_family,
-    _root_clique_size,
     clique_in_bset_of_size,
     compatibility_graph,
     difference_set,
@@ -355,10 +354,11 @@ def test_pruned_root_matches_whole_graph_search(index):
     vertices = list(enumerate_window(window))
     adj = compatibility_graph(A, vertices)
     omega, picked = first_max_clique(adj)
-    root, copy, _ = _root_clique_size(adj, window, vertices)
-    assert 1 + root == omega
-    # the copy the extraction decides on is the same graph, renumbered
-    assert copy is None or copy[0] == relabel(adj, copy[1])
+    # the pruned root search, on the graph in the box's code order
+    elements, _, neg, steps, place = box_for(group, window.bounds).tables()
+    coded = compatibility_graph(A, elements)
+    assert coded == (adj if place is None else relabel(adj, place))
+    assert 1 + max_clique_size(coded, coded[0], neg, lambda mask, v: apply_steps(mask, steps[v])) == omega
     family = max_packing_family(A, window)
     assert family.size == omega and family.certified
     assert family.shifts == ElementSet.of(group, [vertices[i] for i in picked])
@@ -396,7 +396,7 @@ def test_cayley_tables_match_element_arithmetic(text, window_args):
     window = Window.for_group(group, **window_args)
     vertices = list(enumerate_window(window))
     box = box_for(group, window.bounds)
-    tables = box.tables(vertices)
+    tables = box.tables()
     # a box with no tables codes and translates digit by digit
     plain = DenseBox(group, window.bounds)
     code = [plain.encode(v) for v in vertices]
@@ -449,6 +449,26 @@ def test_pruned_root_family_matches_first_max_clique(text, window_args, pool_arg
     assert family.size == size
     assert family.shifts == ElementSet.of(group, [vertices[i] for i in picked])
     assert family.certified
+
+
+def test_subgroup_window_rows_take_no_gather(monkeypatch):
+    # a Prufer window lists its elements out of code order, but the solve
+    # builds its graph in code order, so with A inside the window every row
+    # is a translate of D* and no row is gathered by code
+    group = parse_group("Prufer(2)")
+    window = Window.for_group(group, prufer_level=6)
+    assert box_for(group, window.bounds).tables().place is not None
+    A = ElementSet.parse(group, ["0", "1/2^6", "3/2^5", "7/2^6", "5/2^3"])
+    vertices = list(enumerate_window(window))
+    size, picked = unpruned_first_max_clique(compatibility_graph(A, vertices), window)
+
+    def refuse(*args):
+        raise AssertionError("a graph row was gathered by code")
+
+    monkeypatch.setattr(packidx.packing, "itemgetter", refuse)
+    family = max_packing_family(A, window)
+    assert family.size == size and family.certified
+    assert family.shifts == ElementSet.of(group, [vertices[i] for i in picked])
 
 
 # 21 to 24 vertices: past the 20 the oracle once stopped at, and each
