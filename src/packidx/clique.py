@@ -16,8 +16,9 @@ its cost:
   neighbours from its class with one AND. The table is built once per graph
   searched and shared by the size search and every extraction decision.
 * a degree-ordered root: ``first_max_clique`` renumbers the vertices by
-  descending degree first, so the greedy coloring takes the dense part of
-  the graph first and finds a large clique early.
+  descending degree first, ties by the caller's numbering, so the greedy
+  coloring takes the dense part of the graph first and finds a large
+  clique early.
 * one root branch: ``first_max_clique`` given a vertex known to lie in a
   maximum clique (the corner of a window with one ``Z`` factor) searches
   that vertex's neighbourhood alone.
@@ -25,6 +26,8 @@ its cost:
   root search of a subgroup window): a root vertex v whose branch is done
   joins an explored set E together with -v, and a node that adds w drops
   its candidates in w + E (see ``_search``).
+* reflection, on the same search: inside the root branch of r, a depth-1
+  vertex w whose branch is done takes r - w out of the candidates with it.
 
 ``max_clique_size`` and ``exists_clique`` are one search, ``_search``; the
 decision stops at its first clique of the target size and can hand that
@@ -45,15 +48,19 @@ from typing import Callable
 ORACLE_LIMIT = 24
 
 
-def _by_degree(adj: list[int]) -> tuple[list[int], list[int]]:
-    """The same graph with vertex i renamed to its place in descending-degree
-    order, ties broken by index, and that renaming ``place``."""
+def _by_degree(adj: list[int], place: list[int] | None = None) -> tuple[list[int], list[int]]:
+    """The same graph with each vertex renamed to its place in
+    descending-degree order, and that renaming, from adj's vertices. Ties
+    go by the caller's numbering: ``place[v]`` is the vertex of adj that
+    the caller numbers v (None: adj's own)."""
     n = len(adj)
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    place = [0] * n
+    if place is None:
+        place = list(range(n))
+    order = sorted(range(n), key=lambda v: (-adj[place[v]].bit_count(), v))
+    at = [0] * n
     for i, v in enumerate(order):
-        place[v] = i
-    return relabel(adj, place), place
+        at[place[v]] = i
+    return relabel(adj, at), at
 
 
 def _rename(mask: int, place: list[int]) -> int:
@@ -143,25 +150,30 @@ def _search(
     translation every clique through 0 and -v, so both join the explored
     set E and leave the root's candidates. A node that adds w then drops
     its candidates in w + E: translating by -w maps a clique through 0, w
-    and w + e onto one through 0 and e.
+    and w + e onto one through 0 and e. Inside the root branch of r, the
+    reflection x -> r - x swaps 0 and r and maps a clique through 0, r and
+    r - w onto one through r, 0 and w; so once the branch of w is done at
+    depth 1, r - w leaves the candidates too. Those candidates,
+    N(0) ∩ N(r) less E and r + E, are closed under the reflection, as E is
+    symmetric. A vertex dropped by a rule may sit later in a node's color
+    order, so every node skips what has left its candidates.
     """
     explored = 0
 
-    def expand(size: int, cand: int) -> bool:
+    def expand(size: int, cand: int, last: int) -> bool:
         nonlocal best, explored
         order, colors = color_sort(cand, nadj, best - size + 1)
         for i in range(len(order) - 1, -1, -1):
             if size + colors[i] <= best:
                 return False
             v = order[i]
+            if not cand >> v & 1:
+                continue  # dropped by symmetry after the coloring
             sub = cand & adj[v]
-            if explored:
-                if not cand >> v & 1:
-                    continue  # at the root: -u of an explored u
-                if sub:
-                    sub &= ~translate(explored, v)
+            if explored and sub:
+                sub &= ~translate(explored, v)
             if sub and size + 1 < stop:
-                if expand(size + 1, sub):
+                if expand(size + 1, sub, v):
                     if witness is not None:
                         witness.append(v)
                     return True
@@ -172,13 +184,16 @@ def _search(
                         witness.append(v)
                     return True
             cand &= ~(1 << v)
-            if not size and neg is not None:
-                explored |= 1 << v | 1 << neg[v]
-                cand &= ~explored
+            if neg is not None:
+                if not size:
+                    explored |= 1 << v | 1 << neg[v]
+                    cand &= ~explored
+                elif size == 1:
+                    cand &= ~translate(1 << neg[v], last)  # r - v, r = last
         return False
 
     if P:
-        expand(0, P)
+        expand(0, P, 0)
     return best
 
 
@@ -273,22 +288,29 @@ def clique_of_size(
     return None
 
 
-def first_max_clique(adj: list[int], root: int | None = None) -> tuple[int, list[int]]:
-    """Exact clique number plus its lexicographically-first witness.
+def first_max_clique(
+    adj: list[int], root: int | None = None, place: list[int] | None = None
+) -> tuple[int, list[int]]:
+    """Exact clique number plus its lexicographically-first witness, in the
+    caller's numbering: ``place[v]`` is the vertex of adj that the caller
+    numbers v (None: adj's own).
 
     The size search and every extraction decision run on one
     degree-ordered copy of the graph and share its ``complement_rows``
-    table. A ``root`` vertex that the caller knows to lie in some maximum
+    table. Degree ties go by the caller's numbering, so the copy, and with
+    it every search, is the same whichever numbering adj comes in. A
+    ``root`` vertex of adj that the caller knows to lie in some maximum
     clique narrows the size search to its one branch: the clique number is
     1 + ω(N(root)). The witness is still the whole graph's.
     """
-    graph, place = _by_degree(adj)
+    graph, at = _by_degree(adj, place)
     nadj = complement_rows(graph)
     if root is None:
         size = max_clique_size(graph, (1 << len(adj)) - 1, None, None, nadj)
     else:
-        size = 1 + max_clique_size(graph, graph[place[root]], None, None, nadj)
-    witness = clique_of_size(graph, size, None, place, nadj) or []
+        size = 1 + max_clique_size(graph, graph[at[root]], None, None, nadj)
+    scan = at if place is None else [at[u] for u in place]
+    witness = clique_of_size(graph, size, None, scan, nadj) or []
     return size, witness
 
 

@@ -10,7 +10,7 @@ oracle used by the test suite to cross-check it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -49,10 +49,13 @@ MAX_BOX_BITS = 1 << 20
 
 @dataclass(frozen=True)
 class ElementSet:
-    """A finite set of elements of one group, in canonical iteration order."""
+    """A finite set of elements of one group, in canonical iteration order.
+    ``_differences`` keeps what :func:`difference_mask` worked out for the
+    set, by region; it takes no part in equality or hashing."""
 
     group: GroupSpec
     elements: tuple[Element, ...]
+    _differences: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, group: GroupSpec, elements: Iterable[Element]) -> ElementSet:
@@ -93,18 +96,25 @@ def difference_set(A: ElementSet) -> ElementSet:
 
 def difference_mask(A: ElementSet, region: tuple) -> tuple[DenseBox, int]:
     """The differences a - a' lying in the box ``region``, as a mask over a
-    box that holds the region.
+    box that holds the region. A keeps the answer for each region, so the
+    D a subgroup window's cover check reads is the D its graph reads.
 
     The mask is an OR of translates of A, so its box must hold A itself:
     a translate drops what leaves the box, and only the region is exact.
     """
+    answer = A._differences.get(region)
+    if answer is not None:
+        return answer
     group = A.group
     box = box_for(group, hull_bounds(region, extents(group, A.elements)))
     if box.size <= MAX_BOX_BITS:
-        return box, box.diff_mask(box.mask_of(A.elements))
-    box = box_for(group, region)
-    diffs = (x - y for x in A.elements for y in A.elements)
-    return box, box.mask_of(d for d in diffs if box.encode(d) is not None)
+        answer = box, box.diff_mask(box.mask_of(A.elements))
+    else:
+        box = box_for(group, region)
+        diffs = (x - y for x in A.elements for y in A.elements)
+        answer = box, box.mask_of(d for d in diffs if box.encode(d) is not None)
+    A._differences[region] = answer
+    return answer
 
 
 def translates_disjoint(A: ElementSet, b: Element, b2: Element) -> bool:
@@ -133,8 +143,11 @@ def compatibility_graph(A: ElementSet, vertices: list[Element]) -> list[int]:
 
     Row i holds the vertices v with v - v_i outside the nonzero differences
     of A, that is the vertices missing from the translate of D* by v_i.
-    When the vertices are the whole box in code order, that translate is
-    the row itself; otherwise each row is gathered from it by code.
+    When the vertices' codes ascend in one run from some lo, that translate
+    shifted down by lo is the row itself: so on a subgroup window's box in
+    code order (lo = 0), and on a window whose only or leftmost factor is
+    ``Z``, in code order, when A's other coordinates lie inside the window.
+    Any other vertex list has each row gathered from the translate by code.
     """
     if not vertices:
         return []
@@ -144,8 +157,9 @@ def compatibility_graph(A: ElementSet, vertices: list[Element]) -> list[int]:
     dstar = diff & ~(1 << box.encode(group.zero()))
     codes = [box.encode(v) for v in vertices]
     full = (1 << len(vertices)) - 1
-    if codes == list(range(box.size)):
-        return [full ^ box.translate(dstar, c) ^ (1 << c) for c in codes]
+    lo = codes[0]
+    if codes == list(range(lo, lo + len(codes))):
+        return [full ^ ((box.translate(dstar, c) >> lo) & full) ^ (1 << i) for i, c in enumerate(codes)]
     # format() writes bit c at string position size-1-c; vertex n-1 comes first
     # so that the picked string reads as the row in binary
     pick = itemgetter(*(box.size - 1 - c for c in reversed(codes)))
@@ -170,20 +184,6 @@ def _certify_family(A: ElementSet, shifts: list[Element]) -> bool:
     return True
 
 
-def _corner(window: Window, vertices: list[Element]) -> int | None:
-    """Index in ``vertices`` of the corner (-w, 0) of a window with one
-    ``Z`` factor, of bound w; None for a window with no ``Z`` factor or
-    several."""
-    group = window.group
-    z = [i for i, f in enumerate(group.factors) if f.kind == INFINITE_CYCLIC]
-    if len(z) != 1:
-        return None
-    coords = list(group.zero().coords)
-    coords[z[0]] = -window.bounds[z[0]]
-    corner = tuple(coords)
-    return next(i for i, v in enumerate(vertices) if v.coords == corner)
-
-
 def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     """Exact maximum family of shifts inside the window, ties broken canonically.
 
@@ -197,12 +197,15 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     clique through 0 and v or -v, so both are dropped from the root and,
     translated by each vertex a deeper node adds, from its candidates. The
     lexicographically-first family then starts at vertex 0, the lowest
-    index, so its extraction runs inside N(0). The window is its own box:
-    the graph is built on the box's elements in code order, where each row
-    of a set A inside the window is a translate of D* with no gather, and
-    the box's tables give ``neg`` and the steps for the rule. The search
-    runs on that graph, and the extraction scans the window's enumeration
-    order through the box's ``place``.
+    index, so its extraction runs inside N(0). Inside the root branch of r
+    the search also drops r - w with each finished depth-1 vertex w, by the
+    reflection x -> r - x. When A - A covers the window, {0} is a maximum
+    family and no graph is built. The window is its own box: the graph is
+    built on the box's elements in code order, where each row of a set A
+    inside the window is a translate of D* with no gather, and the box's
+    tables give ``neg`` and the steps for the rules. The search runs on
+    that graph, and the extraction scans the window's enumeration order
+    through the box's ``place``.
 
     A window with a ``Z`` factor is no subgroup. With exactly one, of bound
     w, say Z + H, translate any family so that its lowest ``Z`` coordinate
@@ -212,7 +215,11 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     corner (-w, 0) lies in a maximum family, and one root branch at the
     corner proves the size. The family itself is the whole graph's
     lexicographically-first one, which need not hold the corner. A window
-    with several ``Z`` factors gets the whole-graph search.
+    with several ``Z`` factors gets the whole-graph search. A window with
+    a ``Z`` factor is listed in code order, where the corner is vertex 0
+    and, with ``Z`` leftmost and A's other coordinates inside the window,
+    each row is a shifted translate of D*; the search reads the window's
+    enumeration order through ``place``.
     """
     if not A.elements:
         raise EmptySetError("packing index of the empty set is undefined")
@@ -221,20 +228,30 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     size = window.size()
     if size > DEFAULT_MAX_VERTICES:
         raise WindowTooLargeError(size, DEFAULT_MAX_VERTICES)
-    if any(f.kind == INFINITE_CYCLIC for f in A.group.factors):
-        vertices = list(enumerate_window(window))
+    group = A.group
+    z_factors = sum(f.kind == INFINITE_CYCLIC for f in group.factors)
+    if z_factors:
+        place = box_for(group, window.bounds).codes(window.bounds)
+        vertices = [None] * len(place)
+        for e, c in zip(enumerate_window(window), place):
+            vertices[c] = e
         adj = compatibility_graph(A, vertices)
-        _, picked = clique.first_max_clique(adj, _corner(window, vertices))
+        # with one Z factor the corner has the window's lowest code
+        _, picked = clique.first_max_clique(adj, 0 if z_factors == 1 else None, place)
     else:
-        vertices, _, neg, steps, place = box_for(window.group, window.bounds).tables()
-        adj = compatibility_graph(A, vertices)
-        size, nadj = 0, None
-        if adj[0]:  # else D* covers the window, and {0} is a maximum family
+        vertices, _, neg, steps, place = box_for(group, window.bounds).tables()
+        box, diff = difference_mask(A, window.bounds)
+        # D's box is the window's unless A leaves it
+        inside = (1 << box.size) - 1 if box.size == len(vertices) else box.mask_of(vertices)
+        if diff & inside == inside:
+            picked = [0]  # D covers the window, so {0} is a maximum family
+        else:
+            adj = compatibility_graph(A, vertices)
             nadj = clique.complement_rows(adj)
             size = clique.max_clique_size(adj, adj[0], neg, lambda mask, v: apply_steps(mask, steps[v]), nadj)
-        picked = [0] + clique.clique_of_size(adj, size, adj[0], place, nadj)
-        if place is not None:
-            picked = [place[i] for i in picked]
+            picked = [0] + clique.clique_of_size(adj, size, adj[0], place, nadj)
+    if place is not None:
+        picked = [place[i] for i in picked]
     shifts = [vertices[i] for i in picked]
     if not _certify_family(A, shifts):
         raise CertificationError("the solver's family has intersecting translates")

@@ -353,6 +353,77 @@ def test_translation_rule_matches_oracle_on_cayley_graphs(name, make, params, se
     assert 1 + max_clique_size(adj, adj[0], neg, translate) == exhaustive_max_clique_size(adj)
 
 
+def test_reflection_rule_keeps_a_lone_maximum_clique():
+    # Cay(Z_19, S) with S all but 0 and ±4: the reflection must drop r - w;
+    # a rule dropping r + w instead loses every 9-clique through 0
+    elements, add = cyclic(19)
+    S = set(elements[1:]) - {4, 15}
+    adj, neg, translate = cayley_graph(elements, add, S)
+    assert 1 + max_clique_size(adj, adj[0], neg, translate) == exhaustive_max_clique_size(adj) == 9
+
+# Cay(Z_6 + Z_6, S) for S all but 0 and these elements: reflecting at depth
+# 2 as well, or there alone, loses every 12-clique through 0
+DEPTH_2_MISSES = [
+    [(0, 3), (1, 1), (1, 5), (2, 2), (2, 3), (4, 3), (4, 4), (5, 1), (5, 5)],
+    [(0, 3), (1, 5), (2, 2), (3, 1), (3, 5), (4, 4), (5, 1)],
+]
+
+
+@pytest.mark.parametrize("missing", DEPTH_2_MISSES, ids=["depths-1-2", "depth-2"])
+def test_reflection_rule_stays_at_depth_1(missing):
+    elements = [(a, b) for a in range(6) for b in range(6)]
+    add = lambda x, y: ((x[0] + y[0]) % 6, (x[1] + y[1]) % 6)  # noqa: E731
+    S = set(elements[1:]) - set(missing)
+    adj, neg, translate = cayley_graph(elements, add, S)
+    assert max_clique_size(adj, adj[0], neg, translate) == max_clique_size(adj, adj[0]) == 11
+
+def coded_window(text, window_args):
+    """A subgroup window's box in code order: its elements, and neg and
+    translate for the root search's symmetry rules."""
+    group = parse_group(text)
+    window = Window.for_group(group, **window_args)
+    elements, _, neg, steps, _ = box_for(group, window.bounds).tables()
+    return group, elements, neg, lambda mask, v: apply_steps(mask, steps[v])
+
+
+# subgroup windows of 64 to 100 vertices, past the oracle's cap
+WIDE_CAYLEY_WINDOWS = [
+    ("Z_10 + Z_10", {}),
+    ("Z_3^w", {"repeated_m": 4}),
+    ("Prufer(2)", {"prufer_level": 6}),
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("text,window_args", WIDE_CAYLEY_WINDOWS, ids=[w[0] for w in WIDE_CAYLEY_WINDOWS])
+def test_symmetry_rules_match_the_unpruned_root_search(text, window_args, seed):
+    group, elements, neg, translate = coded_window(text, window_args)
+    rng = random.Random(seed)
+    A = ElementSet.of(group, rng.sample(elements, rng.randint(2, 5)))
+    adj = compatibility_graph(A, elements)
+    assert max_clique_size(adj, adj[0], neg, translate) == max_clique_size(adj, adj[0])
+
+
+def test_reflection_rule_cuts_the_root_search(monkeypatch):
+    # the benchmark's hardest Z_3^w set: translation alone searched 3,824
+    # nodes, and the reflection at depth 1 brings it to 2,569
+    group, elements, neg, translate = coded_window("Z_3^w", {"repeated_m": 4})
+    A = ElementSet.parse(group, ["[1,1]", "[2,0,0,2]", "[0,1,0,2]", "[2,2,1,1]"])
+    adj = compatibility_graph(A, elements)
+    nodes = []
+
+    def counting(*args):
+        nodes.append(args)
+        return color_sort(*args)
+
+    monkeypatch.setattr(clique_module, "color_sort", counting)
+    assert max_clique_size(adj, adj[0], neg, translate) == 11
+    pruned = len(nodes)
+    nodes.clear()
+    assert max_clique_size(adj, adj[0]) == 11
+    assert pruned <= 2_569 < len(nodes)
+
+
 def reference_clique_of_size(adj, target, P=None):
     """The extraction before decisions carried their cliques: one
     ``exists_clique`` call per candidate, in the caller's numbering."""

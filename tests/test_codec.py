@@ -27,7 +27,7 @@ from packidx.groups import (
     parse_group,
     sum_bounds,
 )
-from packidx.packing import ElementSet, compatibility_graph, write_set_file
+from packidx.packing import ElementSet, compatibility_graph, difference_mask, write_set_file
 from packidx.runners import RunConfig, run_index, run_witness
 from packidx.witness import WitnessSet, verify_witness
 
@@ -303,16 +303,18 @@ def _graph_and_path(A, vertices, monkeypatch):
 
 
 def _orders(vertices, rng):
-    """(name, vertex list, whether it is the whole box in code order)."""
+    """(name, vertex list, whether its codes ascend in one run) for the
+    vertices of a whole box in code order."""
     shuffled = list(vertices)
     while shuffled == vertices:
         rng.shuffle(shuffled)
-    drop = rng.randrange(len(vertices))
+    drop = rng.randrange(1, len(vertices) - 1)
     return [
         ("code order", vertices, True),
         ("reversed", vertices[::-1], False),
         ("shuffled", shuffled, False),
-        ("prefix", vertices[:-1], False),
+        ("prefix", vertices[:-1], True),
+        ("suffix", vertices[1:], True),
         ("one dropped", vertices[:drop] + vertices[drop + 1 :], False),
     ]
 
@@ -320,7 +322,9 @@ def _orders(vertices, rng):
 @pytest.mark.parametrize("text", ["Z_3^2", "Z_4 + Z_2^2", "Z_2^4", "Z_10 + Z_10"])
 @pytest.mark.parametrize("seed", range(3))
 def test_rows_come_from_the_translate_only_on_the_whole_box_in_code_order(text, seed, monkeypatch):
-    # a finite group is one box, and its window lists it in code order
+    # a finite group is one box, and its window lists it in code order; a
+    # part of it whose codes ascend in one run, such as a prefix or a
+    # suffix, also takes its rows from the translate
     group = parse_group(text)
     window = Window.for_group(group)
     vertices = list(enumerate_window(window))
@@ -335,14 +339,16 @@ def test_rows_come_from_the_translate_only_on_the_whole_box_in_code_order(text, 
             assert gathered != direct, name
 
 
-@pytest.mark.parametrize("texts, direct", [(["0"], True), (["0", "1"], False), (["-2", "0", "1"], False)])
-def test_a_single_vertex_of_z_is_a_radius_0_box(texts, direct, monkeypatch):
+@pytest.mark.parametrize("texts, narrow", [(["0"], True), (["0", "1"], False), (["-2", "0", "1"], False)])
+def test_a_single_vertex_of_z_is_a_radius_0_box(texts, narrow, monkeypatch):
     # vertex 0 alone spans a Z box of radius 0; a base set that reaches
-    # past it widens the box, and the row is gathered
+    # past it widens the box, where vertex 0 is a run of one code from its
+    # middle, so the row still comes from the translate
     A = ElementSet.parse(Z, texts)
     got, gathered = _graph_and_path(A, [Z.zero()], monkeypatch)
     assert got == _pairwise_reference(A, [Z.zero()]) == [0]
-    assert gathered != direct
+    assert not gathered
+    assert (difference_mask(A, (0,))[0].size == 1) == narrow
 
 
 
@@ -416,9 +422,10 @@ def _box_sizes():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_shared_boxes_change_no_graph_in_either_order(seed, monkeypatch):
-    cases = _graph_cases(seed)
-    want = [_fresh_box_graph(A, vertices) for A, vertices in cases]
-    for order in (range(len(cases)), reversed(range(len(cases)))):
+    want = [_fresh_box_graph(A, vertices) for A, vertices in _graph_cases(seed)]
+    for order in (range(len(want)), reversed(range(len(want)))):
+        # fresh sets, which keep no differences from the last order
+        cases = _graph_cases(seed)
         monkeypatch.setattr(groups, "_SHARED_BOXES", {})
         for i in order:
             assert compatibility_graph(*cases[i]) == want[i]

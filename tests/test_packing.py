@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import random
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import packidx
 from packidx.bsets import build_bset
 from packidx.clique import (
     clique_of_size,
+    color_sort,
     exhaustive_max_clique_size,
     first_max_clique,
     max_clique_size,
@@ -284,18 +286,21 @@ class TestCornerRoot:
         adj = compatibility_graph(A, vertices)
         roots = []
 
-        def spy(adj, root=None):
-            roots.append(root)
-            return first_max_clique(adj, root)
+        def spy(adj, root=None, place=None):
+            roots.append((root, place))
+            return first_max_clique(adj, root, place)
 
         monkeypatch.setattr(packidx.clique, "first_max_clique", spy)
         family = max_packing_family(A, window)
-        # the root is the corner: lowest Z coordinate, zero elsewhere
-        (root,) = roots
+        # the root is the corner: lowest Z coordinate, zero elsewhere; the
+        # solver's graph is in code order, and place maps the window onto it
+        ((root, place),) = roots
+        coded = [vertices[i] for i in sorted(range(len(vertices)), key=place.__getitem__)]
         z = next(i for i, f in enumerate(group.factors) if f.kind == INFINITE_CYCLIC)
         corner = list(group.zero().coords)
         corner[z] = -window.bounds[z]
-        assert vertices[root].coords == tuple(corner)
+        assert coded[root].coords == tuple(corner)
+        root = vertices.index(coded[root])
         size, picked = first_max_clique(adj)
         assert 1 + max_clique_size(adj, adj[root]) == size
         assert family.size == size and family.certified
@@ -307,9 +312,9 @@ class TestCornerRoot:
         A = ElementSet.parse(group, ["(0,0)", "(1,0)", "(0,2)"])
         roots = []
 
-        def spy(adj, root=None):
+        def spy(adj, root=None, place=None):
             roots.append(root)
-            return first_max_clique(adj, root)
+            return first_max_clique(adj, root, place)
 
         monkeypatch.setattr(packidx.clique, "first_max_clique", spy)
         family = max_packing_family(A, window)
@@ -469,6 +474,159 @@ def test_subgroup_window_rows_take_no_gather(monkeypatch):
     family = max_packing_family(A, window)
     assert family.size == size and family.certified
     assert family.shifts == ElementSet.of(group, [vertices[i] for i in picked])
+
+
+# the benchmark's oracle windows with no Z factor, read only
+ORACLE_SUBGROUPS = [
+    (text, opts)
+    for text, opts in perfbench_cells.ORACLE_POOL
+    if all(f.kind != INFINITE_CYCLIC for f in parse_group(text).factors)
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("text,opts", ORACLE_SUBGROUPS, ids=[t for t, _ in ORACLE_SUBGROUPS])
+def test_pruned_root_matches_oracle_on_the_oracle_pool(text, opts, seed):
+    # the root search with both symmetry rules, on the graph in code order
+    group = parse_group(text)
+    window = _catalog_window(group, opts)
+    elements, _, neg, steps, _ = box_for(group, window.bounds).tables()
+    assert len(elements) <= 24
+    rng = random.Random(seed)
+    for size in range(1, 7):
+        A = ElementSet.of(group, rng.sample(elements, size))
+        adj = compatibility_graph(A, elements)
+        translate = lambda mask, v: apply_steps(mask, steps[v])  # noqa: E731
+        assert 1 + max_clique_size(adj, adj[0], neg, translate) == exhaustive_max_clique_size(adj)
+
+
+def _enumeration_order_family(A, window):
+    """The family first_max_clique finds on the graph in enumeration order."""
+    vertices = list(enumerate_window(window))
+    _, picked = first_max_clique(compatibility_graph(A, vertices))
+    return ElementSet.of(A.group, [vertices[i] for i in picked])
+
+
+# windows whose only or leftmost factor is Z, with A inside the window on
+# the other factors: in code order their codes are one run
+ONE_RUN_WINDOWS = [
+    ("Z", ["0", "1", "3", "7"], {"bound": 40}),
+    ("Z", ["0", "2", "-6"], {"bound": 12}),
+    ("Z + Z_3", ["(0,0)", "(1,1)", "(3,2)"], {"bound": 6}),
+    ("Z + Z_3", ["(0,0)", "(2,0)", "(-1,2)", "(5,1)"], {"bound": 4}),
+]
+
+
+@pytest.mark.parametrize(
+    "text,elements,window_args", ONE_RUN_WINDOWS, ids=[f"{t}-{len(e)}" for t, e, _ in ONE_RUN_WINDOWS]
+)
+def test_z_window_rows_take_no_gather(text, elements, window_args, monkeypatch):
+    group = parse_group(text)
+    A = ElementSet.parse(group, elements)
+    window = Window.for_group(group, **window_args)
+    expected = _enumeration_order_family(A, window)
+
+    def refuse(*args):
+        raise AssertionError("a graph row was gathered by code")
+
+    monkeypatch.setattr(packidx.packing, "itemgetter", refuse)
+    family = max_packing_family(A, window)
+    assert family.shifts == expected and family.certified
+
+
+def test_z_window_not_leftmost_takes_the_gather(monkeypatch):
+    # Z_3 + Z in code order runs through Z_3's digit first, so each Z_3
+    # part is its own run of codes, and the rows are gathered
+    group = parse_group("Z_3 + Z")
+    A = ElementSet.parse(group, ["(0,0)", "(1,1)", "(2,3)"])
+    window = Window.for_group(group, bound=6)
+    expected = _enumeration_order_family(A, window)
+    gathers = []
+
+    def spy(*items):
+        gathers.append(items)
+        return itemgetter(*items)
+
+    monkeypatch.setattr(packidx.packing, "itemgetter", spy)
+    family = max_packing_family(A, window)
+    assert family.shifts == expected and family.certified
+    assert gathers
+
+
+@pytest.mark.parametrize(
+    "text,elements,window_args", ONE_RUN_WINDOWS, ids=[f"{t}-{len(e)}" for t, e, _ in ONE_RUN_WINDOWS]
+)
+def test_first_max_clique_searches_the_same_copy_in_either_numbering(
+    text, elements, window_args, monkeypatch
+):
+    # the graph in code order, read through place, gives the same
+    # degree-ordered copy as the graph in enumeration order, hence the same
+    # search, node for node, and the same witness
+    group = parse_group(text)
+    A = ElementSet.parse(group, elements)
+    window = Window.for_group(group, **window_args)
+    vertices = list(enumerate_window(window))
+    place = box_for(group, window.bounds).codes(window.bounds)
+    coded = [None] * len(vertices)
+    for v, c in zip(vertices, place):
+        coded[c] = v
+    calls = []
+
+    def spy(*args):
+        calls.append(args[0::2])
+        return color_sort(*args)
+
+    monkeypatch.setattr(packidx.clique, "color_sort", spy)
+    corner = place.index(0)
+    want = first_max_clique(compatibility_graph(A, vertices), corner)
+    enumeration_calls = list(calls)
+    calls.clear()
+    assert first_max_clique(compatibility_graph(A, coded), 0, place) == want
+    assert calls == enumeration_calls
+
+
+COVERED_WINDOWS = [
+    ("Z_2^w", ["0", "[1]", "[0,1]"], {"repeated_m": 2}),
+    ("Z_12", ["0", "1", "2", "3", "6", "9"], {}),
+    ("Prufer(2)", ["0", "1/2", "1/2^2", "3/2^2", "1/2^3", "3/2^3"], {"prufer_level": 3}),
+    # A leaves the window, and its differences still cover it
+    ("Z_2^w", ["[0,1]", "[1,1]"], {"repeated_m": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "text,elements,window_args", COVERED_WINDOWS, ids=[f"{t}-{len(e)}" for t, e, _ in COVERED_WINDOWS]
+)
+def test_a_covered_window_builds_no_graph(text, elements, window_args, monkeypatch):
+    group = parse_group(text)
+    A = ElementSet.parse(group, elements)
+    window = Window.for_group(group, **window_args)
+    vertices = list(enumerate_window(window))
+    assert exhaustive_max_clique_size(compatibility_graph(A, vertices)) == 1
+
+    def refuse(*args):
+        raise AssertionError("a covered window built its graph")
+
+    monkeypatch.setattr(packidx.packing, "compatibility_graph", refuse)
+    family = max_packing_family(A, window)
+    assert family.shifts.to_texts() == ["0"] and family.certified
+
+
+def test_a_subgroup_window_computes_its_differences_once(monkeypatch):
+    # the cover check and the graph read one D
+    group = parse_group("Z_10 + Z_10")
+    A = ElementSet.parse(group, ["(5,1)", "(8,5)", "(9,0)", "(9,2)"])
+    window = Window.for_group(group)
+    masks = []
+    diff_mask = DenseBox.diff_mask
+
+    def counting(box, mask):
+        masks.append(mask)
+        return diff_mask(box, mask)
+
+    monkeypatch.setattr(DenseBox, "diff_mask", counting)
+    assert max_packing_family(A, window).size == 20
+    assert len(masks) == 1
 
 
 # 21 to 24 vertices: past the 20 the oracle once stopped at, and each
