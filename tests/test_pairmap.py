@@ -164,8 +164,18 @@ class TestSearch:
             search_pairmap(1, 5)
 
 
-GRID = [(a, b) for a in range(2, 8) for b in range(2, 8)]
+GRID = [(a, b) for a in range(2, 8) for b in range(2, 8)] + [(8, b) for b in range(2, 7)]
 BUDGETS = (1, 10, 1000, 5000)
+
+
+def _budget_stop(search, *args, **kwargs):
+    """(nodes, budget, depth) of the budget error ``search`` raises, else
+    None."""
+    try:
+        search(*args, **kwargs)
+    except SearchBudgetExceededError as exc:
+        return exc.nodes, exc.budget, exc.depth
+    return None
 
 
 @pytest.mark.parametrize("size_a,size_b", GRID)
@@ -173,19 +183,11 @@ def test_search_matches_recursive_reference(size_a, size_b):
     maps, nodes, _ = reference_search(size_a, size_b, limit=1)
     assert search_pairmap(size_a, size_b) == ((maps[0] if maps else None), nodes)
     assert iter_valid_maps(size_a, size_b, limit=50) == reference_search(size_a, size_b, limit=50)[0]
-    for budget in BUDGETS:
-        try:
-            reference_search(size_a, size_b, limit=1, node_budget=budget)
-        except SearchBudgetExceededError as exc:
-            expected = (exc.nodes, exc.depth)
-        else:
-            expected = None
-        try:
-            search_pairmap(size_a, size_b, node_budget=budget)
-        except SearchBudgetExceededError as exc:
-            assert (exc.nodes, exc.depth) == expected
-        else:
-            assert expected is None
+    # the budgets from nodes run out inside a mate's subtree, which the
+    # search counts but does not walk
+    for budget in sorted({*BUDGETS, nodes - 1, nodes, nodes // 2, nodes // 15 + 1}):
+        want = _budget_stop(reference_search, size_a, size_b, limit=1, node_budget=budget)
+        assert _budget_stop(search_pairmap, size_a, size_b, node_budget=budget) == want
 
 
 @pytest.mark.parametrize("size_a,size_b", [(7, 6), (8, 6)])
@@ -200,9 +202,39 @@ def test_budget_stops_match_recursive_reference(size_a, size_b, budget):
     assert got.value.nodes == budget + 1
 
 
+@pytest.mark.parametrize("size_a", [8, 9])
+def test_seven_point_codomain_count_is_pinned(size_a):
+    # measured by the plain walk of every node, which took seconds a cell
+    assert search_pairmap(size_a, 7) == (None, 15825831)
+
+
+@pytest.mark.parametrize("size_a,size_b,nodes,most", [(7, 6, 91335, 289), (7, 7, 74989, 3172)])
+def test_mates_are_counted_not_placed(size_a, size_b, nodes, most):
+    # the node counts are the reference's, as the grid test checks
+    search = _Search(size_a, size_b, 10**9)
+    search.run(limit=1)
+    assert search.nodes == nodes
+    assert search.placed <= most
+
+
+def test_mates_are_images_under_untouched_permutations():
+    # A mate of v = {u, w} with only u touched is {u, x} for an untouched
+    # x; {u, y} with y touched is not one, and skipping it would drop a
+    # subtree that need not match v's. Listing every map on (5, 5) walks
+    # such siblings after a map is found, so the counts tell them apart.
+    maps, nodes, _ = reference_search(5, 5, limit=10**6)
+    search = _Search(5, 5, 10**9)
+    assert search.run(limit=10**6) == maps
+    assert search.nodes == nodes
+    # the premise: the valid maps are closed under codomain permutations
+    tables = {f.table for f in maps}
+    for perm in itertools.permutations(range(5)):
+        assert {tuple(tuple(sorted((perm[k], perm[l]))) for k, l in t) for t in tables} == tables
+
+
 def _level_parts(search, value, full):
     """Each level's col & row as the search narrows them, ``value(p)``
-    standing for ``compat`` of the image placed on level p."""
+    standing for the reach of the image placed on level p."""
     last = len(search.pairs)
     col, row, out = [full] * last, [full] * last, [full]
     for k in range(1, last):
@@ -226,17 +258,22 @@ def test_overlaps_match_pairwise_scan(size_a):
     full = (1 << len(pairs)) - 1
     parts = _level_parts(search, lambda p: full ^ (1 << p), full)
     assert parts == [full ^ sum(1 << p for p in prev) for prev in overlaps]
-    # and on random image assignments, as the search reads them
-    full = (1 << len(search.images)) - 1
+    # and on random image assignments: the images that differ and meet
+    images = codomain_pairs(6)
+    reach = [
+        sum(1 << t for t, other in enumerate(images) if other != image and set(other) & set(image))
+        for image in images
+    ]
+    full = (1 << len(images)) - 1
     rng = random.Random(size_a)
     for _ in range(20):
-        assignment = [rng.randrange(len(search.images)) for _ in pairs]
-        parts = _level_parts(search, lambda p: search.compat[assignment[p]], full)
+        assignment = [rng.randrange(len(images)) for _ in pairs]
+        parts = _level_parts(search, lambda p: reach[assignment[p]], full)
         want = []
         for prev in overlaps:
             c = full
             for p in prev:
-                c &= search.compat[assignment[p]]
+                c &= reach[assignment[p]]
             want.append(c)
         assert parts == want
 
