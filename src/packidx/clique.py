@@ -290,10 +290,11 @@ def clique_of_size(
 
 def first_max_clique(
     adj: list[int], root: int | None = None, place: list[int] | None = None
-) -> tuple[int, list[int]]:
+) -> tuple[int, list[int] | None]:
     """Exact clique number plus its lexicographically-first witness, in the
     caller's numbering: ``place[v]`` is the vertex of adj that the caller
-    numbers v (None: adj's own).
+    numbers v (None: adj's own). The witness is None only when the
+    extraction fails to find a clique of the size the search proved.
 
     The size search and every extraction decision run on one
     degree-ordered copy of the graph and share its ``complement_rows``
@@ -310,8 +311,7 @@ def first_max_clique(
     else:
         size = 1 + max_clique_size(graph, graph[at[root]], None, None, nadj)
     scan = at if place is None else [at[u] for u in place]
-    witness = clique_of_size(graph, size, None, scan, nadj) or []
-    return size, witness
+    return size, clique_of_size(graph, size, None, scan, nadj)
 
 
 def exhaustive_max_clique_size(adj: list[int]) -> int:

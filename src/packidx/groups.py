@@ -97,12 +97,6 @@ class Factor:
     def finite(self) -> bool:
         return self.kind == CYCLIC
 
-    def exponent(self) -> int | None:
-        """Least n killing every element of the factor, or None for unbounded."""
-        if self.kind in (CYCLIC, REPEATED_CYCLIC):
-            return self.param
-        return None
-
     def format(self) -> str:
         if self.kind == INFINITE_CYCLIC:
             return "Z"
@@ -286,10 +280,6 @@ def coord_extent(f: Factor, x) -> int | None:
     return x[1]
 
 
-def coord_in_bound(f: Factor, x, bound: int | None) -> bool:
-    return bound is None or coord_extent(f, x) <= bound
-
-
 def count_coords(f: Factor, bound: int | None) -> int:
     if f.kind == INFINITE_CYCLIC:
         return 2 * bound + 1
@@ -379,14 +369,6 @@ class GroupSpec:
             return None
         return prod(f.param for f in self.factors)
 
-    @property
-    def exponent(self) -> int | None:
-        """lcm of element orders, or None when unbounded."""
-        exps = [f.exponent() for f in self.factors]
-        if any(e is None for e in exps):
-            return None
-        return lcm(1, *exps)
-
     def zero(self) -> Element:
         return Element(self, tuple(zero_coord(f) for f in self.factors))
 
@@ -434,11 +416,6 @@ class Element:
             self.group,
             tuple(mul_coord(f, c, x) for f, x in zip(self.group.factors, self.coords)),
         )
-
-    def __rmul__(self, c: int) -> Element:
-        if not isinstance(c, int):
-            return NotImplemented
-        return self.scaled(c)
 
     def is_zero(self) -> bool:
         return all(
@@ -516,14 +493,6 @@ class Window:
     def size(self) -> int:
         return prod(
             count_coords(f, b) for f, b in zip(self.group.factors, self.bounds)
-        )
-
-    def contains(self, e: Element) -> bool:
-        if e.group != self.group:
-            raise GroupMismatchError("element does not belong to the window's group")
-        return all(
-            coord_in_bound(f, x, b)
-            for f, x, b in zip(self.group.factors, e.coords, self.bounds)
         )
 
     def expanded(self) -> Window | None:

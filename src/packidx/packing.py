@@ -77,9 +77,6 @@ class ElementSet:
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)
 
-    def __contains__(self, e: Element) -> bool:
-        return e.group == self.group and e.coords in self.coords_set()
-
     def coords_set(self) -> frozenset:
         return frozenset(e.coords for e in self.elements)
 
@@ -95,12 +92,15 @@ def difference_set(A: ElementSet) -> ElementSet:
 
 
 def difference_mask(A: ElementSet, region: tuple) -> tuple[DenseBox, int]:
-    """The differences a - a' lying in the box ``region``, as a mask over a
-    box that holds the region. A keeps the answer for each region, so the
-    D a subgroup window's cover check reads is the D its graph reads.
+    """The differences a - a' as a mask over a box that holds the box
+    ``region``: on its whole box the mask is (A - A) ∩ box. A keeps the
+    answer for each region, so the D a subgroup window's cover check reads
+    is the D its graph reads, and the D a witness check reads is the D its
+    index solve's graph reads.
 
-    The mask is an OR of translates of A, so its box must hold A itself:
-    a translate drops what leaves the box, and only the region is exact.
+    The mask is an OR of translates of A, so its box must hold A itself; a
+    set spread past ``MAX_BOX_BITS`` gets the region's box instead, with
+    its differences filtered one pair at a time.
     """
     answer = A._differences.get(region)
     if answer is not None:
@@ -237,19 +237,22 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
             vertices[c] = e
         adj = compatibility_graph(A, vertices)
         # with one Z factor the corner has the window's lowest code
-        _, picked = clique.first_max_clique(adj, 0 if z_factors == 1 else None, place)
+        size, picked = clique.first_max_clique(adj, 0 if z_factors == 1 else None, place)
     else:
         vertices, _, neg, steps, place = box_for(group, window.bounds).tables()
         box, diff = difference_mask(A, window.bounds)
         # D's box is the window's unless A leaves it
         inside = (1 << box.size) - 1 if box.size == len(vertices) else box.mask_of(vertices)
         if diff & inside == inside:
-            picked = [0]  # D covers the window, so {0} is a maximum family
+            size, picked = 1, [0]  # D covers the window, so {0} is a maximum family
         else:
             adj = compatibility_graph(A, vertices)
             nadj = clique.complement_rows(adj)
             size = clique.max_clique_size(adj, adj[0], neg, lambda mask, v: apply_steps(mask, steps[v]), nadj)
-            picked = [0] + clique.clique_of_size(adj, size, adj[0], place, nadj)
+            rest = clique.clique_of_size(adj, size, adj[0], place, nadj)
+            size, picked = size + 1, None if rest is None else [0] + rest
+    if picked is None or len(picked) != size:
+        raise CertificationError(f"the solver found no family of the {size} shifts it proved")
     if place is not None:
         picked = [place[i] for i in picked]
     shifts = [vertices[i] for i in picked]
@@ -301,6 +304,8 @@ def max_clique_in_bset(B: ElementSet) -> CliqueResult:
     """
     vertices, adj = _bset_graph(B)
     size, picked = clique.first_max_clique(adj)
+    if picked is None or len(picked) != size:
+        raise CertificationError(f"the solver found no clique of the {size} points it proved")
     chosen = [vertices[i] for i in picked]
     if not _verify_in_bset(B, chosen):
         raise CertificationError("the solver's clique has a difference outside the base set")

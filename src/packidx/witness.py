@@ -158,11 +158,14 @@ def verify_witness(w: WitnessSet) -> InvariantReport:
 
     Both read the differences D = A - A: I1 holds iff no beta in B* lies in
     D, since beta + a = a' means beta = a' - a, and I2 asks every window
-    element outside B* to lie in D.
+    element outside B* to lie in D. D is taken over the doubled window
+    (grown to hold B*), the region the compatibility graph of the index
+    solve reads, so that solve finds this D in A's memo.
     """
     group = w.group
+    window = w.window.bounds
     bstar = [e for e in w.bset.elements if not e.is_zero()]
-    region = hull_bounds(w.window.bounds, extents(group, bstar))
+    region = hull_bounds(sum_bounds(group, window, window), extents(group, bstar))
     box, diff = difference_mask(w.elements, region)
 
     bstar_codes = [box.encode(e) for e in bstar]
@@ -175,7 +178,7 @@ def verify_witness(w: WitnessSet) -> InvariantReport:
             break
 
     i2_missing = None
-    for c in box.codes(w.window.bounds):
+    for c in box.codes(window):
         if c not in bstar_codes and not diff >> c & 1:
             i2_missing = box.decode(c)
             break

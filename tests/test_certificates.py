@@ -17,6 +17,7 @@ from packidx import bsets, clique, demo, packing, witness
 from packidx.cli import main
 from packidx.errors import CertificationError
 from packidx.groups import Window, parse_group
+from packidx.packing import ElementSet, write_set_file
 
 
 @pytest.fixture
@@ -28,6 +29,12 @@ def broken_family(monkeypatch):
 def first_vertices_clique(monkeypatch):
     """``clique_of_size`` answers with its first ``target`` vertices, clique or not."""
     monkeypatch.setattr(clique, "clique_of_size", lambda adj, target, P=None: list(range(target)))
+
+
+@pytest.fixture
+def no_extraction(monkeypatch):
+    """``clique_of_size`` finds nothing, whatever size was proved."""
+    monkeypatch.setattr(clique, "clique_of_size", lambda *args: None)
 
 
 @pytest.fixture
@@ -76,3 +83,18 @@ def test_property_2_raises(broken_clique):
 def test_property_1_witness_is_certified(first_vertices_clique):
     with pytest.raises(CertificationError):
         bsets.check_property_1(bsets.build_bset(parse_group("Prufer(2)"), 5))
+
+
+@pytest.mark.parametrize(
+    "text,elements,window",
+    [("Z", ["0", "1", "3"], ["--window", "6"]), ("Z_7 + Z_7", ["(0,0)", "(1,0)"], [])],
+    ids=["z-window", "subgroup-window"],
+)
+def test_a_failed_extraction_is_an_error(no_extraction, tmp_path, text, elements, window):
+    path = tmp_path / "set.json"
+    write_set_file(path, ElementSet.parse(parse_group(text), elements))
+    certification_error_report(["index", "--set", str(path), *window])
+
+
+def test_a_failed_bset_extraction_is_an_error(no_extraction):
+    certification_error_report(["bset", "--group", "Z", "--kappa", "4", "--check"])

@@ -20,7 +20,6 @@ from packidx.groups import (
     Window,
     box_for,
     coord_extent,
-    coord_in_bound,
     enumerate_window,
     extents,
     hull_bounds,
@@ -80,7 +79,7 @@ def _element(group, bounds, reach: int):
 
 
 def _inside(bounds, e) -> bool:
-    return all(coord_in_bound(f, x, b) for f, b, x in zip(e.group.factors, bounds, e.coords))
+    return all(b is None or coord_extent(f, x) <= b for f, b, x in zip(e.group.factors, bounds, e.coords))
 
 
 @st.composite

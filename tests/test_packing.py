@@ -629,6 +629,28 @@ def test_a_subgroup_window_computes_its_differences_once(monkeypatch):
     assert len(masks) == 1
 
 
+# sets spread past MAX_BOX_BITS: difference_mask takes its pairwise path
+WIDE_SETS = [
+    ("Z", ["0", "1", "1048577"], 6),
+    ("Z + Z_3", ["(0,0)", "(0,1)", "(2000000,2)"], 3),
+]
+
+
+@pytest.mark.parametrize("text,elements,bound", WIDE_SETS, ids=[t for t, _, _ in WIDE_SETS])
+def test_a_wide_set_takes_its_differences_pairwise(text, elements, bound, monkeypatch):
+    group = parse_group(text)
+    A = ElementSet.parse(group, elements)
+    window = Window.for_group(group, bound=bound)
+
+    def refuse(*args):
+        raise AssertionError("a wide set built a box around itself")
+
+    monkeypatch.setattr(DenseBox, "diff_mask", refuse)
+    family = max_packing_family(A, window)
+    oracle = exhaustive_max_clique_size(compatibility_graph(A, list(enumerate_window(window))))
+    assert family.certified and family.size == oracle == 7
+
+
 # 21 to 24 vertices: past the 20 the oracle once stopped at, and each
 # window's box holds at most 64 codes, so the solver runs on a shared box
 WIDE_ORACLE_WINDOWS = [

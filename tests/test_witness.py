@@ -2,8 +2,9 @@ import pytest
 
 from packidx.bsets import BSet, build_bset
 from packidx.errors import PreconditionError, PropertyThreeViolatedError
-from packidx.groups import Window, parse_group
+from packidx.groups import DenseBox, Window, parse_group
 from packidx.packing import ElementSet, difference_set, max_packing_family
+from packidx.runners import RunConfig, run_witness
 from packidx.witness import (
     WitnessSet,
     build_witness,
@@ -154,6 +155,21 @@ class TestIndex:
         )
         with pytest.raises(PreconditionError):
             windowed_sharp_index(bad)
+
+    @pytest.mark.parametrize("text,kappa,bound", [("Z", 5, 100), ("Z + Z_3", 4, 6)])
+    def test_a_verified_cell_computes_its_differences_once(self, monkeypatch, text, kappa, bound):
+        # the invariant check and the index solve read one D
+        masks = []
+        diff_mask = DenseBox.diff_mask
+
+        def counting(box, mask):
+            masks.append(mask)
+            return diff_mask(box, mask)
+
+        monkeypatch.setattr(DenseBox, "diff_mask", counting)
+        report = run_witness(RunConfig("witness", group=text, kappa=kappa, window=bound, verify=True))
+        assert report.results["windowed_sharp_index"] == kappa
+        assert len(masks) == 1
 
     def test_kappa3_family_is_inside_bstar(self):
         w = small_witness(3, 30)
