@@ -8,8 +8,9 @@ file per factor kind plus a mixed sum, ``index`` on the two heaviest
 subgroup windows of the benchmark's index catalog (``Z_10 + Z_10`` and
 ``Z_3^w`` at m = 4), and the window-cap error report of
 an oversized ``witness --verify``; the ``obstruct`` sweeps: the
-exhaustive ones of acceptance criteria 1 and 2, two seeded samples, and the
-32-element cap error; the pair-map budget error; and the ``pack demo``
+exhaustive ones of acceptance criteria 1 and 2, seeded samples of 500 and
+2,000 draws on two groups, and the 32-element cap error; the pair-map
+budget error; and the ``pack demo``
 report of each acceptance criterion alone at seed 0. ``tests/test_golden.py``
 recomputes each cell and compares it with ``tests/golden/digests.json``.
 
@@ -20,6 +21,7 @@ Reports echo set-file paths, so cells run from the repository root.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -67,6 +69,9 @@ INDEX_SETS = [
 ]
 
 SAMPLED_SWEEPS = [("Z_3^3", 3), ("Z_2^5", 4)]
+# 500 draws find 4 and 0 families at seed 7; 2,000 find 34 and 4, so the
+# kappa-4 extension path of a sampled sweep is pinned too
+SAMPLE_COUNTS = [500, 2000]
 
 
 def cells() -> dict:
@@ -93,9 +98,9 @@ def cells() -> dict:
     for text, kappa in exhaustive:
         cfg = RunConfig(command="obstruct", group=text, kappa=kappa)
         out[f"obstruct {text} k={kappa}"] = (run_obstruct, cfg)
-    for text, kappa in SAMPLED_SWEEPS:
-        cfg = RunConfig(command="obstruct", group=text, kappa=kappa, sample=500, seed=7)
-        out[f"obstruct {text} k={kappa} --sample 500 --seed 7"] = (run_obstruct, cfg)
+    for (text, kappa), sample in itertools.product(SAMPLED_SWEEPS, SAMPLE_COUNTS):
+        cfg = RunConfig(command="obstruct", group=text, kappa=kappa, sample=sample, seed=7)
+        out[f"obstruct {text} k={kappa} --sample {sample} --seed 7"] = (run_obstruct, cfg)
     cfg = RunConfig(command="obstruct", group="Z_2^6", kappa=4, sample=10)
     out["obstruct Z_2^6 k=4 --sample 10 (element cap)"] = (run_obstruct, cfg)
     cfg = RunConfig(command="pairmap", a=5, b=5, budget=10)
