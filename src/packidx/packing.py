@@ -173,7 +173,10 @@ def compatibility_graph(A: ElementSet, vertices: list[Element]) -> list[int]:
 def _certify_family(A: ElementSet, shifts: list[Element]) -> bool:
     """True iff the translates b + A are pairwise disjoint. The sums take
     the group's per-factor add on coordinates, as ``Element`` addition
-    does, and never a box's codes."""
+    does, and never a box's codes. Fewer than two shifts have no pair that
+    could meet."""
+    if len(shifts) < 2:
+        return True
     add = A.group._add
     covered: set = set()
     for b in shifts:

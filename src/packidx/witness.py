@@ -30,7 +30,6 @@ from .groups import (
     Window,
     enumerate_window,
     extents,
-    hull_bounds,
     sum_bounds,
 )
 from .packing import ElementSet, difference_mask, max_packing_family
@@ -158,22 +157,23 @@ def verify_witness(w: WitnessSet) -> InvariantReport:
 
     Both read the differences D = A - A: I1 holds iff no beta in B* lies in
     D, since beta + a = a' means beta = a' - a, and I2 asks every window
-    element outside B* to lie in D. D is taken over the doubled window
-    (grown to hold B*), the region the compatibility graph of the index
-    solve reads, so that solve finds this D in A's memo.
+    element outside B* to lie in D. D is taken over the doubled window, the
+    region the compatibility graph of the index solve reads, so that solve
+    finds this D in A's memo. A beta outside D's box is tested pair by pair.
     """
     group = w.group
     window = w.window.bounds
     bstar = [e for e in w.bset.elements if not e.is_zero()]
-    region = hull_bounds(sum_bounds(group, window, window), extents(group, bstar))
-    box, diff = difference_mask(w.elements, region)
+    box, diff = difference_mask(w.elements, sum_bounds(group, window, window))
 
     bstar_codes = [box.encode(e) for e in bstar]
+    acoords = w.elements.coords_set()
     i1_counter = None
     for beta, code in zip(bstar, bstar_codes):
-        if diff >> code & 1:
-            acoords = w.elements.coords_set()
-            a = next(a for a in w.elements if (beta + a).coords in acoords)
+        if code is not None and not diff >> code & 1:
+            continue
+        a = next((a for a in w.elements if (beta + a).coords in acoords), None)
+        if a is not None:
             i1_counter = (beta, a)
             break
 

@@ -200,6 +200,28 @@ class TestSweeps:
             want = sum(1 << i for i in {t.index[(a - b).coords] for a in S for b in S})
             assert diffs[m - 1] == want, m
 
+    # Z_2^5 fills every bit of its 32-bit lanes
+    @pytest.mark.parametrize("text", ["Z_2^5", "Z_3^3", "Z_4 + Z_2^2"])
+    def test_sampled_diffs_match_element_subtraction(self, text):
+        t = _GroupTables(parse_group(text))
+        rng = random.Random(27)
+        drawn = {rng.randrange(1, 1 << t.n) for _ in range(300)}
+        masks = sorted(drawn | {t.full} | {1 << i for i in range(t.n)})
+        diffs = t.sampled_diff_masks(masks)
+        assert isinstance(diffs, array) and diffs.typecode == "I"
+        assert list(diffs) == [t.box.diff_mask(m) for m in masks]
+        for m, d in zip(masks, diffs):
+            S = [t.elements[i] for i in range(t.n) if m >> i & 1]
+            want = sum(1 << i for i in {t.index[(a - b).coords] for a in S for b in S})
+            assert d == want, m
+        assert diffs[masks.index(t.full)] == t.full
+        assert all(d == 1 for m, d in zip(masks, diffs) if m.bit_count() == 1)
+
+    @pytest.mark.parametrize("text", ["Z_3^2", "Z_4 + Z_2", "Z_2^5", "Z_3^3", "Z_4 + Z_2^2"])
+    def test_add_table_matches_element_addition(self, text):
+        t = _GroupTables(parse_group(text))
+        assert t.add == [[t.index[(a + b).coords] for b in t.elements] for a in t.elements]
+
     def test_exhaustive_refuses_large_groups(self):
         with pytest.raises(NotApplicableError):
             exhaustive_no_index_check(parse_group("Z_3^3"), 3)

@@ -172,6 +172,21 @@ class TestCertifyFamily:
         assert not _certify_family(A, list(ElementSet.parse(group, meeting)))
         assert _certify_family(A, list(ElementSet.parse(group, apart)))
 
+    @pytest.mark.parametrize("text, base, shift", [
+        ("Z", ["0", "1"], "5"),
+        ("Z_5", ["0", "2"], "0"),
+        ("Z + Z_3", ["(0,0)", "(1,1)"], "(0,1)"),
+    ])
+    def test_one_shift_has_no_pair_to_check(self, text, base, shift):
+        group = parse_group(text)
+        A = ElementSet.parse(group, base)
+        (b,) = ElementSet.parse(group, [shift])
+        assert _certify_family(A, [b])
+        assert _certify_family(A, [])
+        # b + a1 = (b + a1 - a0) + a0, so a second shift b + a1 - a0 meets b
+        a0, a1 = A.elements
+        assert not _certify_family(A, [b, b + (a1 - a0)])
+
 
 class TestMaxPackingFamily:
     def test_interval_example(self):

@@ -156,8 +156,17 @@ class TestIndex:
         with pytest.raises(PreconditionError):
             windowed_sharp_index(bad)
 
-    @pytest.mark.parametrize("text,kappa,bound", [("Z", 5, 100), ("Z + Z_3", 4, 6)])
-    def test_a_verified_cell_computes_its_differences_once(self, monkeypatch, text, kappa, bound):
+    @pytest.mark.parametrize(
+        "text,kappa,opts,index",
+        [
+            ("Z", 5, dict(window=100), 5),
+            ("Z + Z_3", 4, dict(window=6), 4),
+            # B* reaches level 4, outside the level-3 window D is taken over
+            ("Prufer(2)", 5, dict(level=3), 3),
+        ],
+        ids=["Z-5-100", "Z + Z_3-4-6", "Prufer(2)-5-level3"],
+    )
+    def test_a_verified_cell_computes_its_differences_once(self, monkeypatch, text, kappa, opts, index):
         # the invariant check and the index solve read one D
         masks = []
         diff_mask = DenseBox.diff_mask
@@ -167,9 +176,24 @@ class TestIndex:
             return diff_mask(box, mask)
 
         monkeypatch.setattr(DenseBox, "diff_mask", counting)
-        report = run_witness(RunConfig("witness", group=text, kappa=kappa, window=bound, verify=True))
-        assert report.results["windowed_sharp_index"] == kappa
+        report = run_witness(RunConfig("witness", group=text, kappa=kappa, verify=True, **opts))
+        assert report.results["windowed_sharp_index"] == index
         assert len(masks) == 1
+
+    def test_a_difference_outside_the_box_still_fails_i1(self):
+        # D's box holds the doubled window and A, radius 30; 60 = 30 - (-30)
+        # lies outside it and is found pair by pair, while 70 is no difference
+        b = BSet(Z, 3, ElementSet.parse(Z, ["0", "1", "-1", "70", "-70", "60", "-60"]), "K3")
+        A = ElementSet.parse(Z, ["-30", "30"])
+        window = Window.for_group(Z, 2)
+        rep = verify_witness(WitnessSet(Z, 3, b, window, A, (), window))
+        assert not rep.i1_holds
+        beta, a = rep.i1_counterexample
+        assert abs(beta.coords[0]) == 60
+        assert (beta + a).coords in A.coords_set()
+        # without the planted pair, no beta of B* is a difference
+        rep = verify_witness(WitnessSet(Z, 3, b, window, ElementSet.parse(Z, ["30"]), (), window))
+        assert rep.i1_holds and rep.i1_counterexample is None
 
     def test_kappa3_family_is_inside_bstar(self):
         w = small_witness(3, 30)
