@@ -10,9 +10,9 @@ subgroup windows of the benchmark's index catalog (``Z_10 + Z_10`` and
 an oversized ``witness --verify``; the ``obstruct`` sweeps: the
 exhaustive ones of acceptance criteria 1 and 2, seeded samples of 500 and
 2,000 draws on two groups, and the 32-element cap error; the pair-map
-budget error; and the ``pack demo``
-report of each acceptance criterion alone at seed 0. ``tests/test_golden.py``
-recomputes each cell and compares it with ``tests/golden/digests.json``.
+budget error; and the ``pack demo`` report of each acceptance criterion
+alone at seed 0. ``tests/test_golden.py`` recomputes each cell and compares
+it with ``tests/golden/digests.json``.
 
 Run this only to change the pinned bytes on purpose; it rewrites the file.
 Reports echo set-file paths, so cells run from the repository root.
