@@ -2,17 +2,23 @@
 """Pin the sha256 of golden report bytes: python3 scripts/pin_goldens.py
 
 The cells cover every report a refactor of the arithmetic layer could
-change: the 25 byte-compared cells of acceptance criterion 7, witnesses
-with invariants and index on the non-``Z`` carriers, ``index`` on one set
-file per factor kind plus a mixed sum, ``index`` on the two heaviest
-subgroup windows of the benchmark's index catalog (``Z_10 + Z_10`` and
-``Z_3^w`` at m = 4), and the window-cap error report of
-an oversized ``witness --verify``; the ``obstruct`` sweeps: the
-exhaustive ones of acceptance criteria 1 and 2, seeded samples of 500 and
-2,000 draws on two groups, and the 32-element cap error; the pair-map
-budget error; and the ``pack demo`` report of each acceptance criterion
-alone at seed 0. ``tests/test_golden.py`` recomputes each cell and compares
-it with ``tests/golden/digests.json``.
+change: the 25 byte-compared cells of acceptance criterion 7, ``bset`` at
+kappa 3 on the carriers its rule ranks (``Prufer(3)``, ``Z_n^w`` before
+``Z_n``, a ``Z_3`` factor skipped), witnesses with invariants on ``Z`` at
+window 100, on ``Z + Z_3`` and ``Z + Z_2`` and on the non-``Z`` carriers,
+``index`` on one set file per factor kind plus a mixed sum, ``index`` on
+the two heaviest subgroup windows of the benchmark's index catalog
+(``Z_10 + Z_10`` and ``Z_3^w`` at m = 4), on code-ordered ``Z + Z``,
+``Z + Z_4`` and ``Z_4 + Z`` windows and on a set too wide for one
+difference box, and the window-cap error report of an oversized
+``witness --verify``; the ``obstruct`` sweeps: the exhaustive ones of
+acceptance criteria 1 and 2, seeded samples of 500 and 2,000 draws on two
+groups (and of 2,000 on ``Z_2^5`` at seed 1), and the 32-element cap
+error; the pair-map budget error; and the ``pack demo`` report of each
+acceptance criterion alone at seed 0. ``tests/test_golden.py`` recomputes
+each cell and compares it with ``tests/golden/digests.json``; run under two
+values of ``PYTHONHASHSEED``, it shows that no report depends on the hash
+seed.
 
 Run this only to change the pinned bytes on purpose; it rewrites the file.
 Reports echo set-file paths, so cells run from the repository root.
@@ -51,11 +57,17 @@ from packidx.runners import (  # noqa: E402
 DIGESTS = ROOT / "tests" / "golden" / "digests.json"
 SETS = "tests/golden/sets"
 
-CARRIER_WITNESSES = [
+# the kappa-3 carrier rule: a Prufer(3) unit at level 2, Z_n^w before Z_n,
+# and a Z_3^w factor skipped
+BSET_CARRIERS = ["Prufer(3)", "Z_3 + Z_3^w + Prufer(3)", "Z_2 + Z_9^w", "Z_3^w + Z_5"]
+
+WITNESSES = [
     ("Z_3^w", 4, {"m": 4}),
     ("Prufer(2)", 5, {"level": 5}),
     ("Z_5^w", 4, {"m": 2}),
     ("Z + Z_2", 3, {"window": 30}),
+    ("Z", 5, {"window": 100}),
+    ("Z + Z_3", 4, {"window": 6}),
 ]
 
 INDEX_SETS = [
@@ -66,6 +78,10 @@ INDEX_SETS = [
     ("mixed.json", {"window": 3, "m": 2}),
     ("z10x10.json", {}),
     ("z3w.json", {"m": 4}),
+    ("zz.json", {"window": 15}),
+    ("zz4.json", {"window": 127}),
+    ("z4z.json", {"window": 127}),
+    ("wide.json", {"window": 6}),
 ]
 
 SAMPLED_SWEEPS = [("Z_3^3", 3), ("Z_2^5", 4)]
@@ -80,12 +96,15 @@ def cells() -> dict:
     for text, kappa in ATTAINABILITY_CELLS:
         cfg = RunConfig(command="bset", group=text, kappa=kappa, check=True)
         out[f"bset {text} k={kappa} --check"] = (run_bset, cfg)
+    for text in BSET_CARRIERS:
+        cfg = RunConfig(command="bset", group=text, kappa=3, check=True)
+        out[f"bset {text} k=3 --check"] = (run_bset, cfg)
     for kappa in WITNESS_KAPPAS:
         cfg = RunConfig(command="witness", group="Z", kappa=kappa, window=WITNESS_WINDOW, verify=True)
         out[f"witness Z k={kappa} --window {WITNESS_WINDOW} --verify"] = (run_witness, cfg)
     for a, b in PAIRMAP_CELLS:
         out[f"pairmap {a},{b}"] = (run_pairmap, RunConfig(command="pairmap", a=a, b=b))
-    for text, kappa, opts in CARRIER_WITNESSES:
+    for text, kappa, opts in WITNESSES:
         cfg = RunConfig(command="witness", group=text, kappa=kappa, verify=True, **opts)
         flags = " ".join(f"--{k} {v}" for k, v in opts.items())
         out[f"witness {text} k={kappa} {flags} --verify"] = (run_witness, cfg)
@@ -101,6 +120,8 @@ def cells() -> dict:
     for (text, kappa), sample in itertools.product(SAMPLED_SWEEPS, SAMPLE_COUNTS):
         cfg = RunConfig(command="obstruct", group=text, kappa=kappa, sample=sample, seed=7)
         out[f"obstruct {text} k={kappa} --sample {sample} --seed 7"] = (run_obstruct, cfg)
+    cfg = RunConfig(command="obstruct", group="Z_2^5", kappa=4, sample=2000, seed=1)
+    out["obstruct Z_2^5 k=4 --sample 2000 --seed 1"] = (run_obstruct, cfg)
     cfg = RunConfig(command="obstruct", group="Z_2^6", kappa=4, sample=10)
     out["obstruct Z_2^6 k=4 --sample 10 (element cap)"] = (run_obstruct, cfg)
     cfg = RunConfig(command="pairmap", a=5, b=5, budget=10)
