@@ -92,31 +92,25 @@ def _repeated_generator(group: GroupSpec, index: int, copy: int) -> Element:
     return _unit_at(group, index, (0,) * copy + (1,))
 
 
-def _candidate_generators(group: GroupSpec) -> list[Element]:
-    """Per-factor generators in carrier-preference order: Z, Prufer, Z_n^w, Z_n.
-
-    For a Prufer factor the level-1 and level-2 generators are both offered
-    so a generator of order != 3 always appears when one exists.
-    """
-    ics, prufers, repeats, cyclics = [], [], [], []
-    for i, f in enumerate(group.factors):
-        if f.kind == INFINITE_CYCLIC:
-            ics.append(_unit_at(group, i, 1))
-        elif f.kind == PRUFER:
-            prufers.append(_unit_at(group, i, (1, 1)))
-            prufers.append(_unit_at(group, i, (1, 2)))
-        elif f.kind == REPEATED_CYCLIC:
-            repeats.append(_repeated_generator(group, i, 0))
-        else:
-            cyclics.append(_unit_at(group, i, 1))
-    return ics + prufers + repeats + cyclics
-
-
 def _element_of_order_not_3(group: GroupSpec) -> Element:
-    for g in _candidate_generators(group):
-        if g.order() != 3:
-            return g
-    raise NoCarrierError("no generator of order != 3 is available")
+    """A unit of order != 3 on the first carrier in the order Z, Prufer,
+    Z_n^w, Z_n, keeping factor order within a kind. The factor's kind and
+    parameter decide: a Z unit has infinite order; a Prufer(p) unit is taken
+    at level 1, or at level 2 (order 9) when p = 3; a Z_n^w or Z_n unit has
+    order n, so it is taken when n != 3. Only the returned unit is built."""
+    rank = (INFINITE_CYCLIC, PRUFER, REPEATED_CYCLIC, CYCLIC)
+    carriers = [
+        (rank.index(f.kind), i)
+        for i, f in enumerate(group.factors)
+        if f.kind == PRUFER or f.param != 3
+    ]
+    if not carriers:
+        raise NoCarrierError("no generator of order != 3 is available")
+    i = min(carriers)[1]
+    f = group.factors[i]
+    if f.kind == PRUFER:
+        return _unit_at(group, i, (1, 2 if f.param == 3 else 1))
+    return _unit_at(group, i, (1,) if f.kind == REPEATED_CYCLIC else 1)
 
 
 def _element_of_order_gt_5(group: GroupSpec) -> Element | None:

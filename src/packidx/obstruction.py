@@ -278,11 +278,15 @@ def _family_disjoint(t: _GroupTables, dstar: int, family: tuple[int, ...]) -> bo
     return True
 
 
-def _verdict(t: _GroupTables, kappa: int, d: int) -> str | tuple[tuple[str, bool], ...]:
+def _verdict(t: _GroupTables, kappa: int, d: int) -> tuple[tuple[str, bool], ...]:
     """What a sweep step finds for any subset with difference mask ``d``:
-    the reason it fails before any family is built, or each extended family's
-    variant and whether its translates are disjoint (empty when no
-    (kappa-1)-family exists). It reads nothing but ``d``."""
+    each extended family's variant and whether its translates are disjoint
+    (empty when no (kappa-1)-family exists). It reads nothing but ``d``.
+
+    At kappa 3 the family {0, b, 2b} needs 3b = 0, which the exponent-3
+    family check before the sweep guarantees; a shift of another order
+    raises ``CertificationError``, as ``extend_pair_exponent3`` raises on
+    3b != 0."""
     dstar = d & ~1
     compat0 = ~dstar & t.full & ~1
 
@@ -291,7 +295,7 @@ def _verdict(t: _GroupTables, kappa: int, d: int) -> str | tuple[tuple[str, bool
         if compat0:
             b = (compat0 & -compat0).bit_length() - 1
             if t.order[b] != 3:
-                return "shift order is not 3"
+                raise CertificationError(f"shift {t.elements[b]} has order {t.order[b]}, not 3")
             families.append(("Exponent3", (0, b, t.add[b][b])))
     else:
         hit = _find_triple(t, dstar, compat0)
@@ -328,13 +332,10 @@ def _sweep(
     found = certified = nofam = checks = 0
     cases: dict[str, int] = {}
     bad: set[int] = set()
-    verdicts: dict[int, str | tuple[tuple[str, bool], ...]] = {}
+    verdicts: dict[int, tuple[tuple[str, bool], ...]] = {}
 
     for d, count in Counter(diffs).items():
         verdict = verdicts[d] = _verdict(t, kappa, d)
-        if isinstance(verdict, str):
-            bad.add(d)
-            verdict = ()
         if not verdict:
             nofam += count
             continue
@@ -351,11 +352,7 @@ def _sweep(
         for mask, d in zip(masks, diffs):
             if d not in bad:
                 continue
-            verdict = verdicts[d]
-            if isinstance(verdict, str):
-                violations.append({"subset": mask, "reason": verdict})
-                continue
-            for variant, disjoint in verdict:
+            for variant, disjoint in verdicts[d]:
                 if not disjoint:
                     violations.append(
                         {"subset": mask, "reason": f"{variant} extension not disjoint"}
@@ -363,8 +360,7 @@ def _sweep(
 
     for mask, d in checked:
         checks += 1
-        verdict = verdicts[d]
-        found_family = not isinstance(verdict, str) and bool(verdict)
+        found_family = bool(verdicts[d])
         A = ElementSet(t.group, tuple(t.elements[i] for i in range(t.n) if mask >> i & 1))
         size = max_packing_family(A, t.window).size
         if found_family and size < kappa:

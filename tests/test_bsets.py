@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from packidx import bsets
 from packidx.bsets import (
     BSet,
     K2_ZERO,
@@ -20,9 +23,18 @@ from packidx.bsets import (
 from packidx.errors import (
     ExceptionalGroupError,
     FiniteGroupError,
+    NoCarrierError,
     PropertyCheckFailedError,
 )
-from packidx.groups import Window, parse_group
+from packidx.groups import (
+    CYCLIC,
+    INFINITE_CYCLIC,
+    PRUFER,
+    REPEATED_CYCLIC,
+    Window,
+    parse_group,
+    zero_coord,
+)
 from packidx.packing import ElementSet, max_clique_in_bset
 
 Z = parse_group("Z")
@@ -128,6 +140,59 @@ class TestBuild:
     def test_kappa_below_two_rejected(self):
         with pytest.raises(ValueError):
             build_bset(Z, 1)
+
+
+CARRIER_FACTORS = [
+    "Z", "Z_2", "Z_3", "Z_4", "Z_6", "Z_9", "Z_2^w", "Z_3^w", "Z_5^w", "Z_9^w",
+    "Prufer(2)", "Prufer(3)", "Prufer(5)",
+]
+
+
+def candidate_list_carrier(group):
+    """The kappa-3 carrier as a list of every factor's candidate units, in
+    the order Z, Prufer (levels 1 and 2), Z_n^w, Z_n, each tested by its
+    computed order; None when every candidate has order 3."""
+    ranked = {INFINITE_CYCLIC: [], PRUFER: [], REPEATED_CYCLIC: [], CYCLIC: []}
+    units = {INFINITE_CYCLIC: [1], PRUFER: [(1, 1), (1, 2)], REPEATED_CYCLIC: [(1,)], CYCLIC: [1]}
+    zeros = [zero_coord(f) for f in group.factors]
+    for i, f in enumerate(group.factors):
+        for unit in units[f.kind]:
+            ranked[f.kind].append(group.element(*zeros[:i], unit, *zeros[i + 1 :]))
+    return next((g for g in itertools.chain(*ranked.values()) if g.order() != 3), None)
+
+
+class TestK3Carrier:
+    def test_matches_the_candidate_list_rule(self):
+        # every spec of one to three factors, finite ones included
+        specs = errors = 0
+        for r in (1, 2, 3):
+            for parts in itertools.product(CARRIER_FACTORS, repeat=r):
+                group = parse_group(" + ".join(parts))
+                want = candidate_list_carrier(group)
+                specs += 1
+                if want is None:
+                    errors += 1
+                    with pytest.raises(NoCarrierError):
+                        bsets._element_of_order_not_3(group)
+                else:
+                    got = bsets._element_of_order_not_3(group)
+                    assert got.coords == want.coords, " + ".join(parts)
+        assert (specs, errors) == (2379, 14)
+
+    @pytest.mark.parametrize(
+        "text,unit", [("Z^4096", (0, 1)), ("Z_3^2000 + Prufer(3)", (2000, (1, 2)))]
+    )
+    def test_builds_only_the_carrier_unit(self, text, unit, monkeypatch):
+        calls = []
+        unit_at = bsets._unit_at
+
+        def spy(group, index, coord):
+            calls.append((index, coord))
+            return unit_at(group, index, coord)
+
+        monkeypatch.setattr(bsets, "_unit_at", spy)
+        assert build_bset(parse_group(text), 3).provenance == K3
+        assert calls == [unit]
 
 
 class TestProperties:

@@ -1,11 +1,12 @@
 """An answer whose certificate fails is an error, never a number.
 
 ``max_packing_family`` certifies its family (pairwise disjoint translates),
-and ``max_clique_in_bset`` and ``clique_in_bset_of_size`` their clique
-(every difference inside the base set). Each test breaks one certificate,
-or the solver behind it, and checks that a caller of that solver stops with
-``CertificationError``: a library call raises it, and a ``pack`` command
-turns it into an error report with exit code 1.
+``max_clique_in_bset`` and ``clique_in_bset_of_size`` their clique (every
+difference inside the base set), and a kappa-3 sweep the order of each
+shift it extends. Each test breaks one certificate, or the solver or table
+behind it, and checks that a caller stops with ``CertificationError``: a
+library call raises it, and a ``pack`` command turns it into an error
+report with exit code 1.
 """
 
 import json
@@ -13,7 +14,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from packidx import bsets, clique, demo, packing, witness
+from packidx import bsets, clique, demo, obstruction, packing, witness
 from packidx.cli import main
 from packidx.errors import CertificationError
 from packidx.groups import Window, parse_group
@@ -35,6 +36,18 @@ def first_vertices_clique(monkeypatch):
 def no_extraction(monkeypatch):
     """``clique_of_size`` finds nothing, whatever size was proved."""
     monkeypatch.setattr(clique, "clique_of_size", lambda *args: None)
+
+
+@pytest.fixture
+def wrong_orders(monkeypatch):
+    """The sweep's tables give every nonzero element order 9."""
+    init = obstruction._GroupTables.__init__
+
+    def planted(self, group):
+        init(self, group)
+        self.order = [1] + [9] * (self.n - 1)
+
+    monkeypatch.setattr(obstruction._GroupTables, "__init__", planted)
 
 
 @pytest.fixture
@@ -63,6 +76,13 @@ def test_windowed_sharp_index_raises(broken_family):
 
 def test_sweep_cross_check_is_an_error(broken_family):
     certification_error_report(["obstruct", "--group", "Z_4 + Z_2", "--kappa", "4"])
+
+
+def test_a_kappa_3_shift_of_another_order_is_an_error(wrong_orders):
+    with pytest.raises(CertificationError):
+        obstruction.exhaustive_no_index_check(parse_group("Z_3^2"), 3)
+    error = certification_error_report(["obstruct", "--group", "Z_3^2", "--kappa", "3"])
+    assert error["message"].endswith("has order 9, not 3")
 
 
 def test_solver_criterion_is_an_error(broken_family):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from packidx import clique, obstruction
 from packidx.errors import (
+    CertificationError,
     NotApplicableError,
     PreconditionError,
 )
@@ -281,9 +282,8 @@ def reference_sweep(group, kappa, sample=None, seed=0):
             if compat0:
                 b = (compat0 & -compat0).bit_length() - 1
                 if t.order[b] != 3:
-                    violations.append({"subset": mask, "reason": "shift order is not 3"})
-                else:
-                    families.append(("Exponent3", (0, b, t.add[b][b])))
+                    raise CertificationError(f"shift {t.elements[b]} has order {t.order[b]}, not 3")
+                families.append(("Exponent3", (0, b, t.add[b][b])))
         else:
             hit = _find_triple(t, dstar, compat0)
             if hit is not None:
