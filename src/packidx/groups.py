@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, NamedTuple
 
@@ -345,8 +345,9 @@ class GroupSpec:
     """An ordered direct sum of factors; all derived flags are recomputed.
 
     The group holds the add and negate its elements use, chosen per factor
-    when it is made; they are attributes, not fields, so equality and
-    hashing still read the factors alone."""
+    when it is made, and the hash of its factors, worked out once then;
+    they are attributes, not fields, so equality and hashing still read
+    the factors alone."""
 
     factors: tuple[Factor, ...]
 
@@ -354,9 +355,14 @@ class GroupSpec:
         add, neg = _tuple_ops(self.factors)
         object.__setattr__(self, "_add", add)
         object.__setattr__(self, "_neg", neg)
+        object.__setattr__(self, "_hash", hash(self.factors))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __reduce__(self):
-        # the operations are rebuilt from the factors, as they cannot be pickled
+        # the operations cannot be pickled, and the hash follows the
+        # process's hash seed, so both are rebuilt from the factors
         return GroupSpec, (self.factors,)
 
     @property
@@ -454,10 +460,18 @@ class Window:
 
     Per-factor bounds: None for a full cyclic factor, |x| <= N for ``Z``,
     first m copies for ``Z_n^w``, level <= m for ``Prufer(p)``.
+
+    ``_families`` keeps, for a window with no ``Z`` factor, the maximum
+    family :func:`packing.max_packing_family` found for each difference
+    mask D over the window's own box, as its size and the picked vertex
+    indices: the family depends on D alone, so a later set with the same D
+    is solved without a graph. It lives as long as this window object and
+    takes no part in equality or hashing.
     """
 
     group: GroupSpec
     bounds: tuple[int | None, ...]
+    _families: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.bounds) != len(self.group.factors):

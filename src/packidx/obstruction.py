@@ -158,7 +158,9 @@ class _GroupTables:
     add that :class:`Element` addition calls. The exhaustive difference
     masks (one 16-bit lane per subset) and ``_family_disjoint`` read
     ``add``; the sampled difference masks (one 32-bit lane per draw) and
-    ``_find_triple`` read the box's steps.
+    ``_find_triple`` read the box's steps. Every solver cross-check of the
+    sweep runs on the one ``window`` made here, so the families it keeps by
+    difference mask last one sweep, as the tables do.
 
     Element i has box code i, because a finite group's box numbers its codes
     in window order; so a subset is a mask of element indices. The group is
@@ -179,6 +181,7 @@ class _GroupTables:
         self.order = [a.order() for a in self.elements]
         self.order4 = sum(1 << i for i, o in enumerate(self.order) if o == 4)
         self.full = (1 << self.n) - 1
+        self._pair_families: dict[tuple[int, int], tuple[str, tuple[int, ...]]] = {}
 
     def exhaustive_diff_masks(self) -> array:
         """The box's ``diff_mask(m)`` for m = 1, 2, ..., 2^n - 1, as a 16-bit
@@ -231,10 +234,15 @@ class _GroupTables:
 
     def family(self, b1: int, b2: int) -> tuple[str, tuple[int, ...]]:
         """Variant and element indices of the quadruple {0, b1, b2, b3} that
-        ``classify_triple`` and ``_fourth_shift`` make from shifts b1, b2."""
-        case = classify_triple(self.group, self.elements[b1], self.elements[b2])
-        shifts = (case.b1, case.b2, _fourth_shift(case))
-        return case.variant, (0, *(self.index[b.coords] for b in shifts))
+        ``classify_triple`` and ``_fourth_shift`` make from shifts b1, b2.
+        Many difference masks share a shift pair, so each pair's answer is
+        kept for the life of these tables, which is one sweep."""
+        answer = self._pair_families.get((b1, b2))
+        if answer is None:
+            case = classify_triple(self.group, self.elements[b1], self.elements[b2])
+            shifts = (case.b1, case.b2, _fourth_shift(case))
+            answer = self._pair_families[b1, b2] = case.variant, (0, *(self.index[b.coords] for b in shifts))
+        return answer
 
 
 def _find_triple(t: _GroupTables, dstar: int, pool: int) -> tuple[int, int] | None:

@@ -208,7 +208,12 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     inside the window is a translate of D* with no gather, and the box's
     tables give ``neg`` and the steps for the rules. The search runs on
     that graph, and the extraction scans the window's enumeration order
-    through the box's ``place``.
+    through the box's ``place``. When D's box is the window's own box, the
+    graph and so the family depend on D alone: the window keeps the family
+    by D (``Window._families``), and a later set with the same D on the
+    same window object skips the graph, the search and the extraction. Its
+    D, its cover test and its certificate on its own coordinates are still
+    worked out.
 
     A window with a ``Z`` factor is no subgroup. With exactly one, of bound
     w, say Z + H, translate any family so that its lowest ``Z`` coordinate
@@ -245,15 +250,20 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
         vertices, _, neg, steps, place = box_for(group, window.bounds).tables()
         box, diff = difference_mask(A, window.bounds)
         # D's box is the window's unless A leaves it
-        inside = (1 << box.size) - 1 if box.size == len(vertices) else box.mask_of(vertices)
+        own = box.size == len(vertices)
+        inside = (1 << box.size) - 1 if own else box.mask_of(vertices)
         if diff & inside == inside:
             size, picked = 1, [0]  # D covers the window, so {0} is a maximum family
+        elif own and diff in window._families:
+            size, picked = window._families[diff]
         else:
             adj = compatibility_graph(A, vertices)
             nadj = clique.complement_rows(adj)
             size = clique.max_clique_size(adj, adj[0], neg, lambda mask, v: apply_steps(mask, steps[v]), nadj)
             rest = clique.clique_of_size(adj, size, adj[0], place, nadj)
             size, picked = size + 1, None if rest is None else [0] + rest
+            if own:
+                window._families[diff] = size, picked
     if picked is None or len(picked) != size:
         raise CertificationError(f"the solver found no family of the {size} shifts it proved")
     if place is not None:

@@ -15,6 +15,7 @@ from packidx.groups import (
     PRIME_EXACT_BELOW,
     PRUFER,
     REPEATED_CYCLIC,
+    Element,
     Factor,
     GroupSpec,
     Window,
@@ -377,6 +378,21 @@ def test_groups_and_elements_pickle():
     copy = pickle.loads(pickle.dumps(e))
     assert copy == e and copy.group == group
     assert (copy + copy, -copy, copy - e) == (e + e, -e, group.zero())
+
+
+@pytest.mark.parametrize(
+    "text,element", [("Z_4 + Z_2^2", "(3,1,1)"), ("Z_3^w + Prufer(3)", "([2,0,1],2/3^2)"), ("Z", "-7")]
+)
+def test_group_hash_is_made_once_and_read_as_the_factors_hash(text, element):
+    group, twin = parse_group(text), parse_group(text)
+    assert group is not twin
+    assert group == twin and hash(group) == hash(twin) == hash(group.factors)
+    copy = pickle.loads(pickle.dumps(group))
+    assert copy == group and hash(copy) == hash(group)
+    assert len({group, twin, copy}) == 1
+    coords = parse_element(group, element).coords
+    assert Element(group, coords) == Element(twin, coords) == Element(copy, coords)
+    assert (parse_group("Z") == "Z") is False
 
 
 class TestElementSyntax:

@@ -23,6 +23,7 @@ from packidx.obstruction import (
     SweepReport,
     _family_disjoint,
     _find_triple,
+    _fourth_shift,
     _GroupTables,
     classify_triple,
     exhaustive_no_index_check,
@@ -266,8 +267,15 @@ def swept_masks(n, sample, seed):
 
 def reference_sweep(group, kappa, sample=None, seed=0):
     """The sweep as a per-subset loop with no memo: each subset finds its
-    own families in its own difference mask and certifies them."""
+    own families in its own difference mask and certifies them, takes each
+    quadruple from the case split itself, and is solved on a fresh window."""
     t = _GroupTables(group)
+
+    def family(b1, b2):
+        case = classify_triple(group, t.elements[b1], t.elements[b2])
+        shifts = (case.b1, case.b2, _fourth_shift(case))
+        return case.variant, (0, *(t.index[b.coords] for b in shifts))
+
     masks = swept_masks(t.n, sample, seed)
     stride = max(1, len(masks) // 128)
     order4 = sum(1 << i for i, o in enumerate(t.order) if o == 4)
@@ -287,12 +295,12 @@ def reference_sweep(group, kappa, sample=None, seed=0):
         else:
             hit = _find_triple(t, dstar, compat0)
             if hit is not None:
-                variant, fam = t.family(*hit)
+                variant, fam = family(*hit)
                 families.append((variant, fam))
                 if variant == ORDER_TWO and order4:
                     hit4 = _find_triple(t, dstar, compat0 & order4)
                     if hit4 is not None:
-                        families.append(t.family(*hit4))
+                        families.append(family(*hit4))
         if not families:
             nofam += 1
         else:
@@ -306,7 +314,7 @@ def reference_sweep(group, kappa, sample=None, seed=0):
         if mask % stride == 0:
             checks += 1
             A = ElementSet.of(group, [t.elements[i] for i in range(t.n) if mask >> i & 1])
-            size = max_packing_family(A, t.window).size
+            size = max_packing_family(A, Window.for_group(group)).size
             if families and size < kappa:
                 violations.append({"subset": mask, "reason": f"solver max {size} < {kappa}"})
             if not families and size > kappa - 2:
@@ -389,6 +397,33 @@ def test_sweep_and_cross_check_read_one_set_of_box_tables(monkeypatch):
     for neg, translate in searches:
         assert neg is t.neg
         assert any(cell.cell_contents is t.steps for cell in translate.__closure__)
+
+
+# each sweep's spied function, its calls with the pair and window memos,
+# and its cross-checks; without the memos the calls are 130, 34 and 156
+WORK_COUNTS = [
+    ("Z_4 + Z_2", 4, clique, "max_clique_size", 14, 255),
+    ("Z_3^2", 3, clique, "max_clique_size", 8, 170),
+    ("Z_2^4", 4, obstruction, "classify_triple", 22, 128),
+]
+
+
+@pytest.mark.parametrize("text,kappa,module,name,calls,checks", WORK_COUNTS, ids=[w[0] for w in WORK_COUNTS])
+def test_a_sweep_solves_each_mask_and_shift_pair_once(text, kappa, module, name, calls, checks, monkeypatch):
+    group = parse_group(text)
+    seen = []
+    spied = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        seen.append(name)
+        return spied(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    report = exhaustive_no_index_check(group, kappa)
+    assert len(seen) == calls
+    assert report.cross_checks == checks
+    monkeypatch.undo()
+    assert report == reference_sweep(group, kappa)
 
 
 def test_planted_fault_is_listed_for_every_subset_with_its_mask(monkeypatch):

@@ -40,6 +40,7 @@ from packidx.packing import (
     _certify_family,
     clique_in_bset_of_size,
     compatibility_graph,
+    difference_mask,
     difference_set,
     max_clique_in_bset,
     max_packing_family,
@@ -642,6 +643,54 @@ def test_a_subgroup_window_computes_its_differences_once(monkeypatch):
     monkeypatch.setattr(DenseBox, "diff_mask", counting)
     assert max_packing_family(A, window).size == 20
     assert len(masks) == 1
+
+
+def _answer(family):
+    return family.size, family.shifts.to_texts(), family.certified
+
+
+@pytest.mark.parametrize("text", ["Z_4 + Z_2", "Z_3^2", "Z_2^3"])
+def test_a_window_kept_family_never_changes_an_answer(text):
+    # every nonempty subset, in mask order, on one window: each answer must
+    # be the answer of a fresh window and a fresh set
+    group = parse_group(text)
+    shared = Window.for_group(group)
+    elements = list(enumerate_window(shared))
+    uncovered = []
+    for mask in range(1, 1 << len(elements)):
+        chosen = [e for i, e in enumerate(elements) if mask >> i & 1]
+        A = ElementSet.of(group, chosen)
+        got = _answer(max_packing_family(A, shared))
+        fresh = _answer(max_packing_family(ElementSet.of(group, chosen), Window.for_group(group)))
+        assert got == fresh, mask
+        box, diff = A._differences[shared.bounds]
+        if diff != (1 << box.size) - 1:
+            uncovered.append(diff)
+    # one entry per uncovered D, and some D met again, so entries were read
+    assert set(shared._families) == set(uncovered)
+    assert len(uncovered) > len(shared._families)
+
+
+# sets that leave their window: D's box is not the window's, so no family
+# is kept, and the answer is a fresh window's
+LEAVING_SETS = [
+    ("Z_2^w", ["0", "[1]", "[0,0,1]"], {"repeated_m": 2}),
+    ("Prufer(2)", ["0", "1/2", "1/2^3"], {"prufer_level": 2}),
+]
+
+
+@pytest.mark.parametrize("text,elements,window_args", LEAVING_SETS, ids=[t for t, _, _ in LEAVING_SETS])
+def test_a_set_that_leaves_its_window_keeps_no_family(text, elements, window_args):
+    group = parse_group(text)
+    window = Window.for_group(group, **window_args)
+    A = ElementSet.parse(group, elements)
+    box, _ = difference_mask(A, window.bounds)
+    assert box.size > window.size()
+    first, again = (_answer(max_packing_family(A, window)) for _ in range(2))
+    fresh = _answer(max_packing_family(ElementSet.parse(group, elements), Window.for_group(group, **window_args)))
+    assert first == again == fresh
+    assert fresh[0] > 1  # not covered: each solve built its graph
+    assert window._families == {}
 
 
 # sets spread past MAX_BOX_BITS: difference_mask takes its pairwise path
