@@ -4,7 +4,8 @@
 The cells cover every report a refactor of the arithmetic layer could
 change: the 25 byte-compared cells of acceptance criterion 7, ``bset`` at
 kappa 3 on the carriers its rule ranks (``Prufer(3)``, ``Z_n^w`` before
-``Z_n``, a ``Z_3`` factor skipped), witnesses with invariants on ``Z`` at
+``Z_n``, a ``Z_3`` factor skipped) and at kappa 4 and 5 on the carriers no
+attainability cell reaches, witnesses with invariants on ``Z`` at
 window 100, on ``Z + Z_3`` and ``Z + Z_2`` and on the non-``Z`` carriers,
 ``index`` on one set file per factor kind plus a mixed sum, ``index`` on
 the two heaviest subgroup windows of the benchmark's index catalog
@@ -60,6 +61,18 @@ SETS = "tests/golden/sets"
 # the kappa-3 carrier rule: a Prufer(3) unit at level 2, Z_n^w before Z_n,
 # and a Z_3^w factor skipped
 BSET_CARRIERS = ["Prufer(3)", "Z_3 + Z_3^w + Prufer(3)", "Z_2 + Z_9^w", "Z_3^w + Z_5"]
+# the kappa-4 rules: an order > 5 unit on Prufer(2) at level 3, on Z_7 and as
+# the sum of every factor's unit (order 6), a Z_3 subgroup, and two order-4
+# units from Z_4 and Z_4^w; the kappa-5 carriers Prufer before Z_n^w, and Z_n^w
+BSET_CARRIERS_K45 = [
+    ("Prufer(2)", 4),
+    ("Z_2^w + Z_7", 4),
+    ("Z_2^w + Z_3", 4),
+    ("Z_3 + Z_3^w", 4),
+    ("Z_4 + Z_4^w", 4),
+    ("Z_5^w + Prufer(3)", 5),
+    ("Z_2^w", 5),
+]
 
 WITNESSES = [
     ("Z_3^w", 4, {"m": 4}),
@@ -96,9 +109,9 @@ def cells() -> dict:
     for text, kappa in ATTAINABILITY_CELLS:
         cfg = RunConfig(command="bset", group=text, kappa=kappa, check=True)
         out[f"bset {text} k={kappa} --check"] = (run_bset, cfg)
-    for text in BSET_CARRIERS:
-        cfg = RunConfig(command="bset", group=text, kappa=3, check=True)
-        out[f"bset {text} k=3 --check"] = (run_bset, cfg)
+    for text, kappa in [(t, 3) for t in BSET_CARRIERS] + BSET_CARRIERS_K45:
+        cfg = RunConfig(command="bset", group=text, kappa=kappa, check=True)
+        out[f"bset {text} k={kappa} --check"] = (run_bset, cfg)
     for kappa in WITNESS_KAPPAS:
         cfg = RunConfig(command="witness", group="Z", kappa=kappa, window=WITNESS_WINDOW, verify=True)
         out[f"witness Z k={kappa} --window {WITNESS_WINDOW} --verify"] = (run_witness, cfg)
