@@ -8,11 +8,21 @@ families are exceptional and rejected: index 3 is unattainable in direct
 sums of Z_3, index 4 in direct sums of Z_2 (with at most one Z_4 summand).
 ``exceptional_family`` states that rule once, for finite and infinite
 groups alike; the obstruction sweeps ask it which finite groups they cover.
+
+Each case is carried by one factor, chosen in its own order of kinds and
+then in factor order: at kappa 3 a unit of order != 3 on Z, Prufer, Z_n^w,
+then Z_n; at kappa 4 a unit of order > 5 on Z, Prufer, then Z_n and Z_n^w
+together (else the sum of every unit, an order-3 subgroup or two order-4/5
+units); at kappa >= 5 the first Z, Prufer, then Z_n^w. ``_carriers`` is the
+one scan of the factors, and ``_unit`` builds every unit, only the ones a
+base set uses.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from math import lcm
 
 from .errors import (
     ExceptionalGroupError,
@@ -82,90 +92,44 @@ def is_exceptional(group: GroupSpec, kappa: int) -> bool:
     return exceptional_family(group, kappa)
 
 
-def _unit_at(group: GroupSpec, index: int, coord) -> Element:
-    coords = [zero_coord(f) for f in group.factors]
-    coords[index] = coord
-    return group.element(*coords)
+def _carriers(group: GroupSpec, *ranks: tuple, accept=lambda f: True) -> Iterator[int]:
+    """Indices of the factors ``accept`` takes, rank by rank: each rank is a
+    tuple of kinds, and a rank's factors come in factor order."""
+    for kinds in ranks:
+        for i, f in enumerate(group.factors):
+            if f.kind in kinds and accept(f):
+                yield i
 
 
-def _repeated_generator(group: GroupSpec, index: int, copy: int) -> Element:
-    return _unit_at(group, index, (0,) * copy + (1,))
+def _least_level(p: int, bound: int) -> int:
+    """The least level L >= 1 with p^L > ``bound``."""
+    level = 1
+    while p**level <= bound:
+        level += 1
+    return level
 
 
-def _element_of_order_not_3(group: GroupSpec) -> Element:
-    """A unit of order != 3 on the first carrier in the order Z, Prufer,
-    Z_n^w, Z_n, keeping factor order within a kind. The factor's kind and
-    parameter decide: a Z unit has infinite order; a Prufer(p) unit is taken
-    at level 1, or at level 2 (order 9) when p = 3; a Z_n^w or Z_n unit has
-    order n, so it is taken when n != 3. Only the returned unit is built."""
-    rank = (INFINITE_CYCLIC, PRUFER, REPEATED_CYCLIC, CYCLIC)
-    carriers = [
-        (rank.index(f.kind), i)
-        for i, f in enumerate(group.factors)
-        if f.kind == PRUFER or f.param != 3
-    ]
-    if not carriers:
-        raise NoCarrierError("no generator of order != 3 is available")
-    i = min(carriers)[1]
-    f = group.factors[i]
-    if f.kind == PRUFER:
-        return _unit_at(group, i, (1, 2 if f.param == 3 else 1))
-    return _unit_at(group, i, (1,) if f.kind == REPEATED_CYCLIC else 1)
+def _unit(group: GroupSpec, picked, value: int = 1, copy: int = 0, above: int = 1) -> Element:
+    """The sum, over the factors whose indices are in ``picked``, of
+    ``value`` times the factor's generator: an integer on ``Z`` and ``Z_n``,
+    copy ``copy`` of ``Z_n^w``, and on ``Prufer(p)`` level L, the least with
+    p^L > ``above``."""
 
-
-def _element_of_order_gt_5(group: GroupSpec) -> Element | None:
-    for i, f in enumerate(group.factors):
-        if f.kind == INFINITE_CYCLIC:
-            return _unit_at(group, i, 1)
-    for i, f in enumerate(group.factors):
+    def coord(f):
+        if f.kind == REPEATED_CYCLIC:
+            return (0,) * copy + (value,)
         if f.kind == PRUFER:
-            level = 1
-            while f.param**level <= 5:
-                level += 1
-            return _unit_at(group, i, (1, level))
-    for i, f in enumerate(group.factors):
-        if f.kind in (CYCLIC, REPEATED_CYCLIC) and f.param > 5:
-            if f.kind == CYCLIC:
-                return _unit_at(group, i, 1)
-            return _repeated_generator(group, i, 0)
-    # mixed torsion: the sum of all factor generators has order lcm(moduli)
-    coords = []
-    for f in group.factors:
-        coords.append((1,) if f.kind == REPEATED_CYCLIC else 1)
-    combined = group.element(*coords)
-    return combined if combined.order() > 5 else None
+            return (value, _least_level(f.param, above))
+        return value
+
+    return group.element(
+        *(coord(f) if i in picked else zero_coord(f) for i, f in enumerate(group.factors))
+    )
 
 
-def _order3_generator(group: GroupSpec) -> Element | None:
-    for i, f in enumerate(group.factors):
-        if f.kind in (CYCLIC, REPEATED_CYCLIC) and f.param % 3 == 0:
-            step = f.param // 3
-            if f.kind == CYCLIC:
-                return _unit_at(group, i, step)
-            return _unit_at(group, i, (step,))
-    return None
-
-
-def _two_order45_generators(group: GroupSpec) -> tuple[Element, Element] | None:
-    slots: list[Element] = []
-    for i, f in enumerate(group.factors):
-        if f.kind == CYCLIC and f.param in (4, 5):
-            slots.append(_unit_at(group, i, 1))
-        elif f.kind == REPEATED_CYCLIC and f.param in (4, 5):
-            slots.append(_repeated_generator(group, i, 0))
-            slots.append(_repeated_generator(group, i, 1))
-        if len(slots) >= 2:
-            return slots[0], slots[1]
-    return None
-
-
-def _symmetric_hull(group: GroupSpec, elements: list[Element]) -> ElementSet:
-    zero = group.zero()
-    out = [zero]
-    for e in elements:
-        out.append(e)
-        out.append(-e)
-    return ElementSet.of(group, out)
+def _symmetric_hull(g: Element, r: int) -> ElementSet:
+    """{0, ±g, ..., ±r·g}."""
+    return ElementSet.of(g.group, [g.scaled(k) for k in range(-r, r + 1)])
 
 
 def build_bset(group: GroupSpec, kappa: int) -> BSet:
@@ -179,51 +143,57 @@ def build_bset(group: GroupSpec, kappa: int) -> BSet:
             f"index {kappa} is unattainable in {group}"
         )
     zero = group.zero()
+    factors = group.factors
 
     if kappa == 2:
         return BSet(group, 2, ElementSet.of(group, [zero]), K2_ZERO)
 
     if kappa == 3:
-        g = _element_of_order_not_3(group)
-        return BSet(group, 3, _symmetric_hull(group, [g]), K3)
+        # a unit of order != 3: a Prufer(3) unit at level 2, no Z_3 or Z_3^w unit
+        ranks = (INFINITE_CYCLIC,), (PRUFER,), (REPEATED_CYCLIC,), (CYCLIC,)
+        i = next(_carriers(group, *ranks, accept=lambda f: f.kind == PRUFER or f.param != 3), None)
+        if i is None:
+            raise NoCarrierError("no generator of order != 3 is available")
+        g = _unit(group, (i,), above=3 if factors[i].param == 3 else 1)
+        return BSet(group, 3, _symmetric_hull(g, 1), K3)
 
     if kappa == 4:
-        g = _element_of_order_gt_5(group)
-        if g is not None:
-            return BSet(group, 4, _symmetric_hull(group, [g, g.scaled(2)]), K4_ORDER_GT5)
-        h = _order3_generator(group)
-        if h is not None:
-            subgroup = ElementSet.of(group, [zero, h, h.scaled(2)])
-            return BSet(group, 4, subgroup, K4_Z3)
-        pair = _two_order45_generators(group)
-        if pair is None:
+        # a unit of order > 5 on Z, then Prufer, then Z_n and Z_n^w together
+        torsion = (CYCLIC, REPEATED_CYCLIC)
+        ranks = (INFINITE_CYCLIC,), (PRUFER,), torsion
+        i = next(_carriers(group, *ranks, accept=lambda f: f.kind not in torsion or f.param > 5), None)
+        if i is not None:
+            return BSet(group, 4, _symmetric_hull(_unit(group, (i,), above=5), 2), K4_ORDER_GT5)
+        # every factor is now Z_n or Z_n^w with n <= 5; the sum of their
+        # units has order lcm(n)
+        if lcm(*(f.param for f in factors)) > 5:
+            g = _unit(group, range(len(factors)))
+            return BSet(group, 4, _symmetric_hull(g, 2), K4_ORDER_GT5)
+        i = next(_carriers(group, torsion, accept=lambda f: f.param % 3 == 0), None)
+        if i is not None:
+            h = _unit(group, (i,), factors[i].param // 3)
+            return BSet(group, 4, _symmetric_hull(h, 1), K4_Z3)
+        # a Z_n unit fills one slot and a Z_n^w block two; only two are built
+        order45 = _carriers(group, torsion, accept=lambda f: f.param in (4, 5))
+        slots = [(i, c) for i in order45 for c in range(1 + (factors[i].kind == REPEATED_CYCLIC))]
+        slots = slots[:2]
+        if len(slots) < 2:
             raise NoCarrierError("no pair of independent order-4/5 generators")
-        g1, g2 = pair
-        base = ElementSet.of(group, [zero, g1, g2])
+        base = ElementSet.of(group, [zero] + [_unit(group, (i,), copy=c) for i, c in slots])
         return BSet(group, 4, difference_set(base), K4_ZIZJ)
 
     # kappa > 4: carrier preference Z, then Prufer, then a repeated block
-    for i, f in enumerate(group.factors):
-        if f.kind == INFINITE_CYCLIC:
-            unit = _unit_at(group, i, 1)
-            base = ElementSet.of(group, [unit.scaled(l) for l in range(1, kappa)])
-            return BSet(group, kappa, difference_set(base), KN_Z)
-    for i, f in enumerate(group.factors):
-        if f.kind == PRUFER:
-            n = 1
-            while f.param**n < 2 * kappa:
-                n += 1
-            base = ElementSet.of(
-                group, [_unit_at(group, i, (l, n)) for l in range(1, kappa)]
-            )
-            return BSet(group, kappa, difference_set(base), KN_PRUFER)
-    for i, f in enumerate(group.factors):
-        if f.kind == REPEATED_CYCLIC:
-            base = ElementSet.of(
-                group, [_repeated_generator(group, i, c) for c in range(kappa - 1)]
-            )
-            return BSet(group, kappa, difference_set(base), KN_DIRECT_SUM)
-    raise NoCarrierError(f"no factor of {group} can carry {kappa - 1} generators")
+    i = next(_carriers(group, (INFINITE_CYCLIC,), (PRUFER,), (REPEATED_CYCLIC,)), None)
+    if i is None:
+        raise NoCarrierError(f"no factor of {group} can carry {kappa - 1} generators")
+    kind = factors[i].kind
+    if kind == REPEATED_CYCLIC:
+        base = [_unit(group, (i,), copy=c) for c in range(kappa - 1)]
+    else:
+        g = _unit(group, (i,), above=2 * kappa - 1)
+        base = [g.scaled(l) for l in range(1, kappa)]
+    provenance = {INFINITE_CYCLIC: KN_Z, PRUFER: KN_PRUFER, REPEATED_CYCLIC: KN_DIRECT_SUM}[kind]
+    return BSet(group, kappa, difference_set(ElementSet.of(group, base)), provenance)
 
 
 def check_property_1(bset: BSet) -> ElementSet:

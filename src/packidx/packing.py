@@ -304,9 +304,14 @@ def _bset_graph(B: ElementSet) -> tuple[list[Element], list[int]]:
     return vertices, adj
 
 
-def _verify_in_bset(B: ElementSet, chosen: list[Element]) -> bool:
+def _certified_clique(B: ElementSet, vertices: list[Element], picked: list[int]) -> ElementSet:
+    """The picked vertices as a set, once every difference between them is
+    checked to lie in B; a failed check raises ``CertificationError``."""
+    chosen = [vertices[i] for i in picked]
     coords = B.coords_set()
-    return all((a - b).coords in coords for a in chosen for b in chosen)
+    if not all((a - b).coords in coords for a in chosen for b in chosen):
+        raise CertificationError("the solver's clique has a difference outside the base set")
+    return ElementSet.of(B.group, chosen)
 
 
 def max_clique_in_bset(B: ElementSet) -> CliqueResult:
@@ -319,22 +324,14 @@ def max_clique_in_bset(B: ElementSet) -> CliqueResult:
     size, picked = clique.first_max_clique(adj)
     if picked is None or len(picked) != size:
         raise CertificationError(f"the solver found no clique of the {size} points it proved")
-    chosen = [vertices[i] for i in picked]
-    if not _verify_in_bset(B, chosen):
-        raise CertificationError("the solver's clique has a difference outside the base set")
-    return CliqueResult(size, ElementSet.of(B.group, chosen), True)
+    return CliqueResult(size, _certified_clique(B, vertices, picked), True)
 
 
 def clique_in_bset_of_size(B: ElementSet, target: int) -> ElementSet | None:
     """Lexicographically-first C of exactly ``target`` points with C - C in B."""
     vertices, adj = _bset_graph(B)
     picked = clique.clique_of_size(adj, target)
-    if picked is None:
-        return None
-    chosen = [vertices[i] for i in picked]
-    if not _verify_in_bset(B, chosen):
-        raise CertificationError("the solver's clique has a difference outside the base set")
-    return ElementSet.of(B.group, chosen)
+    return None if picked is None else _certified_clique(B, vertices, picked)
 
 
 # -- set files ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -102,6 +103,12 @@ class TestBuild:
             "0", "1/2^4", "15/2^4", "1/2^3", "7/2^3", "3/2^4", "13/2^4",
         }
 
+    def test_kn_prufer_level_reaches_two_kappa(self):
+        # 2^4 = 2*8: level 4 is the least with order >= 2*kappa
+        b = build_bset(parse_group("Prufer(2)"), 8)
+        assert b.provenance == KN_PRUFER
+        assert max(e.order() for e in b.elements) == 16
+
     def test_k4_z3_subgroup(self):
         b = build_bset(parse_group("Z_3^w"), 4)
         assert b.provenance == K4_Z3
@@ -161,38 +168,171 @@ def candidate_list_carrier(group):
     return next((g for g in itertools.chain(*ranked.values()) if g.order() != 3), None)
 
 
+def outcome(group, kappa):
+    """``build_bset``'s provenance and element texts, or its error's type."""
+    try:
+        b = build_bset(group, kappa)
+    except (FiniteGroupError, ExceptionalGroupError, NoCarrierError) as exc:
+        return type(exc)
+    return b.provenance, b.elements.to_texts()
+
+
+def hull(*units):
+    """{0} and ±u for every unit, as sorted element texts."""
+    group = units[0].group
+    return ElementSet.of(group, [group.zero(), *units, *(-u for u in units)]).to_texts()
+
+
+def differences(base):
+    """D(base) = {x - y : x, y in base}, as sorted element texts."""
+    return ElementSet.of(base[0].group, [x - y for x in base for y in base]).to_texts()
+
+
 class TestK3Carrier:
     def test_matches_the_candidate_list_rule(self):
-        # every spec of one to three factors, finite ones included
-        specs = errors = 0
+        # every spec of one to three factors: a finite one is refused, and an
+        # infinite one with no candidate is exceptional
+        specs = finite = errors = 0
         for r in (1, 2, 3):
             for parts in itertools.product(CARRIER_FACTORS, repeat=r):
                 group = parse_group(" + ".join(parts))
                 want = candidate_list_carrier(group)
                 specs += 1
-                if want is None:
+                got = outcome(group, 3)
+                if group.is_finite:
+                    finite += 1
+                    assert got is FiniteGroupError
+                elif want is None:
                     errors += 1
-                    with pytest.raises(NoCarrierError):
-                        bsets._element_of_order_not_3(group)
+                    assert got is ExceptionalGroupError
                 else:
-                    got = bsets._element_of_order_not_3(group)
-                    assert got.coords == want.coords, " + ".join(parts)
-        assert (specs, errors) == (2379, 14)
+                    assert got == (K3, hull(want)), " + ".join(parts)
+        assert (specs, finite, errors) == (2379, 155, 11)
 
     @pytest.mark.parametrize(
         "text,unit", [("Z^4096", (0, 1)), ("Z_3^2000 + Prufer(3)", (2000, (1, 2)))]
     )
     def test_builds_only_the_carrier_unit(self, text, unit, monkeypatch):
         calls = []
-        unit_at = bsets._unit_at
+        build = bsets._unit
 
-        def spy(group, index, coord):
-            calls.append((index, coord))
-            return unit_at(group, index, coord)
+        def spy(group, picked, *args, **kwargs):
+            g = build(group, picked, *args, **kwargs)
+            calls.extend((i, g.coords[i]) for i in picked)
+            return g
 
-        monkeypatch.setattr(bsets, "_unit_at", spy)
+        monkeypatch.setattr(bsets, "_unit", spy)
         assert build_bset(parse_group(text), 3).provenance == K3
         assert calls == [unit]
+
+
+REFERENCE_FACTORS = [
+    "Z", "Z_2", "Z_3", "Z_4", "Z_5", "Z_6", "Z_7", "Z_9",
+    "Z_2^w", "Z_3^w", "Z_4^w", "Z_5^w", "Z_7^w", "Prufer(2)", "Prufer(3)", "Prufer(5)",
+]
+
+
+def reference_bset(group, kappa):
+    """The kappa >= 4 base set by the rules first written for it, each unit
+    tested by its computed order: (provenance, element texts) or an error type.
+
+    kappa = 4: {0, ±g, ±2g} for the first unit g of order > 5 in the order
+    Z, Prufer (at the least level past order 5), then Z_n and Z_n^w in
+    factor order, then the sum of every factor's unit; else {0, ±h} for the
+    first h = (n/3)·unit of order 3 on a Z_n or Z_n^w; else D({0, g1, g2})
+    for the first two order-4/5 units, copies 0 and 1 of a Z_n^w block both
+    counted. kappa >= 5: D of l·unit for 1 <= l < kappa on the first Z,
+    else on the first Prufer at the least level of order >= 2·kappa, else
+    D of copies 0 to kappa - 2 of the first Z_n^w."""
+    if group.is_finite:
+        return FiniteGroupError
+    if is_exceptional(group, kappa):
+        return ExceptionalGroupError
+    factors = group.factors
+    zeros = [zero_coord(f) for f in factors]
+
+    def unit(i, coord):
+        return group.element(*zeros[:i], coord, *zeros[i + 1 :])
+
+    def prufer(i, enough):
+        return next(unit(i, (1, n)) for n in itertools.count(1) if enough(unit(i, (1, n)).order()))
+
+    if kappa == 4:
+        integers, prufers, torsion = [], [], []
+        for i, f in enumerate(factors):
+            if f.kind == PRUFER:
+                prufers.append(prufer(i, lambda o: o > 5))
+            else:
+                coord = (1,) if f.kind == REPEATED_CYCLIC else 1
+                (integers if f.kind == INFINITE_CYCLIC else torsion).append(unit(i, coord))
+        candidates = integers + prufers + torsion
+        if not integers and not prufers:
+            candidates.append(group.element(*((1,) if f.kind == REPEATED_CYCLIC else 1 for f in factors)))
+        g = next((g for g in candidates if g.order() is None or g.order() > 5), None)
+        if g is not None:
+            return K4_ORDER_GT5, hull(g, g.scaled(2))
+        for i, f in enumerate(factors):
+            if f.kind in (CYCLIC, REPEATED_CYCLIC) and f.param % 3 == 0:
+                step = f.param // 3
+                return K4_Z3, hull(unit(i, (step,) if f.kind == REPEATED_CYCLIC else step))
+        slots = []
+        for i, f in enumerate(factors):
+            if f.kind in (CYCLIC, REPEATED_CYCLIC) and f.param in (4, 5):
+                copies = [(1,), (0, 1)] if f.kind == REPEATED_CYCLIC else [1]
+                slots += [unit(i, c) for c in copies]
+        if len(slots) < 2:
+            return NoCarrierError
+        return K4_ZIZJ, differences([group.zero(), *slots[:2]])
+    for kind in (INFINITE_CYCLIC, PRUFER, REPEATED_CYCLIC):
+        for i, f in enumerate(factors):
+            if f.kind == INFINITE_CYCLIC == kind:
+                return KN_Z, differences([unit(i, l) for l in range(1, kappa)])
+            if f.kind == PRUFER == kind:
+                g = prufer(i, lambda o: o >= 2 * kappa)
+                return KN_PRUFER, differences([g.scaled(l) for l in range(1, kappa)])
+            if f.kind == REPEATED_CYCLIC == kind:
+                copies = [(0,) * c + (1,) for c in range(kappa - 1)]
+                return KN_DIRECT_SUM, differences([unit(i, c) for c in copies])
+    return NoCarrierError
+
+
+class TestCarrierRules:
+    def test_matches_the_reference_rules(self):
+        # every spec of one to three factors at kappa 4, 5 and 6
+        seen = collections.Counter()
+        for r in (1, 2, 3):
+            for parts in itertools.product(REFERENCE_FACTORS, repeat=r):
+                group = parse_group(" + ".join(parts))
+                for kappa in (4, 5, 6):
+                    want = reference_bset(group, kappa)
+                    assert outcome(group, kappa) == want, (" + ".join(parts), kappa)
+                    seen[want if isinstance(want, type) else want[0]] += 1
+        assert seen == {
+            FiniteGroupError: 1197,
+            ExceptionalGroupError: 22,
+            K4_ORDER_GT5: 3877,
+            K4_Z3: 11,
+            K4_ZIZJ: 59,
+            KN_Z: 1506,
+            KN_PRUFER: 3462,
+            KN_DIRECT_SUM: 2970,
+        }
+
+    @pytest.mark.parametrize(
+        "text,kappa,units",
+        [("Z_4^4095 + Z_4^w", 4, 2), ("Z_2^4095 + Z_3^w", 5, 4), ("Z_4 + Z_4^w", 4, 2)],
+    )
+    def test_builds_only_the_units_it_uses(self, text, kappa, units, monkeypatch):
+        calls = []
+        build = bsets._unit
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(bsets, "_unit", spy)
+        build_bset(parse_group(text), kappa)
+        assert len(calls) == units
 
 
 class TestProperties:

@@ -52,7 +52,8 @@ def wrong_orders(monkeypatch):
 
 @pytest.fixture
 def broken_clique(monkeypatch):
-    monkeypatch.setattr(packing, "_verify_in_bset", lambda B, chosen: False)
+    """``first_max_clique`` answers with every vertex, clique or not."""
+    monkeypatch.setattr(clique, "first_max_clique", lambda adj, *args: (len(adj), list(range(len(adj)))))
 
 
 def certification_error_report(args):
@@ -92,7 +93,8 @@ def test_solver_criterion_is_an_error(broken_family):
 
 
 def test_bset_checks_are_an_error(broken_clique):
-    certification_error_report(["bset", "--group", "Z", "--kappa", "4", "--check"])
+    error = certification_error_report(["bset", "--group", "Z", "--kappa", "4", "--check"])
+    assert error["message"] == "the solver's clique has a difference outside the base set"
 
 
 def test_property_2_raises(broken_clique):
@@ -117,4 +119,5 @@ def test_a_failed_extraction_is_an_error(no_extraction, tmp_path, text, elements
 
 
 def test_a_failed_bset_extraction_is_an_error(no_extraction):
-    certification_error_report(["bset", "--group", "Z", "--kappa", "4", "--check"])
+    error = certification_error_report(["bset", "--group", "Z", "--kappa", "4", "--check"])
+    assert error["message"] == "the solver found no clique of the 3 points it proved"
