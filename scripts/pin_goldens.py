@@ -10,13 +10,15 @@ window 100, on ``Z + Z_3`` and ``Z + Z_2`` and on the non-``Z`` carriers,
 ``index`` on one set file per factor kind plus a mixed sum, ``index`` on
 the two heaviest subgroup windows of the benchmark's index catalog
 (``Z_10 + Z_10`` and ``Z_3^w`` at m = 4), on code-ordered ``Z + Z``,
-``Z + Z_4`` and ``Z_4 + Z`` windows and on a set too wide for one
-difference box, and the window-cap error report of an oversized
-``witness --verify``; the ``obstruct`` sweeps: the exhaustive ones of
-acceptance criteria 1 and 2, seeded samples of 500 and 2,000 draws on two
-groups (and of 2,000 on ``Z_2^5`` at seed 1), and the 32-element cap
-error; the pair-map budget error; and the ``pack demo`` report of each
-acceptance criterion alone at seed 0. ``tests/test_golden.py`` recomputes
+``Z + Z_4`` and ``Z_4 + Z`` windows, on a set too wide for one
+difference box, on a ``Z + Z`` window whose co-components are not lines
+and on 128 cosets of a two-element subgroup of ``Z_2^w``, and the
+window-cap error report of an oversized ``witness --verify``; the
+``obstruct`` sweeps: the exhaustive ones of acceptance criteria 1 and 2,
+seeded samples of 500 and 2,000 draws on two groups (and of 2,000 on
+``Z_2^5`` at seed 1), and the 32-element cap error; the pair-map budget
+error; and the ``pack demo`` report of each acceptance criterion alone at
+seed 0. ``tests/test_golden.py`` recomputes
 each cell and compares it with ``tests/golden/digests.json``; run under two
 values of ``PYTHONHASHSEED``, it shows that no report depends on the hash
 seed.
@@ -95,6 +97,8 @@ INDEX_SETS = [
     ("zz4.json", {"window": 127}),
     ("z4z.json", {"window": 127}),
     ("wide.json", {"window": 6}),
+    ("zzdiag.json", {"window": 6}),
+    ("z2w_pair.json", {"m": 8}),
 ]
 
 SAMPLED_SWEEPS = [("Z_3^3", 3), ("Z_2^5", 4)]
