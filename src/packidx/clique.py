@@ -28,17 +28,24 @@ its cost:
   its candidates in w + E (see ``_search``).
 * reflection, on the same search: inside the root branch of r, a depth-1
   vertex w whose branch is done takes r - w out of the candidates with it.
+* co-components: ``first_max_clique`` splits the graph into the connected
+  components of its complement (``co_components``). The graph is their
+  join (Gallai, Acta Math. Acad. Sci. Hungar. 1967), so each is searched
+  apart and the clique number is the sum. On a Cayley graph the component
+  of vertex 0 is a subgroup K and the others its cosets, so one root
+  search inside K sizes every component.
 
 ``max_clique_size`` and ``exists_clique`` are one search, ``_search``; the
 decision stops at its first clique of the target size and can hand that
 clique back. ``clique_of_size`` picks vertices in the caller's numbering, so
 the lexicographically-first witness is the same under any search schedule,
 but it decides on the graph the size search used, through a ``place`` map,
-and it reuses each clique a decision found as the answer one level down. A
-separate subset-DP oracle re-derives the clique number by brute force so
-the two routes can be cross-checked against each other: it decides every
-one of the 2^n vertex masks, bit-parallel in one big-int bitset per clique
-size, with no bound and no search order.
+and it reuses each clique a decision found as the answer one level down.
+On a split graph it keeps its state per component, in one pass. A separate
+subset-DP oracle re-derives the clique number by brute force so the two
+routes can be cross-checked against each other: it decides every one of
+the 2^n vertex masks, bit-parallel in one big-int bitset per clique size,
+with no bound and no search order.
 """
 
 from __future__ import annotations
@@ -234,12 +241,34 @@ def exists_clique(
     return _search(adj, nadj, P, target - 1, target, witness=witness) >= target
 
 
+def co_components(nadj: list[int]) -> list[int]:
+    """The connected components of the complement graph, as masks, in the
+    order of their lowest vertices, found by a search over the graph's
+    ``complement_rows`` table ``nadj``. Every edge between two components
+    is present, so a maximum clique is one of each component."""
+    rest = (1 << len(nadj)) - 1
+    blocks = []
+    while rest:
+        block = frontier = rest & -rest
+        rest ^= block
+        while frontier and rest:
+            bit = frontier & -frontier
+            frontier ^= bit
+            new = nadj[bit.bit_length() - 1] & rest
+            rest ^= new
+            frontier |= new
+            block |= new
+        blocks.append(block)
+    return blocks
+
+
 def clique_of_size(
     adj: list[int],
-    target: int,
-    P: int | None = None,
+    target: int | list[int],
+    P: int | list[int] | None = None,
     place: list[int] | None = None,
     nadj: list[int] | None = None,
+    transitive: bool = False,
 ) -> list[int] | None:
     """Lexicographically-first clique of exactly ``target`` vertices, or None.
 
@@ -256,62 +285,106 @@ def clique_of_size(
     is then taken without a search, witnessed by the rest of K, so only
     the vertices scanned before it are searched. Every decision reads one
     ``complement_rows`` table of adj: ``nadj``, else one built here.
+
+    On a join, ``P`` may list its blocks (``co_components``) and
+    ``target`` the size wanted from each. The pass then keeps P, the size
+    still needed and the known clique per block, and each decision reads
+    its own block alone: that is the whole graph's lexicographically-first
+    clique with those sizes. With ``transitive``, each block's graph is
+    vertex-transitive, so the first vertex scanned in a block lies in one
+    of its maximum cliques and is taken without a decision.
     """
+    n = len(adj)
     if P is None:
-        P = (1 << len(adj)) - 1
-    if target == 0:
+        P = (1 << n) - 1
+    if isinstance(P, int):
+        P, target = [P], [target]
+    P = [mask if size else 0 for mask, size in zip(P, target)]
+    needed = list(target)
+    left = sum(needed)
+    if not left:
         return []
     if nadj is None:
         nadj = complement_rows(adj)
+    owner = [0] * n  # each vertex's block; one outside every block stays with block 0
+    for i, block in enumerate(P[1:], 1):
+        while block:
+            low = block & -block
+            owner[low.bit_length() - 1] = i
+            block ^= low
+    known = [0] * len(P)  # per block, a clique of the size it still needs, once a decision finds one
     chosen: list[int] = []
-    known = 0  # a clique of `needed` vertices inside P, once a decision finds one
-    needed = target
-    for v in range(len(adj)):
-        bit = 1 << (v if place is None else place[v])
-        if not P & bit:
+    for v in range(n):
+        u = v if place is None else place[v]
+        i = owner[u]
+        bit = 1 << u
+        if not P[i] & bit:
             continue
-        sub = P & adj[bit.bit_length() - 1]
-        if known & bit:
+        sub = P[i] & adj[u]
+        if known[i] & bit:
             # the first vertex of the known clique in scan order
-            known ^= bit
-        else:
+            known[i] ^= bit
+        elif not (transitive and needed[i] == target[i]):
             found: list[int] = []
-            if not exists_clique(adj, sub, needed - 1, found, nadj):
-                P ^= bit
+            if not exists_clique(adj, sub, needed[i] - 1, found, nadj):
+                P[i] ^= bit
                 continue
-            known = sum(1 << w for w in found)
+            known[i] = sum(1 << w for w in found)
         chosen.append(v)
-        needed -= 1
-        if not needed:
+        left -= 1
+        if not left:
             return chosen
-        P = sub
+        needed[i] -= 1
+        P[i] = sub if needed[i] else 0
     return None
 
 
 def first_max_clique(
-    adj: list[int], root: int | None = None, place: list[int] | None = None
+    adj: list[int],
+    root: int | None = None,
+    place: list[int] | None = None,
+    neg: list[int] | None = None,
+    translate: Callable[[int, int], int] | None = None,
 ) -> tuple[int, list[int] | None]:
     """Exact clique number plus its lexicographically-first witness, in the
     caller's numbering: ``place[v]`` is the vertex of adj that the caller
     numbers v (None: adj's own). The witness is None only when the
     extraction fails to find a clique of the size the search proved.
 
-    The size search and every extraction decision run on one
-    degree-ordered copy of the graph and share its ``complement_rows``
-    table. Degree ties go by the caller's numbering, so the copy, and with
-    it every search, is the same whichever numbering adj comes in. A
-    ``root`` vertex of adj that the caller knows to lie in some maximum
-    clique narrows the size search to its one branch: the clique number is
-    1 + ω(N(root)). The witness is still the whole graph's.
+    The graph is split into its complement's components (``co_components``)
+    and each block is solved apart: the clique number is the sum of the
+    blocks' and the witness is each block's lexicographically-first
+    clique, picked in one extraction pass. The size searches and every
+    extraction decision run on one degree-ordered copy of the graph and
+    share its ``complement_rows`` table. Degree ties go by the caller's
+    numbering, so the copy, and with it every search, is the same
+    whichever numbering adj comes in. A ``root`` vertex of adj that the
+    caller knows to lie in some maximum clique narrows its block's search
+    to one branch: that block's clique number is 1 + ω(N(root) ∩ block).
+
+    With ``neg`` and ``translate`` (see ``_search``), adj is a Cayley graph
+    with vertex 0 the identity and ``root`` is 0. The search then runs on
+    adj as given, with the symmetry rules. The block of 0 is a subgroup K,
+    every other block a coset of it, and each coset's graph is a translate
+    of K's: one root search on N(0) ∩ K gives every block's clique number,
+    and the first vertex scanned in each block is taken without a decision.
     """
-    graph, at = _by_degree(adj, place)
-    nadj = complement_rows(graph)
-    if root is None:
-        size = max_clique_size(graph, (1 << len(adj)) - 1, None, None, nadj)
+    if neg is None:
+        graph, at = _by_degree(adj, place)
+        scan = at if place is None else [at[u] for u in place]
     else:
-        size = 1 + max_clique_size(graph, graph[at[root]], None, None, nadj)
-    scan = at if place is None else [at[u] for u in place]
-    return size, clique_of_size(graph, size, None, scan, nadj)
+        graph, at, scan = adj, range(len(adj)), place
+    nadj = complement_rows(graph)
+    blocks = co_components(nadj)
+    r = None if root is None else at[root]
+
+    def omega(block: int) -> int:
+        if r is None or not block >> r & 1:
+            return max_clique_size(graph, block, None, None, nadj)
+        return 1 + max_clique_size(graph, graph[r] & block, neg, translate, nadj)
+
+    sizes = [omega(blocks[0])] * len(blocks) if neg is not None else [omega(b) for b in blocks]
+    return sum(sizes), clique_of_size(graph, sizes, blocks, scan, nadj, neg is not None)
 
 
 def exhaustive_max_clique_size(adj: list[int]) -> int:

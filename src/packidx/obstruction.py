@@ -331,18 +331,23 @@ def _sweep(
 
     Subsets share few difference masks, so the subsets are counted per
     distinct D, and each D's verdict is worked out once and counted that
-    many times. Only when some D is bad are the subsets scanned, to list
-    each one's violations. ``checked`` holds the (mask, D) pairs of the
-    subsets cross-checked against the solver, which runs on the subset
-    itself. Element i has code i, window order and so ``sort_key`` order,
+    many times. Most subsets of an exhaustive sweep have the whole group
+    as D, which leaves no shift compatible with 0 and so no family: those
+    lanes are left out of the count and join "no family" as one number,
+    and that D's verdict is the empty one. Only when some D is bad are the
+    subsets scanned, to list each one's violations. ``checked`` holds the
+    (mask, D) pairs of the subsets cross-checked against the solver, which
+    runs on the subset itself. Element i has code i, window order and so ``sort_key`` order,
     so a subset's elements in index order make its ``ElementSet`` as is.
     """
-    found = certified = nofam = checks = 0
+    found = certified = checks = 0
     cases: dict[str, int] = {}
     bad: set[int] = set()
-    verdicts: dict[int, tuple[tuple[str, bool], ...]] = {}
+    verdicts: dict[int, tuple[tuple[str, bool], ...]] = {t.full: ()}
+    counts = Counter(d for d in diffs if d != t.full)
+    nofam = len(diffs) - counts.total()
 
-    for d, count in Counter(diffs).items():
+    for d, count in counts.items():
         verdict = verdicts[d] = _verdict(t, kappa, d)
         if not verdict:
             nofam += count

@@ -194,15 +194,21 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     m copies of ``Z_n^w``, ``Prufer(p)`` up to level L). Compatibility of b, b'
     depends only on b - b' in H, so the graph is the Cayley graph of H with
     connection set H minus (A - A); translation by h in H is an automorphism,
-    so every vertex lies in a maximum clique, and the one root branch at
-    vertex 0 proves the clique number. That branch also prunes by
-    translation: a neighbour v of 0 whose subtree is done bounds every
-    clique through 0 and v or -v, so both are dropped from the root and,
-    translated by each vertex a deeper node adds, from its candidates. The
-    lexicographically-first family then starts at vertex 0, the lowest
-    index, so its extraction runs inside N(0). Inside the root branch of r
-    the search also drops r - w with each finished depth-1 vertex w, by the
-    reflection x -> r - x. When A - A covers the window, {0} is a maximum
+    so every vertex lies in a maximum clique. Shifts meet only when their
+    difference lies in D* = (A - A) minus 0, so the graph is the join of
+    its subgraphs on the cosets of K = <D* ∩ H>, each a translate of K's:
+    the clique number is [H : K] times K's, and the one root branch at
+    vertex 0, inside K, proves it (``clique.first_max_clique`` finds K as
+    the complement's component of vertex 0, in the window's codes). That
+    branch also prunes by translation: a neighbour v of 0 whose subtree is
+    done bounds every clique through 0 and v or -v, so both are dropped
+    from the root and, translated by each vertex a deeper node adds, from
+    its candidates.
+    Inside the root branch of r the search also drops r - w with each
+    finished depth-1 vertex w, by the reflection x -> r - x. The
+    lexicographically-first family is each coset's first family, extracted
+    in one pass; each starts at the coset's first vertex in scan order,
+    vertex 0 for K. When A - A covers the window, {0} is a maximum
     family and no graph is built. The window is its own box: the graph is
     built on the box's elements in code order, where each row of a set A
     inside the window is a translate of D* with no gather, and the box's
@@ -220,14 +226,16 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     becomes -w and that shift's H part 0: the ``Z`` span of a family in the
     window is at most 2w and H is a subgroup, so the translate stays inside
     the window, and differences, hence compatibility, do not change. So the
-    corner (-w, 0) lies in a maximum family, and one root branch at the
-    corner proves the size. The family itself is the whole graph's
-    lexicographically-first one, which need not hold the corner. A window
-    with several ``Z`` factors gets the whole-graph search. A window with
-    a ``Z`` factor is listed in code order, where the corner is vertex 0
-    and, with ``Z`` leftmost and A's other coordinates inside the window,
-    each row is a shifted translate of D*; the search reads the window's
-    enumeration order through ``place``.
+    corner (-w, 0) lies in a maximum family. The graph is split into its
+    complement's components, each solved apart, and one root branch at
+    the corner proves the size of the corner's component. The family
+    itself is the whole graph's lexicographically-first one, which need
+    not hold the corner. A window with several ``Z`` factors gets a size
+    search per component, with no root. A window with a ``Z`` factor is
+    listed in code order, where the corner is vertex 0 and, with ``Z``
+    leftmost and A's other coordinates inside the window, each row is a
+    shifted translate of D*; the search reads the window's enumeration
+    order through ``place``.
     """
     if not A.elements:
         raise EmptySetError("packing index of the empty set is undefined")
@@ -258,10 +266,7 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
             size, picked = window._families[diff]
         else:
             adj = compatibility_graph(A, vertices)
-            nadj = clique.complement_rows(adj)
-            size = clique.max_clique_size(adj, adj[0], neg, lambda mask, v: apply_steps(mask, steps[v]), nadj)
-            rest = clique.clique_of_size(adj, size, adj[0], place, nadj)
-            size, picked = size + 1, None if rest is None else [0] + rest
+            size, picked = clique.first_max_clique(adj, 0, place, neg, lambda mask, v: apply_steps(mask, steps[v]))
             if own:
                 window._families[diff] = size, picked
     if picked is None or len(picked) != size:

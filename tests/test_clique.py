@@ -534,3 +534,88 @@ def test_window_extraction_matches_reference(text, elements, window_args):
         assert max_clique_size(coded, coded[0], neg, lambda mask, v: apply_steps(mask, steps[v])) == root
         assert clique_of_size(coded, root + 1, coded[0], place) is None
     assert family.shifts == ElementSet.of(group, [vertices[i] for i in picked])
+
+
+def unsplit_first_max_clique(adj):
+    """``first_max_clique(adj)`` without the split: one size search of the
+    whole degree-ordered copy and one extraction with a single block."""
+    graph, at = _by_degree(adj)
+    size = max_clique_size(graph, (1 << len(adj)) - 1)
+    return size, clique_of_size(graph, size, None, at)
+
+
+def reference_co_components(adj):
+    """Components of the complement by union-find over the vertex pairs
+    with no edge, as masks ordered by lowest vertex."""
+    n = len(adj)
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in itertools.combinations(range(n), 2):
+        if not adj[u] >> v & 1:
+            parent[find(v)] = find(u)
+    blocks = {}
+    for v in range(n):
+        blocks[find(v)] = blocks.get(find(v), 0) | 1 << v
+    return sorted(blocks.values(), key=lambda mask: mask & -mask)
+
+
+def random_join(rng, sizes, density):
+    """The join of random graphs on ``sizes`` vertices each, the vertices
+    of all parts shuffled together: every edge between two parts is present."""
+    n = sum(sizes)
+    order = list(range(n))
+    rng.shuffle(order)
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    adj = [0] * n
+    for a, b in itertools.combinations(range(n), 2):
+        if part[a] != part[b] or rng.random() < density:
+            adj[order[a]] |= 1 << order[b]
+            adj[order[b]] |= 1 << order[a]
+    return adj
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_co_components_match_union_find(seed):
+    rng = random.Random(seed)
+    adj = random_join(rng, [rng.randint(1, 6) for _ in range(rng.randint(1, 5))], rng.choice([0.3, 0.6]))
+    assert clique_module.co_components(complement_rows(adj)) == reference_co_components(adj)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_split_solve_matches_the_unsplit_one_on_joins(seed):
+    # the union of each block's first clique is the whole graph's first clique
+    rng = random.Random(100 + seed)
+    adj = random_join(rng, [rng.randint(1, 7) for _ in range(rng.randint(2, 5))], rng.choice([0.3, 0.6]))
+    n = len(adj)
+    assert len(clique_module.co_components(complement_rows(adj))) > 1
+    want = unsplit_first_max_clique(adj)
+    assert first_max_clique(adj) == want
+    if n <= 24:
+        assert want[0] == exhaustive_max_clique_size(adj)
+    # in a shuffled numbering, with a root that lies in a maximum clique
+    graph, place = shuffled_copy(adj, rng)
+    root = want[1][-1]
+    assert first_max_clique(graph, place[root], place) == want
+
+
+def test_a_block_list_takes_each_block_alone():
+    # two triangles less two edges each, joined: the blocks {0, 1, 2} and
+    # {3, 4, 5} give 2 + 2, picked in scan order across them
+    adj = [0] * 6
+    for u, v in [(0, 1), (4, 5)] + [(a, b) for a in range(3) for b in range(3, 6)]:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    blocks = clique_module.co_components(complement_rows(adj))
+    assert blocks == [0b000111, 0b111000]
+    assert clique_of_size(adj, [2, 2], blocks) == [0, 1, 4, 5]
+    # scanned in reverse, vertex 5 is the caller's 0 and vertex 0 its 5
+    assert clique_of_size(adj, [2, 2], blocks, [5, 4, 3, 2, 1, 0]) == [0, 1, 4, 5]
+    assert clique_of_size(adj, [3, 2], blocks) is None
+    # a block that has its vertices takes no more, though later ones fit
+    assert clique_of_size(adj, [1, 1], blocks) == [0, 3]
+    assert clique_of_size(adj, 4) == [0, 1, 4, 5]

@@ -6,15 +6,20 @@ from operator import itemgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import packidx
 from packidx.bsets import build_bset
 from packidx.clique import (
+    ORACLE_LIMIT,
+    _by_degree,
     clique_of_size,
+    co_components,
     color_sort,
+    complement_rows,
     exhaustive_max_clique_size,
+    exists_clique,
     first_max_clique,
     max_clique_size,
     relabel,
@@ -790,3 +795,150 @@ class TestSetFiles:
     def test_deterministic_iteration_order(self):
         A = ElementSet.parse(Z, ["3", "-1", "0", "3"])
         assert A.to_texts() == ["0", "-1", "3"]
+
+
+def unsplit_first_max_clique(adj):
+    """``first_max_clique(adj)`` without the split: one size search of the
+    whole degree-ordered copy and one extraction with a single block."""
+    graph, at = _by_degree(adj)
+    size = max_clique_size(graph, (1 << len(adj)) - 1)
+    return size, clique_of_size(graph, size, None, at)
+
+
+def split_oracle(adj):
+    """The subset-DP clique number, and the graph's co-components. Past the
+    oracle's cap the DP runs on each co-component, which ``co_components``
+    finds (its own test checks it against union-find), and adds up."""
+    blocks = co_components(complement_rows(adj))
+    if len(adj) <= ORACLE_LIMIT:
+        return exhaustive_max_clique_size(adj), blocks
+    total = 0
+    for block in blocks:
+        inside = [v for v in range(len(adj)) if block >> v & 1]
+        total += exhaustive_max_clique_size(
+            [sum(1 << j for j, w in enumerate(inside) if adj[v] >> w & 1) for v in inside]
+        )
+    return total, blocks
+
+
+def assert_split_family(A, window):
+    """The window splits into several blocks, and its family has the
+    oracle's size and the unsplit solve's shifts on the same graph."""
+    vertices = list(enumerate_window(window))
+    adj = compatibility_graph(A, vertices)
+    oracle, blocks = split_oracle(adj)
+    assert len(blocks) > 1
+    size, picked = unsplit_first_max_clique(adj)
+    family = max_packing_family(A, window)
+    assert family.size == size == oracle
+    assert family.shifts == ElementSet.of(A.group, [vertices[i] for i in picked])
+    assert family.certified
+
+
+def subgroup_of(gens, zero):
+    """The subgroup the elements generate, by closing {0} under adding them."""
+    out = {zero.coords: zero}
+    frontier = [zero]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = x + g
+            if y.coords not in out:
+                out[y.coords] = y
+                frontier.append(y)
+    return list(out.values())
+
+
+# subgroup windows H, each with the larger window A's translate is drawn from
+SPLIT_SUBGROUP_WINDOWS = [
+    ("Z_4 + Z_2", {}, {}),
+    ("Z_6", {}, {}),
+    ("Z_2^w", {"repeated_m": 3}, {"repeated_m": 4}),
+    ("Z_2^w", {"repeated_m": 4}, {"repeated_m": 5}),
+]
+
+
+class TestBlockSplit:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(SPLIT_SUBGROUP_WINDOWS), st.data())
+    def test_subgroup_windows(self, case, data):
+        # A is a translate of a set inside a proper subgroup L of H, so
+        # K = <(A - A) ∩ H> lies in L and H splits into its cosets; the
+        # translate may leave H
+        text, window_args, pool_args = case
+        group = parse_group(text)
+        window = Window.for_group(group, **window_args)
+        vertices = list(enumerate_window(window))
+        gens = data.draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=2))
+        L = subgroup_of(gens, group.zero())
+        assume(len(L) < len(vertices))
+        inside = data.draw(st.sets(st.sampled_from(L), min_size=1, max_size=4))
+        shift = data.draw(st.sampled_from(list(enumerate_window(Window.for_group(group, **pool_args)))))
+        assert_split_family(ElementSet.of(group, [shift + a for a in inside]), window)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_z_windows(self, data):
+        # Z + Z at window 2 with {(0,0), (1,1)} splits into diagonals, and Z
+        # at window 8 with {0, 2} into odd and even; each set is drawn
+        # inside its line and translated
+        text, step, bound = data.draw(st.sampled_from([("Z + Z", (1, 1), 2), ("Z", (2,), 8)]))
+        group = parse_group(text)
+        multiples = data.draw(st.sets(st.integers(0, 3), min_size=2, max_size=3))
+        shift = data.draw(st.sampled_from(list(enumerate_window(Window.for_group(group, bound=bound)))))
+        A = ElementSet.of(group, [shift + group.element(*(k * s for s in step)) for k in multiples])
+        assert_split_family(A, Window.for_group(group, bound=bound))
+
+    @pytest.mark.parametrize(
+        "text,elements,window_args",
+        [
+            ("Z + Z", ["(0,0)", "(1,1)"], {"bound": 2}),
+            ("Z", ["0", "2"], {"bound": 8}),
+            # A leaves the window, so D's own box is not the window's box:
+            # D* ∩ H must be read in the window's codes
+            ("Prufer(2)", ["0", "1/2", "1/2^3"], {"prufer_level": 2}),
+        ],
+        ids=["zz-diagonal", "z-even", "prufer-leaving"],
+    )
+    def test_named_cells(self, text, elements, window_args):
+        group = parse_group(text)
+        assert_split_family(ElementSet.parse(group, elements), Window.for_group(group, **window_args))
+
+    def test_the_subgroup_root_search_runs_once_inside_k(self, monkeypatch):
+        # the benchmark's Z_3^w set 17: H has 81 elements, K = <D* ∩ H> 27
+        opts, base = CATALOG[17]
+        group = base[0].group
+        assert str(group) == "Z_3^w" and opts == {"m": 4}
+        A = ElementSet.of(group, base)
+        window = _catalog_window(group, opts)
+        elements, index, *_ = box_for(group, window.bounds).tables()
+        dstar = [d for d in difference_set(A) if not d.is_zero() and d.coords in index]
+        K = sum(1 << index[k.coords] for k in subgroup_of(dstar, group.zero()))
+        assert K.bit_count() == 27
+        calls = []
+
+        def spy(adj, P, *args, **kwargs):
+            calls.append((P, args[0] if args else kwargs.get("neg")))
+            return max_clique_size(adj, P, *args, **kwargs)
+
+        monkeypatch.setattr(packidx.clique, "max_clique_size", spy)
+        family = max_packing_family(A, window)
+        ((P, neg),) = calls
+        assert neg is not None and P and P & ~K == 0
+        assert family.size == 12 and family.certified
+
+    def test_each_coset_takes_its_first_vertex_without_a_decision(self, monkeypatch):
+        # Z_2^w at m = 8 with {0, [1]}: 128 cosets of K = {0, [1]}, one
+        # shift from each, and no decision to make
+        group = parse_group("Z_2^w")
+        A = ElementSet.parse(group, ["0", "[1]"])
+        decisions = []
+
+        def spy(*args, **kwargs):
+            decisions.append(args)
+            return exists_clique(*args, **kwargs)
+
+        monkeypatch.setattr(packidx.clique, "exists_clique", spy)
+        family = max_packing_family(A, Window.for_group(group, repeated_m=8))
+        assert family.size == 128 and family.certified
+        assert decisions == []
