@@ -345,9 +345,9 @@ class GroupSpec:
     """An ordered direct sum of factors; all derived flags are recomputed.
 
     The group holds the add and negate its elements use, chosen per factor
-    when it is made, and the hash of its factors, worked out once then;
-    they are attributes, not fields, so equality and hashing still read
-    the factors alone."""
+    when it is made, the hash of its factors and its count of ``Z``
+    factors, worked out once then; they are attributes, not fields, so
+    equality and hashing still read the factors alone."""
 
     factors: tuple[Factor, ...]
 
@@ -356,6 +356,7 @@ class GroupSpec:
         object.__setattr__(self, "_add", add)
         object.__setattr__(self, "_neg", neg)
         object.__setattr__(self, "_hash", hash(self.factors))
+        object.__setattr__(self, "_z_factors", sum(f.kind == INFINITE_CYCLIC for f in self.factors))
 
     def __hash__(self) -> int:
         return self._hash
@@ -463,10 +464,11 @@ class Window:
 
     ``_families`` keeps, for a window with no ``Z`` factor, the maximum
     family :func:`packing.max_packing_family` found for each difference
-    mask D over the window's own box, as its size and the picked vertex
-    indices: the family depends on D alone, so a later set with the same D
-    is solved without a graph. It lives as long as this window object and
-    takes no part in equality or hashing.
+    mask D over the window's own box, as the finished ``ElementSet`` of
+    shifts: the family depends on D alone, so a later set with the same D
+    is solved without a graph, an extraction or a sort. It lives as long
+    as this window object. ``size()`` is worked out once, when the window
+    is made. Neither takes part in equality or hashing.
     """
 
     group: GroupSpec
@@ -482,6 +484,7 @@ class Window:
                     raise ValueError("finite cyclic factors take no bound")
             elif b is None or b <= 0:
                 raise ValueError("window bound must be a positive integer")
+        object.__setattr__(self, "_size", prod(count_coords(f, b) for f, b in zip(self.group.factors, self.bounds)))
 
     @classmethod
     def for_group(
@@ -506,9 +509,7 @@ class Window:
         return cls(group, tuple(bounds))
 
     def size(self) -> int:
-        return prod(
-            count_coords(f, b) for f, b in zip(self.group.factors, self.bounds)
-        )
+        return self._size
 
     def expanded(self) -> Window | None:
         """Grow every expandable bound (None when the group is fully finite)."""
@@ -671,9 +672,10 @@ class DenseBox:
         return Element(self.group, tuple(coords))
 
     def mask_of(self, elements: Iterable[Element]) -> int:
+        index = None if self._tables is None else self._tables.index
         mask = 0
         for e in elements:
-            code = self.encode(e)
+            code = self.encode(e) if index is None else index.get(e.coords)
             if code is None:
                 raise ValueError(f"{e} lies outside the box {self.bounds} of {self.group}")
             mask |= 1 << code

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import clique
 from .errors import (
@@ -24,7 +24,6 @@ from .errors import (
     WindowTooLargeError,
 )
 from .groups import (
-    INFINITE_CYCLIC,
     DenseBox,
     Element,
     GroupSpec,
@@ -61,7 +60,7 @@ class ElementSet:
     def of(cls, group: GroupSpec, elements: Iterable[Element]) -> ElementSet:
         seen = {}
         for e in elements:
-            if e.group != group:
+            if e.group is not group and e.group != group:
                 raise GroupMismatchError("set elements must share one group spec")
             seen[e.coords] = e
         ordered = sorted(seen.values(), key=Element.sort_key)
@@ -96,7 +95,8 @@ def difference_mask(A: ElementSet, region: tuple) -> tuple[DenseBox, int]:
     ``region``: on its whole box the mask is (A - A) ∩ box. A keeps the
     answer for each region, so the D a subgroup window's cover check reads
     is the D its graph reads, and the D a witness check reads is the D its
-    index solve's graph reads.
+    index solve's graph reads. :func:`max_packing_family` stores the D of
+    a set inside a subgroup window here first, on the window's own box.
 
     The mask is an OR of translates of A, so its box must hold A itself; a
     set spread past ``MAX_BOX_BITS`` gets the region's box instead, with
@@ -170,7 +170,7 @@ def compatibility_graph(A: ElementSet, vertices: list[Element]) -> list[int]:
     ]
 
 
-def _certify_family(A: ElementSet, shifts: list[Element]) -> bool:
+def _certify_family(A: ElementSet, shifts: Sequence[Element]) -> bool:
     """True iff the translates b + A are pairwise disjoint. The sums take
     the group's per-factor add on coordinates, as ``Element`` addition
     does, and never a box's codes. Fewer than two shifts have no pair that
@@ -214,12 +214,15 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     inside the window is a translate of D* with no gather, and the box's
     tables give ``neg`` and the steps for the rules. The search runs on
     that graph, and the extraction scans the window's enumeration order
-    through the box's ``place``. When D's box is the window's own box, the
-    graph and so the family depend on D alone: the window keeps the family
-    by D (``Window._families``), and a later set with the same D on the
-    same window object skips the graph, the search and the extraction. Its
-    D, its cover test and its certificate on its own coordinates are still
-    worked out.
+    through the box's ``place``. A set inside the window gets its D on
+    that box too, with its tables, stored where ``compatibility_graph``
+    finds it; a set that leaves the window gets D on the hull box. When
+    D's box is the window's own box, the graph and so the family depend on
+    D alone: the window keeps the finished family, the ``ElementSet`` of
+    shifts, by D (``Window._families``), and a later set with the same D
+    on the same window object skips the graph, the search, the extraction
+    and the sort. Its D, its cover test and its certificate on its own
+    coordinates are still worked out. A covered window's {0} is not kept.
 
     A window with a ``Z`` factor is no subgroup. With exactly one, of bound
     w, say Z + H, translate any family so that its lowest ``Z`` coordinate
@@ -239,44 +242,62 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     """
     if not A.elements:
         raise EmptySetError("packing index of the empty set is undefined")
-    if window.group != A.group:
-        raise GroupMismatchError("window and set belong to different groups")
-    size = window.size()
-    if size > DEFAULT_MAX_VERTICES:
-        raise WindowTooLargeError(size, DEFAULT_MAX_VERTICES)
     group = A.group
-    z_factors = sum(f.kind == INFINITE_CYCLIC for f in group.factors)
-    if z_factors:
+    if window.group is not group and window.group != group:
+        raise GroupMismatchError("window and set belong to different groups")
+    if window.size() > DEFAULT_MAX_VERTICES:
+        raise WindowTooLargeError(window.size(), DEFAULT_MAX_VERTICES)
+    if group._z_factors:
         place = box_for(group, window.bounds).codes(window.bounds)
         vertices = [None] * len(place)
         for e, c in zip(enumerate_window(window), place):
             vertices[c] = e
         adj = compatibility_graph(A, vertices)
         # with one Z factor the corner has the window's lowest code
-        size, picked = clique.first_max_clique(adj, 0 if z_factors == 1 else None, place)
+        size, picked = clique.first_max_clique(adj, 0 if group._z_factors == 1 else None, place)
+        shifts = _extracted(group, vertices, place, size, picked)
     else:
-        vertices, _, neg, steps, place = box_for(group, window.bounds).tables()
-        box, diff = difference_mask(A, window.bounds)
+        region = window.bounds
+        box = box_for(group, region)
+        vertices, index, neg, steps, place = box.tables()
+        if region not in A._differences and all(a.coords in index for a in A.elements):
+            # A lies inside the window: D on the window's own box, whose
+            # tables the graph rows then read
+            A._differences[region] = box, box.diff_mask(box.mask_of(A.elements))
+        box, diff = difference_mask(A, region)
         # D's box is the window's unless A leaves it
         own = box.size == len(vertices)
         inside = (1 << box.size) - 1 if own else box.mask_of(vertices)
         if diff & inside == inside:
-            size, picked = 1, [0]  # D covers the window, so {0} is a maximum family
-        elif own and diff in window._families:
-            size, picked = window._families[diff]
+            # D covers the window, so {0} is a maximum family; code 0 is zero
+            shifts = ElementSet(group, (vertices[0],))
         else:
-            adj = compatibility_graph(A, vertices)
-            size, picked = clique.first_max_clique(adj, 0, place, neg, lambda mask, v: apply_steps(mask, steps[v]))
-            if own:
-                window._families[diff] = size, picked
-    if picked is None or len(picked) != size:
-        raise CertificationError(f"the solver found no family of the {size} shifts it proved")
+            shifts = window._families.get(diff) if own else None
+            if shifts is None:
+                adj = compatibility_graph(A, vertices)
+                size, picked = clique.first_max_clique(adj, 0, place, neg, lambda mask, v: apply_steps(mask, steps[v]))
+                shifts = _extracted(group, vertices, place, size, picked)
+                if own:
+                    window._families[diff] = shifts
+    if not _certify_family(A, shifts.elements):
+        raise CertificationError("the solver's family has intersecting translates")
+    return PackingFamily(A, shifts, True)
+
+
+def _extracted(
+    group: GroupSpec, vertices: list[Element], place: list[int] | None, size: int, picked: list[int] | None
+) -> ElementSet:
+    """The solver's family as a set of shifts: ``picked`` indexes the
+    enumeration order, read through ``place`` when that is not code order.
+    A family short of the proven ``size``, missing or with a vertex picked
+    twice, raises ``CertificationError``."""
+    picked = picked or []
     if place is not None:
         picked = [place[i] for i in picked]
-    shifts = [vertices[i] for i in picked]
-    if not _certify_family(A, shifts):
-        raise CertificationError("the solver's family has intersecting translates")
-    return PackingFamily(A, ElementSet.of(A.group, shifts), True)
+    shifts = ElementSet.of(group, (vertices[i] for i in picked))
+    if len(shifts) != size:
+        raise CertificationError(f"the solver found no family of the {size} shifts it proved")
+    return shifts
 
 
 @dataclass(frozen=True)

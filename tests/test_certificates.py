@@ -118,6 +118,17 @@ def test_a_failed_extraction_is_an_error(no_extraction, tmp_path, text, elements
     certification_error_report(["index", "--set", str(path), *window])
 
 
+@pytest.mark.parametrize(
+    "text,elements,bound", [("Z", ["0", "1", "3"], 6), ("Z_7 + Z_7", ["(0,0)", "(1,0)"], None)], ids=["z", "subgroup"]
+)
+def test_a_family_that_picks_a_vertex_twice_is_an_error(text, elements, bound, monkeypatch):
+    # one shift twice is not the two shifts the size search proved
+    monkeypatch.setattr(clique, "first_max_clique", lambda adj, *args: (2, [1, 1]))
+    group = parse_group(text)
+    with pytest.raises(CertificationError, match="no family of the 2 shifts"):
+        packing.max_packing_family(ElementSet.parse(group, elements), Window.for_group(group, bound=bound))
+
+
 def test_a_failed_bset_extraction_is_an_error(no_extraction):
     error = certification_error_report(["bset", "--group", "Z", "--kappa", "4", "--check"])
     assert error["message"] == "the solver found no clique of the 3 points it proved"

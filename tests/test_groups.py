@@ -21,6 +21,7 @@ from packidx.groups import (
     Window,
     _is_prime,
     add_coord,
+    count_coords,
     enumerate_window,
     format_element,
     format_group,
@@ -393,6 +394,25 @@ def test_group_hash_is_made_once_and_read_as_the_factors_hash(text, element):
     coords = parse_element(group, element).coords
     assert Element(group, coords) == Element(twin, coords) == Element(copy, coords)
     assert (parse_group("Z") == "Z") is False
+
+
+@pytest.mark.parametrize(
+    "text,kw,zs",
+    [("Z + Z_4 + Z", {"bound": 3}, 2), ("Z_3^w + Prufer(3)", {"repeated_m": 2, "prufer_level": 2}, 0), ("Z_6", {}, 0)],
+)
+def test_fields_worked_out_once_take_no_part_in_equality(text, kw, zs):
+    # a window's size and a group's count of Z factors are worked out when
+    # each is made; equality and hashing still read the fields alone
+    group, twin = parse_group(text), parse_group(text)
+    assert group._z_factors == twin._z_factors == pickle.loads(pickle.dumps(group))._z_factors == zs
+    window, again = Window.for_group(group, **kw), Window.for_group(twin, **kw)
+    assert window is not again and window == again and hash(window) == hash(again)
+    want = 1
+    for f, b in zip(group.factors, window.bounds):
+        want *= count_coords(f, b)
+    assert window.size() == again.size() == want == len(list(enumerate_window(window)))
+    window._families[1] = None  # a kept family changes neither
+    assert window == again and hash(window) == hash(again)
 
 
 class TestElementSyntax:

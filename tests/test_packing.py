@@ -33,6 +33,7 @@ from packidx.groups import (
     CYCLIC,
     INFINITE_CYCLIC,
     REPEATED_CYCLIC,
+    SHARED_BOX_CODES,
     DenseBox,
     Window,
     apply_steps,
@@ -696,6 +697,30 @@ def test_a_set_that_leaves_its_window_keeps_no_family(text, elements, window_arg
     assert first == again == fresh
     assert fresh[0] > 1  # not covered: each solve built its graph
     assert window._families == {}
+
+
+# subgroup windows of more than SHARED_BOX_CODES codes, each with a set
+# inside it: D is worked out on the window's own box, with its tables
+OWN_BOX_SETS = [
+    ("Z_3^w", ["0", "[1,1]", "[2,0,1]", "[0,0,0,1]"], {"repeated_m": 4}),
+    ("Z_10 + Z_10", ["(5,1)", "(8,5)", "(9,0)", "(9,2)"], {}),
+]
+
+
+@pytest.mark.parametrize("text,elements,window_args", OWN_BOX_SETS, ids=[t for t, _, _ in OWN_BOX_SETS])
+def test_a_set_inside_a_large_window_gets_its_differences_on_the_window_box(text, elements, window_args):
+    group = parse_group(text)
+    window = Window.for_group(group, **window_args)
+    A = ElementSet.parse(group, elements)
+    family = max_packing_family(A, window)
+    box, diff = A._differences[window.bounds]
+    assert box.size == window.size() > SHARED_BOX_CODES
+    assert box._tables is not None
+    bare = DenseBox(group, window.bounds)  # no tables: codes by digits
+    assert diff == bare.diff_mask(bare.mask_of(A.elements))
+    fresh = max_packing_family(ElementSet.parse(group, elements), Window.for_group(group, **window_args))
+    assert _answer(family) == _answer(fresh)
+    assert family.size > 1 and window._families[diff] is family.shifts
 
 
 # sets spread past MAX_BOX_BITS: difference_mask takes its pairwise path
