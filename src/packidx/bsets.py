@@ -42,8 +42,8 @@ from .groups import (
     zero_coord,
 )
 from .packing import (
+    CliqueResult,
     ElementSet,
-    clique_in_bset_of_size,
     difference_set,
     max_clique_in_bset,
 )
@@ -196,19 +196,18 @@ def build_bset(group: GroupSpec, kappa: int) -> BSet:
     return BSet(group, kappa, difference_set(ElementSet.of(group, base)), provenance)
 
 
-def check_property_1(bset: BSet) -> ElementSet:
-    """A (kappa-1)-point witness whose differences all stay inside the set.
-
-    Subsets of the witness cover every smaller size. Raises when the maximum
-    such configuration is smaller than kappa-1 (a construction bug, surfaced).
+def check_property_1(bset: BSet, best: CliqueResult | None = None) -> ElementSet:
+    """A (kappa-1)-point witness whose differences all stay inside the set:
+    the first kappa-1 points of the witness of ``best``, the set's one solve
+    (made here when not given), so the lexicographically-first one when the
+    clique number is kappa-1, as on every built base set. Raises when the
+    clique number is smaller than kappa-1 (a construction bug, surfaced).
     """
-    witness = clique_in_bset_of_size(bset.elements, bset.kappa - 1)
-    if witness is None:
+    if best is None:
         best = max_clique_in_bset(bset.elements)
-        raise PropertyCheckFailedError(
-            f"largest difference-compatible set has {best.size} < {bset.kappa - 1} points"
-        )
-    return witness
+    if best.size < bset.kappa - 1:
+        raise PropertyCheckFailedError(f"largest difference-compatible set has {best.size} < {bset.kappa - 1} points")
+    return ElementSet(bset.group, best.witness.elements[: bset.kappa - 1])
 
 
 def check_property_2(bset: BSet) -> bool:
@@ -247,13 +246,14 @@ def check_property_3(bset: BSet, F: ElementSet, window: Window) -> CoverageCheck
 
 
 def run_checks(bset: BSet) -> BSet:
-    """Attach pass/fail results for the two clique-side properties."""
-    clique_max = max_clique_in_bset(bset.elements)
+    """Attach pass/fail results for the two clique-side properties, read
+    from one solve: property 1 from its witness, property 2 from its size."""
+    best = max_clique_in_bset(bset.elements)
     rows = []
     try:
-        witness = check_property_1(bset)
+        witness = check_property_1(bset, best)
         rows.append(("property_1", True, witness.to_texts()))
     except PropertyCheckFailedError as exc:
         rows.append(("property_1", False, str(exc)))
-    rows.append(("property_2", clique_max.size <= bset.kappa - 1, clique_max.size))
+    rows.append(("property_2", best.size <= bset.kappa - 1, best.size))
     return replace(bset, check_results=tuple(rows))

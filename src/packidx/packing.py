@@ -310,20 +310,16 @@ class CliqueResult:
 
 
 def _bset_graph(B: ElementSet) -> tuple[list[Element], list[int]]:
-    group = B.group
+    """B's elements, two joined when their difference lies in B: a clique is a C with C - C in B."""
     coords = B.coords_set()
-    zero = group.zero()
-    if zero.coords not in coords:
+    if B.group.zero().coords not in coords:
         raise PreconditionError("the base set must contain zero")
-    for e in B.elements:
-        if (-e).coords not in coords:
-            raise PreconditionError("the base set must be symmetric")
+    if any((-e).coords not in coords for e in B.elements):
+        raise PreconditionError("the base set must be symmetric")
     vertices = list(B.elements)
-    n = len(vertices)
-    adj = [0] * n
-    for i in range(n):
-        vi = vertices[i]
-        for j in range(i + 1, n):
+    adj = [0] * len(vertices)
+    for i, vi in enumerate(vertices):
+        for j in range(i + 1, len(vertices)):
             if (vi - vertices[j]).coords in coords:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
@@ -341,14 +337,17 @@ def _certified_clique(B: ElementSet, vertices: list[Element], picked: list[int])
 
 
 def max_clique_in_bset(B: ElementSet) -> CliqueResult:
-    """Largest C with C - C inside B, searched over subsets of B itself.
+    """Largest C with C - C inside B, searched over subsets of B itself; the
+    witness is the lexicographically-first such C in B's order.
 
     Any such C can be translated by one of its own points to sit inside
     B while keeping all differences, so the restriction loses nothing.
+    A witness short of the proven size, missing or with a vertex picked
+    twice, fails its certificate, as does a difference outside B.
     """
     vertices, adj = _bset_graph(B)
     size, picked = clique.first_max_clique(adj)
-    if picked is None or len(picked) != size:
+    if len(set(picked or ())) != size:  # size >= 1, since B holds zero
         raise CertificationError(f"the solver found no clique of the {size} points it proved")
     return CliqueResult(size, _certified_clique(B, vertices, picked), True)
 

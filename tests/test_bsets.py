@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from packidx import bsets
+from packidx import bsets, clique, packing
 from packidx.bsets import (
     BSet,
     K2_ZERO,
@@ -36,9 +36,13 @@ from packidx.groups import (
     parse_group,
     zero_coord,
 )
-from packidx.packing import ElementSet, max_clique_in_bset
+from packidx.demo import ATTAINABILITY_CELLS
+from packidx.packing import ElementSet, clique_in_bset_of_size, max_clique_in_bset
+from packidx.runners import RunConfig, run_bset
 
 Z = parse_group("Z")
+# carrier specs with the number of units each builds
+CARRIER_UNITS = [("Z_4^4095 + Z_4^w", 4, 2), ("Z_2^4095 + Z_3^w", 5, 4), ("Z_4 + Z_4^w", 4, 2)]
 
 
 class TestExceptional:
@@ -318,10 +322,7 @@ class TestCarrierRules:
             KN_DIRECT_SUM: 2970,
         }
 
-    @pytest.mark.parametrize(
-        "text,kappa,units",
-        [("Z_4^4095 + Z_4^w", 4, 2), ("Z_2^4095 + Z_3^w", 5, 4), ("Z_4 + Z_4^w", 4, 2)],
-    )
+    @pytest.mark.parametrize("text,kappa,units", CARRIER_UNITS)
     def test_builds_only_the_units_it_uses(self, text, kappa, units, monkeypatch):
         calls = []
         build = bsets._unit
@@ -379,6 +380,60 @@ class TestProperties:
         names = [row[0] for row in checked.check_results]
         assert names == ["property_1", "property_2"]
         assert all(row[1] for row in checked.check_results)
+
+
+class TestOneSolve:
+    """``bset --check`` answers both properties from one ``first_max_clique`` solve."""
+
+    @pytest.mark.parametrize("text,kappa", ATTAINABILITY_CELLS)
+    def test_check_builds_one_graph_and_solves_once(self, text, kappa, monkeypatch):
+        calls = collections.Counter()
+        inside = []
+        graph, solve, extract = packing._bset_graph, clique.first_max_clique, clique.clique_of_size
+
+        def graph_spy(*args):
+            calls["graph"] += 1
+            return graph(*args)
+
+        def solve_spy(*args):
+            calls["solve"] += 1
+            inside.append(True)
+            try:
+                return solve(*args)
+            finally:
+                inside.pop()
+
+        def extract_spy(*args):
+            calls["extract outside the solve" if not inside else "extract"] += 1
+            return extract(*args)
+
+        monkeypatch.setattr(packing, "_bset_graph", graph_spy)
+        monkeypatch.setattr(clique, "first_max_clique", solve_spy)
+        monkeypatch.setattr(clique, "clique_of_size", extract_spy)
+        report = run_bset(RunConfig(command="bset", group=text, kappa=kappa, check=True))
+        assert report.passed
+        assert calls["graph"] == calls["solve"] == 1
+        assert calls["extract outside the solve"] == 0
+
+    @pytest.mark.parametrize(
+        "text,kappa", ATTAINABILITY_CELLS + [(text, kappa) for text, kappa, _ in CARRIER_UNITS]
+    )
+    def test_property_1_is_the_first_clique_of_kappa_minus_1_points(self, text, kappa):
+        b = build_bset(parse_group(text), kappa)
+        want = clique_in_bset_of_size(b.elements, kappa - 1)
+        assert check_property_1(b) == want
+        rows = {name: (ok, detail) for name, ok, detail in run_checks(b).check_results}
+        assert rows == {"property_1": (True, want.to_texts()), "property_2": (True, kappa - 1)}
+
+    def test_a_clique_larger_than_kappa_minus_1_is_cut(self):
+        # ω = 3 > kappa - 1 = 2: the witness is the first two points of {0, 1, -1}
+        fake = BSet(Z, 3, ElementSet.parse(Z, ["0", "1", "-1", "2", "-2"]), K3)
+        witness = check_property_1(fake)
+        coords = fake.elements.coords_set()
+        assert len(witness) == 2
+        assert all((x - y).coords in coords for x in witness for y in witness)
+        rows = {name: (ok, detail) for name, ok, detail in run_checks(fake).check_results}
+        assert rows == {"property_1": (True, ["0", "1"]), "property_2": (False, 3)}
 
 
 class TestCoverage:

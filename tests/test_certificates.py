@@ -28,8 +28,15 @@ def broken_family(monkeypatch):
 
 @pytest.fixture
 def first_vertices_clique(monkeypatch):
-    """``clique_of_size`` answers with its first ``target`` vertices, clique or not."""
-    monkeypatch.setattr(clique, "clique_of_size", lambda adj, target, P=None: list(range(target)))
+    """``first_max_clique`` proves the true size but answers with that many
+    first vertices, clique or not."""
+    solve = clique.first_max_clique
+
+    def first_vertices(adj, *args):
+        size, _ = solve(adj, *args)
+        return size, list(range(size))
+
+    monkeypatch.setattr(clique, "first_max_clique", first_vertices)
 
 
 @pytest.fixture
@@ -103,7 +110,7 @@ def test_property_2_raises(broken_clique):
 
 
 def test_property_1_witness_is_certified(first_vertices_clique):
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError, match="a difference outside the base set"):
         bsets.check_property_1(bsets.build_bset(parse_group("Prufer(2)"), 5))
 
 
@@ -130,5 +137,15 @@ def test_a_family_that_picks_a_vertex_twice_is_an_error(text, elements, bound, m
 
 
 def test_a_failed_bset_extraction_is_an_error(no_extraction):
+    error = certification_error_report(["bset", "--group", "Z", "--kappa", "4", "--check"])
+    assert error["message"] == "the solver found no clique of the 3 points it proved"
+
+
+def test_a_bset_clique_that_picks_a_vertex_twice_is_an_error(monkeypatch):
+    # one point twice is not the three points the size search proved
+    monkeypatch.setattr(clique, "first_max_clique", lambda adj, *args: (3, [0, 1, 1]))
+    B = ElementSet.parse(parse_group("Z"), ["0", "1", "-1", "2", "-2"])
+    with pytest.raises(CertificationError, match="no clique of the 3 points"):
+        packing.max_clique_in_bset(B)
     error = certification_error_report(["bset", "--group", "Z", "--kappa", "4", "--check"])
     assert error["message"] == "the solver found no clique of the 3 points it proved"
