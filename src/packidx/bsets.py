@@ -189,11 +189,11 @@ def build_bset(group: GroupSpec, kappa: int) -> BSet:
     kind = factors[i].kind
     if kind == REPEATED_CYCLIC:
         base = [_unit(group, (i,), copy=c) for c in range(kappa - 1)]
-    else:
-        g = _unit(group, (i,), above=2 * kappa - 1)
-        base = [g.scaled(l) for l in range(1, kappa)]
-    provenance = {INFINITE_CYCLIC: KN_Z, PRUFER: KN_PRUFER, REPEATED_CYCLIC: KN_DIRECT_SUM}[kind]
-    return BSet(group, kappa, difference_set(ElementSet.of(group, base)), provenance)
+        return BSet(group, kappa, difference_set(ElementSet.of(group, base)), KN_DIRECT_SUM)
+    # the differences of g, 2g, ..., (kappa-1)g are the k*g with |k| <= kappa-2,
+    # all distinct since g has order above 2*kappa - 1
+    g = _unit(group, (i,), above=2 * kappa - 1)
+    return BSet(group, kappa, _symmetric_hull(g, kappa - 2), KN_Z if kind == INFINITE_CYCLIC else KN_PRUFER)
 
 
 def check_property_1(bset: BSet, best: CliqueResult | None = None) -> ElementSet:

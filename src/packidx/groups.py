@@ -345,9 +345,9 @@ class GroupSpec:
     """An ordered direct sum of factors; all derived flags are recomputed.
 
     The group holds the add and negate its elements use, chosen per factor
-    when it is made, the hash of its factors and its count of ``Z``
-    factors, worked out once then; they are attributes, not fields, so
-    equality and hashing still read the factors alone."""
+    when it is made, and its count of ``Z`` factors, worked out once then;
+    they are attributes, not fields, so equality and hashing read the
+    factors alone."""
 
     factors: tuple[Factor, ...]
 
@@ -355,15 +355,10 @@ class GroupSpec:
         add, neg = _tuple_ops(self.factors)
         object.__setattr__(self, "_add", add)
         object.__setattr__(self, "_neg", neg)
-        object.__setattr__(self, "_hash", hash(self.factors))
         object.__setattr__(self, "_z_factors", sum(f.kind == INFINITE_CYCLIC for f in self.factors))
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
-        # the operations cannot be pickled, and the hash follows the
-        # process's hash seed, so both are rebuilt from the factors
+        # the operations cannot be pickled, so they are rebuilt from the factors
         return GroupSpec, (self.factors,)
 
     @property
@@ -467,13 +462,15 @@ class Window:
     mask D over the window's own box, as the finished ``ElementSet`` of
     shifts: the family depends on D alone, so a later set with the same D
     is solved without a graph, an extraction or a sort. It lives as long
-    as this window object. ``size()`` is worked out once, when the window
-    is made. Neither takes part in equality or hashing.
+    as this window object, as does the window's :class:`DenseBox`, which
+    ``box()`` makes on its first call. ``size()`` is worked out once, when
+    the window is made. None of them takes part in equality or hashing.
     """
 
     group: GroupSpec
     bounds: tuple[int | None, ...]
     _families: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _box: DenseBox | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.bounds) != len(self.group.factors):
@@ -510,6 +507,13 @@ class Window:
 
     def size(self) -> int:
         return self._size
+
+    def box(self) -> DenseBox:
+        """The window's own box, made on the first call, with its tables
+        built when a caller first asks for them."""
+        if self._box is None:
+            object.__setattr__(self, "_box", DenseBox(self.group, self.bounds))
+        return self._box
 
     def expanded(self) -> Window | None:
         """Grow every expandable bound (None when the group is fully finite)."""
@@ -594,8 +598,9 @@ class DenseBox:
     whole mask at once.
 
     :meth:`tables` builds the per-code tables once and keeps them with the
-    box: for the process when :func:`box_for` shares it, for one call
-    otherwise. ``encode``, ``steps`` and ``diff_mask`` then read them.
+    box, which lives as long as what holds it: a window
+    (:meth:`Window.box`), a set's memo of differences or one witness
+    build. ``encode``, ``steps`` and ``diff_mask`` then read them.
     """
 
     def __init__(self, group: GroupSpec, bounds: tuple):
@@ -710,7 +715,10 @@ class DenseBox:
         """The box's per-code tables, built on the first call. The elements
         are listed as :func:`enumerate_window` lists a window, one
         :func:`iter_coords` stream per factor (a ``Z`` radius of 0 gives 0
-        alone), and each is filed under its code from :meth:`codes`."""
+        alone), and each is filed under its code from :meth:`codes`. The
+        negatives and steps are composed digit by digit, leftmost first:
+        digit j's r steps are those of the elements that are 0 but in
+        digit j, so each is worked out once, not once a code."""
         if self._tables is None:
             codes = self.codes(self.bounds)
             pools = [iter_coords(f, b) for f, b in zip(self.group.factors, self.bounds)]
@@ -718,11 +726,19 @@ class DenseBox:
             by_code = [None] * self.size
             for e, c in zip(elements, codes):
                 by_code[c] = e
+            zero = sum(o * s for o, s in zip(self._offset, self._stride))
+            negs, steps = [0], [[]]
+            for r, s, o, w in zip(self._radix, self._stride, self._offset, self._wraps):
+                # each digit comes below the ones before it: code c becomes c * r + d
+                digit_negs = [(-d % r if w else r - 1 - d) * s for d in range(r)]
+                digit_steps = [self.steps(zero + (d - o) * s) for d in range(r)]
+                negs = [n + x for n in negs for x in digit_negs]
+                steps = [m + x for m in steps for x in digit_steps]
             self._tables = BoxTables(
                 by_code,
                 {e.coords: c for e, c in zip(elements, codes)},
-                [self.neg(c) for c in range(self.size)],
-                [self.steps(c) for c in range(self.size)],
+                negs,
+                steps,
                 None if codes == sorted(codes) else codes,
             )
         return self._tables
@@ -794,32 +810,6 @@ class DenseBox:
             if diff == full:
                 break
         return diff
-
-
-# Boxes of at most this many codes are shared: each finite group of the
-# obstruction sweeps is one such box, met again on every solver cross-check.
-# A larger box (a witness box holds about 1,900 codes) is seldom met twice
-# with the same elements, so it is built per call, with tables only when
-# the caller asks for them.
-SHARED_BOX_CODES = 64
-
-
-_SHARED_BOXES: dict[tuple[GroupSpec, tuple], DenseBox] = {}
-
-
-def box_for(group: GroupSpec, bounds: tuple) -> DenseBox:
-    """The box of ``group`` with ``bounds``: one shared box, kept with its
-    tables for the life of the process, when it has at most
-    ``SHARED_BOX_CODES`` codes, and a fresh one otherwise, whose tables go
-    with it. Callers must not change what a box or its tables return."""
-    key = (group, tuple(bounds))
-    box = _SHARED_BOXES.get(key)
-    if box is None:
-        box = DenseBox(group, bounds)
-        if box.size <= SHARED_BOX_CODES:
-            box.tables()
-            _SHARED_BOXES[key] = box
-    return box
 
 
 def apply_steps(mask: int, steps: list[tuple[int, int, int, int]]) -> int:

@@ -31,13 +31,7 @@ from .errors import (
     NotApplicableError,
     PreconditionError,
 )
-from .groups import (
-    Element,
-    GroupSpec,
-    Window,
-    apply_steps,
-    box_for,
-)
+from .groups import Element, GroupSpec, Window, apply_steps
 from .packing import ElementSet, _certify_family, max_packing_family, translates_disjoint
 
 ORDER_TWO = "OrderTwo"
@@ -153,14 +147,14 @@ def _little_endian(table: array) -> array:
 class _GroupTables:
     """Index arithmetic for one small finite group. Its elements, their
     codes and negatives and the translation steps are the tables of the
-    group's shared dense box, which the sweep's solver cross-checks read
-    too; ``add`` is worked out on coordinates, with the group's per-factor
-    add that :class:`Element` addition calls. The exhaustive difference
-    masks (one 16-bit lane per subset) and ``_family_disjoint`` read
-    ``add``; the sampled difference masks (one 32-bit lane per draw) and
-    ``_find_triple`` read the box's steps. Every solver cross-check of the
+    box of ``window``, the group's one window, which the sweep's solver
+    cross-checks read too; ``add`` is worked out on coordinates, with the
+    group's per-factor add that :class:`Element` addition calls. The
+    exhaustive difference masks (one 16-bit lane per subset) and
+    ``_family_disjoint`` read ``add``; the sampled difference masks (one
+    32-bit lane per draw) and ``_find_triple`` read the box's steps. Every solver cross-check of the
     sweep runs on the one ``window`` made here, so the families it keeps by
-    difference mask last one sweep, as the tables do.
+    difference mask last one sweep, as its box and the tables do.
 
     Element i has box code i, because a finite group's box numbers its codes
     in window order; so a subset is a mask of element indices. The group is
@@ -169,9 +163,8 @@ class _GroupTables:
 
     def __init__(self, group: GroupSpec):
         self.group = group
-        self.window = window = Window.for_group(group)
-        self.box = box_for(group, window.bounds)
-        tables = self.box.tables()
+        self.window = Window.for_group(group)
+        tables = self.window.box().tables()
         assert tables.place is None
         self.elements, self.index, self.neg, self.steps, _ = tables
         self.n = len(self.elements)

@@ -29,7 +29,6 @@ from .groups import (
     GroupSpec,
     Window,
     apply_steps,
-    box_for,
     enumerate_window,
     extents,
     format_element,
@@ -106,11 +105,11 @@ def difference_mask(A: ElementSet, region: tuple) -> tuple[DenseBox, int]:
     if answer is not None:
         return answer
     group = A.group
-    box = box_for(group, hull_bounds(region, extents(group, A.elements)))
+    box = DenseBox(group, hull_bounds(region, extents(group, A.elements)))
     if box.size <= MAX_BOX_BITS:
         answer = box, box.diff_mask(box.mask_of(A.elements))
     else:
-        box = box_for(group, region)
+        box = DenseBox(group, region)
         diffs = (x - y for x in A.elements for y in A.elements)
         answer = box, box.mask_of(d for d in diffs if box.encode(d) is not None)
     A._differences[region] = answer
@@ -209,7 +208,8 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     lexicographically-first family is each coset's first family, extracted
     in one pass; each starts at the coset's first vertex in scan order,
     vertex 0 for K. When A - A covers the window, {0} is a maximum
-    family and no graph is built. The window is its own box: the graph is
+    family and no graph is built. The window is the whole of its box
+    (``window.box()``, kept with the window, tables and all): the graph is
     built on the box's elements in code order, where each row of a set A
     inside the window is a translate of D* with no gather, and the box's
     tables give ``neg`` and the steps for the rules. The search runs on
@@ -217,7 +217,7 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     through the box's ``place``. A set inside the window gets its D on
     that box too, with its tables, stored where ``compatibility_graph``
     finds it; a set that leaves the window gets D on the hull box. When
-    D's box is the window's own box, the graph and so the family depend on
+    D's box has the window's bounds, the graph and so the family depend on
     D alone: the window keeps the finished family, the ``ElementSet`` of
     shifts, by D (``Window._families``), and a later set with the same D
     on the same window object skips the graph, the search, the extraction
@@ -248,7 +248,7 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     if window.size() > DEFAULT_MAX_VERTICES:
         raise WindowTooLargeError(window.size(), DEFAULT_MAX_VERTICES)
     if group._z_factors:
-        place = box_for(group, window.bounds).codes(window.bounds)
+        place = window.box().codes(window.bounds)
         vertices = [None] * len(place)
         for e, c in zip(enumerate_window(window), place):
             vertices[c] = e
@@ -258,14 +258,14 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
         shifts = _extracted(group, vertices, place, size, picked)
     else:
         region = window.bounds
-        box = box_for(group, region)
+        box = window.box()
         vertices, index, neg, steps, place = box.tables()
         if region not in A._differences and all(a.coords in index for a in A.elements):
             # A lies inside the window: D on the window's own box, whose
             # tables the graph rows then read
             A._differences[region] = box, box.diff_mask(box.mask_of(A.elements))
         box, diff = difference_mask(A, region)
-        # D's box is the window's unless A leaves it
+        # D's box has the window's bounds unless A leaves it
         own = box.size == len(vertices)
         inside = (1 << box.size) - 1 if own else box.mask_of(vertices)
         if diff & inside == inside:

@@ -37,10 +37,14 @@ from packidx.groups import (
     zero_coord,
 )
 from packidx.demo import ATTAINABILITY_CELLS
-from packidx.packing import ElementSet, clique_in_bset_of_size, max_clique_in_bset
+from packidx.packing import ElementSet, clique_in_bset_of_size, difference_set, max_clique_in_bset
 from packidx.runners import RunConfig, run_bset
 
 Z = parse_group("Z")
+# groups whose kappa >= 5 base set is carried by Z or Prufer(p)
+KN_HULL_GROUPS = [
+    "Z", "Z + Z_3", "Z_4 + Z", "Prufer(2)", "Prufer(3)", "Z_2^w + Prufer(5)", "Z_6 + Prufer(7) + Z", "Z_3^w + Z",
+]
 # carrier specs with the number of units each builds
 CARRIER_UNITS = [("Z_4^4095 + Z_4^w", 4, 2), ("Z_2^4095 + Z_3^w", 5, 4), ("Z_4 + Z_4^w", 4, 2)]
 
@@ -112,6 +116,18 @@ class TestBuild:
         b = build_bset(parse_group("Prufer(2)"), 8)
         assert b.provenance == KN_PRUFER
         assert max(e.order() for e in b.elements) == 16
+
+    @pytest.mark.parametrize("text", KN_HULL_GROUPS)
+    def test_kn_hull_is_the_difference_set_of_the_multiples(self, text):
+        # {0, ±g, ..., ±(kappa-2)g} against the differences of g, ..., (kappa-1)g
+        group = parse_group(text)
+        i = next(bsets._carriers(group, (INFINITE_CYCLIC,), (PRUFER,)))
+        for kappa in range(5, 41):
+            g = bsets._unit(group, (i,), above=2 * kappa - 1)
+            want = difference_set(ElementSet.of(group, [g.scaled(l) for l in range(1, kappa)]))
+            b = build_bset(group, kappa)
+            assert b.provenance == (KN_Z if group.factors[i].kind == INFINITE_CYCLIC else KN_PRUFER)
+            assert b.elements == want and b.elements.to_texts() == want.to_texts()
 
     def test_k4_z3_subgroup(self):
         b = build_bset(parse_group("Z_3^w"), 4)

@@ -100,13 +100,13 @@ class TestFailFast:
         }
 
     def test_obstruct_element_cap_is_checked_before_enumerating(self, runner, monkeypatch):
-        from packidx import obstruction
+        from packidx.groups import DenseBox
 
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated a group past the sweep cap")
 
         # a sweep lists the group's elements in the tables of its box
-        monkeypatch.setattr(obstruction, "box_for", refuse)
+        monkeypatch.setattr(DenseBox, "tables", refuse)
         result = runner.invoke(
             main, ["obstruct", "--group", "Z_2^40", "--kappa", "4", "--sample", "5"]
         )

@@ -18,7 +18,7 @@ from packidx.clique import (
     max_clique_size,
     relabel,
 )
-from packidx.groups import INFINITE_CYCLIC, Window, apply_steps, box_for, enumerate_window, parse_group
+from packidx.groups import INFINITE_CYCLIC, Window, apply_steps, enumerate_window, parse_group
 from packidx.packing import ElementSet, compatibility_graph, max_packing_family
 
 
@@ -382,7 +382,7 @@ def coded_window(text, window_args):
     translate for the root search's symmetry rules."""
     group = parse_group(text)
     window = Window.for_group(group, **window_args)
-    elements, _, neg, steps, _ = box_for(group, window.bounds).tables()
+    elements, _, neg, steps, _ = window.box().tables()
     return group, elements, neg, lambda mask, v: apply_steps(mask, steps[v])
 
 
@@ -528,7 +528,7 @@ def test_window_extraction_matches_reference(text, elements, window_args):
         assert picked == [0] + reference_clique_of_size(adj, root, adj[0])
         assert reference_clique_of_size(adj, root + 1, adj[0]) is None
         # the search's own graph is in code order, scanned through place
-        elements, _, neg, steps, place = box_for(group, window.bounds).tables()
+        elements, _, neg, steps, place = window.box().tables()
         assert (place is not None) == (text == "Prufer(2)")
         coded = compatibility_graph(A, elements)
         assert max_clique_size(coded, coded[0], neg, lambda mask, v: apply_steps(mask, steps[v])) == root

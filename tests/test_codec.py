@@ -15,10 +15,8 @@ from packidx.groups import (
     INFINITE_CYCLIC,
     PRUFER,
     REPEATED_CYCLIC,
-    SHARED_BOX_CODES,
     DenseBox,
     Window,
-    box_for,
     coord_extent,
     enumerate_window,
     extents,
@@ -26,8 +24,7 @@ from packidx.groups import (
     parse_group,
     sum_bounds,
 )
-from packidx.packing import ElementSet, compatibility_graph, difference_mask, write_set_file
-from packidx.runners import RunConfig, run_index, run_witness
+from packidx.packing import ElementSet, compatibility_graph, difference_mask
 from packidx.witness import WitnessSet, verify_witness
 
 GROUPS = [
@@ -220,7 +217,8 @@ def test_diff_mask_of_a_whole_finite_group_box_matches_every_translate(text):
 
 def test_diff_mask_stops_once_it_fills_the_box(monkeypatch):
     group = parse_group("Z_2^5")
-    box = box_for(group, Window.for_group(group).bounds)
+    box = Window.for_group(group).box()
+    box.tables()
     # 11 elements, whose first 4 translates fill the 32 codes of Z_2^5
     mask = sum(1 << c for c in (6, 7, 8, 9, 10, 13, 15, 16, 19, 20, 22))
     calls = []
@@ -327,7 +325,7 @@ def test_rows_come_from_the_translate_only_on_the_whole_box_in_code_order(text, 
     group = parse_group(text)
     window = Window.for_group(group)
     vertices = list(enumerate_window(window))
-    box = box_for(group, window.bounds)
+    box = window.box()
     assert [box.encode(v) for v in vertices] == list(range(box.size))
     rng = random.Random(seed)
     for size in (1, 2, 3, 5):
@@ -387,8 +385,8 @@ def _fresh_box_graph(A, vertices):
 
 
 # (group, window options, options of the window A is drawn from): boxes of
-# at most SHARED_BOX_CODES codes, and larger ones; A reaches past a subgroup
-# window or a Z window in the cases whose two options differ
+# at most 64 codes, and larger ones; A reaches past a subgroup window or a
+# Z window in the cases whose two options differ
 GRAPH_CASES = [
     ("Z_4 + Z_2^2", {}, {}),
     ("Z_3^2", {}, {}),
@@ -415,33 +413,15 @@ def _graph_cases(seed):
     return out
 
 
-def _box_sizes():
-    return [box.size for box in groups._SHARED_BOXES.values()]
-
-
+# a graph does not depend on which sets and windows were solved before it
 @pytest.mark.parametrize("seed", range(3))
-def test_shared_boxes_change_no_graph_in_either_order(seed, monkeypatch):
+def test_shared_boxes_change_no_graph_in_either_order(seed):
     want = [_fresh_box_graph(A, vertices) for A, vertices in _graph_cases(seed)]
     for order in (range(len(want)), reversed(range(len(want)))):
         # fresh sets, which keep no differences from the last order
         cases = _graph_cases(seed)
-        monkeypatch.setattr(groups, "_SHARED_BOXES", {})
         for i in order:
             assert compatibility_graph(*cases[i]) == want[i]
-        sizes = _box_sizes()
-        assert sizes and max(sizes) <= SHARED_BOX_CODES
-
-
-def test_large_runs_leave_no_large_box_shared(tmp_path, monkeypatch):
-    monkeypatch.setattr(groups, "_SHARED_BOXES", {})
-    report = run_witness(RunConfig(command="witness", group="Z", kappa=9, window=100, verify=True))
-    assert report.results["invariants"]["i1"]["holds"]
-    Z10 = parse_group("Z_10 + Z_10")
-    path = tmp_path / "set.json"
-    write_set_file(path, ElementSet.parse(Z10, ["(0,0)", "(1,0)", "(0,3)"]))
-    report = run_index(RunConfig(command="index", set_path=str(path)))
-    assert report.results["family"]["certified"]
-    assert all(size <= SHARED_BOX_CODES for size in _box_sizes())
 
 
 # boxes whose every bound is 0, a Z radius of 0 among them
@@ -455,6 +435,7 @@ def _assert_tables_decode(group, bounds):
     for c, e in enumerate(tables.elements):
         assert e == plain.decode(c)
         assert tables.index[e.coords] == c
+        assert tables.neg[c] == plain.neg(c) and tables.steps[c] == plain.steps(c)
 
 
 @settings(max_examples=100, deadline=None)

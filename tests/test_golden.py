@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from packidx import obstruction, packing
-from packidx.groups import DenseBox, box_for
+from packidx.groups import DenseBox
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("pin_goldens", ROOT / "scripts" / "pin_goldens.py")
@@ -61,6 +61,6 @@ def test_every_sweep_cross_check_works_out_its_own_checks(monkeypatch):
     assert report.results["cross_checks"] == len(checks) == 255
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == PINS[name]
     for A, window, family, made, certificates in checks:
-        box = box_for(A.group, window.bounds)
+        box = window.box()
         assert any(b is box and mask == box.mask_of(A.elements) for b, mask in made)
         assert any(a is A and shifts == family.shifts.elements for a, shifts in certificates)

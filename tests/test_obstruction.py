@@ -15,7 +15,7 @@ from packidx.errors import (
     NotApplicableError,
     PreconditionError,
 )
-from packidx.groups import Window, box_for, enumerate_window, parse_group
+from packidx.groups import Window, enumerate_window, parse_group
 from packidx.obstruction import (
     OPPOSITE_G,
     ORDER_TWO,
@@ -187,7 +187,7 @@ class TestSweeps:
         # _sweep and the tests index the table by mask - 1
         assert isinstance(diffs, array) and diffs.typecode == "H"
         assert len(diffs) == (1 << t.n) - 1
-        assert list(diffs) == [t.box.diff_mask(m) for m in masks]
+        assert list(diffs) == [t.window.box().diff_mask(m) for m in masks]
 
     # every subset of the two small groups, a seeded sample of the two large ones
     @pytest.mark.parametrize("text, sample", [("Z_3^2", None), ("Z_4 + Z_2", None), ("Z_2^4", 400), ("Z_4 + Z_2^2", 400)])
@@ -211,7 +211,7 @@ class TestSweeps:
         masks = sorted(drawn | {t.full} | {1 << i for i in range(t.n)})
         diffs = t.sampled_diff_masks(masks)
         assert isinstance(diffs, array) and diffs.typecode == "I"
-        assert list(diffs) == [t.box.diff_mask(m) for m in masks]
+        assert list(diffs) == [t.window.box().diff_mask(m) for m in masks]
         for m, d in zip(masks, diffs):
             S = [t.elements[i] for i in range(t.n) if m >> i & 1]
             want = sum(1 << i for i in {t.index[(a - b).coords] for a in S for b in S})
@@ -283,7 +283,7 @@ def reference_sweep(group, kappa, sample=None, seed=0):
     cases = {}
     violations = []
     for mask in masks:
-        dstar = t.box.diff_mask(mask) & ~1
+        dstar = t.window.box().diff_mask(mask) & ~1
         compat0 = ~dstar & t.full & ~1
         families = []
         if kappa == 3:
@@ -379,7 +379,7 @@ def test_cross_checks_solve_the_sorted_set_of_every_strided_subset(text, kappa, 
 
 def test_sweep_and_cross_check_read_one_set_of_box_tables(monkeypatch):
     t = _GroupTables(Z42)
-    tables = box_for(Z42, t.window.bounds).tables()
+    tables = t.window.box().tables()
     assert all(x is y for x, y in zip((t.elements, t.index, t.neg, t.steps), tables))
     searches = []
     search = clique.max_clique_size
@@ -430,7 +430,7 @@ def test_planted_fault_is_listed_for_every_subset_with_its_mask(monkeypatch):
     t = _GroupTables(Z42)
     subsets = {}
     for mask in range(1, 1 << t.n):
-        subsets.setdefault(t.box.diff_mask(mask), []).append(mask)
+        subsets.setdefault(t.window.box().diff_mask(mask), []).append(mask)
     with_family = [d for d in subsets if _find_triple(t, d & ~1, ~d & t.full & ~1)]
     target = max(with_family, key=lambda d: (len(subsets[d]), d))
     assert len(subsets[target]) > 1
@@ -458,12 +458,12 @@ def test_planted_faults_keep_every_subsets_violations_in_order(text, kappa, monk
     stride = max(1, ((1 << t.n) - 1) // 128)
     subsets = {}
     for mask in range(1, 1 << t.n):
-        subsets.setdefault(t.box.diff_mask(mask), []).append(mask)
+        subsets.setdefault(t.window.box().diff_mask(mask), []).append(mask)
     with_family = sorted(d for d in subsets if obstruction._verdict(t, kappa, d))
     checked = range(stride, 1 << t.n, stride)
-    both = next(m for m in checked if t.box.diff_mask(m) in with_family)
-    bad = {t.box.diff_mask(both) & ~1} | {d & ~1 for d in with_family[::2]}
-    alone = next(m for m in checked if t.box.diff_mask(m) & ~1 not in bad)
+    both = next(m for m in checked if t.window.box().diff_mask(m) in with_family)
+    bad = {t.window.box().diff_mask(both) & ~1} | {d & ~1 for d in with_family[::2]}
+    alone = next(m for m in checked if t.window.box().diff_mask(m) & ~1 not in bad)
     assert len(bad) >= 3
     disjoint, solver = _family_disjoint, max_packing_family
 
@@ -472,7 +472,7 @@ def test_planted_faults_keep_every_subsets_violations_in_order(text, kappa, monk
 
     def planted_solver(A, window):
         # kappa - 1 is a violation whether or not the subset has a family
-        if t.box.mask_of(A) in (both, alone):
+        if t.window.box().mask_of(A) in (both, alone):
             return SimpleNamespace(size=kappa - 1)
         return solver(A, window)
 
@@ -483,7 +483,7 @@ def test_planted_faults_keep_every_subsets_violations_in_order(text, kappa, monk
     assert report == reference_sweep(group, kappa)
     listed = [v["subset"] for v in report.violations]
     assert listed == sorted(listed)
-    assert len({t.box.diff_mask(m) for m in listed}) >= 3
+    assert len({t.window.box().diff_mask(m) for m in listed}) >= 3
     reasons = [v["reason"] for v in report.violations if v["subset"] == both]
     assert reasons[0].endswith("not disjoint") and reasons[-1].startswith("solver max")
     solver_listed = {v["subset"] for v in report.violations if v["reason"].startswith("solver")}

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import packidx
+from packidx import groups
 from packidx.bsets import build_bset
 from packidx.clique import (
     ORACLE_LIMIT,
@@ -33,11 +34,9 @@ from packidx.groups import (
     CYCLIC,
     INFINITE_CYCLIC,
     REPEATED_CYCLIC,
-    SHARED_BOX_CODES,
     DenseBox,
     Window,
     apply_steps,
-    box_for,
     enumerate_window,
     parse_group,
 )
@@ -382,7 +381,7 @@ def test_pruned_root_matches_whole_graph_search(index):
     adj = compatibility_graph(A, vertices)
     omega, picked = first_max_clique(adj)
     # the pruned root search, on the graph in the box's code order
-    elements, _, neg, steps, place = box_for(group, window.bounds).tables()
+    elements, _, neg, steps, place = window.box().tables()
     coded = compatibility_graph(A, elements)
     assert coded == (adj if place is None else relabel(adj, place))
     assert 1 + max_clique_size(coded, coded[0], neg, lambda mask, v: apply_steps(mask, steps[v])) == omega
@@ -422,7 +421,7 @@ def test_cayley_tables_match_element_arithmetic(text, window_args):
     group = parse_group(text)
     window = Window.for_group(group, **window_args)
     vertices = list(enumerate_window(window))
-    box = box_for(group, window.bounds)
+    box = window.box()
     tables = box.tables()
     # a box with no tables codes and translates digit by digit
     plain = DenseBox(group, window.bounds)
@@ -434,6 +433,7 @@ def test_cayley_tables_match_element_arithmetic(text, window_args):
         assert tables.elements[c] == v and tables.index[v.coords] == c
         assert tables.neg[c] == plain.encode(-v)
         assert box.encode(v) == c and box.steps(c) is tables.steps[c]
+        assert tables.steps[c] == plain.steps(c) and tables.neg[c] == plain.neg(c)
         for u in rng.sample(vertices, 4):
             moved = plain.encode(u + v)
             want = 0 if moved is None else 1 << moved
@@ -450,7 +450,7 @@ def unpruned_first_max_clique(adj, window):
     depend on the numbering. The witness is first_max_clique's own
     extraction over the whole graph in the window's numbering.
     """
-    coded = relabel(adj, box_for(window.group, window.bounds).codes(window.bounds))
+    coded = relabel(adj, window.box().codes(window.bounds))
     size = 1 + max_clique_size(coded, coded[0])
     return size, clique_of_size(adj, size)
 
@@ -484,7 +484,7 @@ def test_subgroup_window_rows_take_no_gather(monkeypatch):
     # is a translate of D* and no row is gathered by code
     group = parse_group("Prufer(2)")
     window = Window.for_group(group, prufer_level=6)
-    assert box_for(group, window.bounds).tables().place is not None
+    assert window.box().tables().place is not None
     A = ElementSet.parse(group, ["0", "1/2^6", "3/2^5", "7/2^6", "5/2^3"])
     vertices = list(enumerate_window(window))
     size, picked = unpruned_first_max_clique(compatibility_graph(A, vertices), window)
@@ -512,7 +512,7 @@ def test_pruned_root_matches_oracle_on_the_oracle_pool(text, opts, seed):
     # the root search with both symmetry rules, on the graph in code order
     group = parse_group(text)
     window = _catalog_window(group, opts)
-    elements, _, neg, steps, _ = box_for(group, window.bounds).tables()
+    elements, _, neg, steps, _ = window.box().tables()
     assert len(elements) <= 24
     rng = random.Random(seed)
     for size in range(1, 7):
@@ -588,7 +588,7 @@ def test_first_max_clique_searches_the_same_copy_in_either_numbering(
     A = ElementSet.parse(group, elements)
     window = Window.for_group(group, **window_args)
     vertices = list(enumerate_window(window))
-    place = box_for(group, window.bounds).codes(window.bounds)
+    place = window.box().codes(window.bounds)
     coded = [None] * len(vertices)
     for v, c in zip(vertices, place):
         coded[c] = v
@@ -699,8 +699,8 @@ def test_a_set_that_leaves_its_window_keeps_no_family(text, elements, window_arg
     assert window._families == {}
 
 
-# subgroup windows of more than SHARED_BOX_CODES codes, each with a set
-# inside it: D is worked out on the window's own box, with its tables
+# subgroup windows of more than 64 codes, each with a set inside it: D is
+# worked out on the window's own box, with its tables
 OWN_BOX_SETS = [
     ("Z_3^w", ["0", "[1,1]", "[2,0,1]", "[0,0,0,1]"], {"repeated_m": 4}),
     ("Z_10 + Z_10", ["(5,1)", "(8,5)", "(9,0)", "(9,2)"], {}),
@@ -714,13 +714,32 @@ def test_a_set_inside_a_large_window_gets_its_differences_on_the_window_box(text
     A = ElementSet.parse(group, elements)
     family = max_packing_family(A, window)
     box, diff = A._differences[window.bounds]
-    assert box.size == window.size() > SHARED_BOX_CODES
+    assert box is window.box() and box.size == window.size() > 64
     assert box._tables is not None
     bare = DenseBox(group, window.bounds)  # no tables: codes by digits
     assert diff == bare.diff_mask(bare.mask_of(A.elements))
     fresh = max_packing_family(ElementSet.parse(group, elements), Window.for_group(group, **window_args))
     assert _answer(family) == _answer(fresh)
     assert family.size > 1 and window._families[diff] is family.shifts
+
+
+def test_a_window_keeps_its_box_and_tables(monkeypatch):
+    # 81 codes; each solve reads the tables of the window's one box
+    group = parse_group("Z_3^w")
+    window = Window.for_group(group, repeated_m=4)
+    assert window.box() is window.box()
+    built = []
+    tables = groups.BoxTables
+
+    def spy(*args):
+        built.append(args)
+        return tables(*args)
+
+    monkeypatch.setattr(groups, "BoxTables", spy)
+    for elements in (["0", "[1,1]", "[2,0,1]", "[0,0,0,1]"], ["0", "[1]"]):
+        assert max_packing_family(ElementSet.parse(group, elements), window).size > 1
+    assert len(built) == 1
+    assert window.box().tables().elements is built[0][0]
 
 
 # sets spread past MAX_BOX_BITS: difference_mask takes its pairwise path
@@ -745,8 +764,7 @@ def test_a_wide_set_takes_its_differences_pairwise(text, elements, bound, monkey
     assert family.certified and family.size == oracle == 7
 
 
-# 21 to 24 vertices: past the 20 the oracle once stopped at, and each
-# window's box holds at most 64 codes, so the solver runs on a shared box
+# 21 to 24 vertices: past the 20 the oracle once stopped at
 WIDE_ORACLE_WINDOWS = [
     ("Z", {"bound": 10}),
     ("Z", {"bound": 11}),
@@ -936,7 +954,7 @@ class TestBlockSplit:
         assert str(group) == "Z_3^w" and opts == {"m": 4}
         A = ElementSet.of(group, base)
         window = _catalog_window(group, opts)
-        elements, index, *_ = box_for(group, window.bounds).tables()
+        elements, index, *_ = window.box().tables()
         dstar = [d for d in difference_set(A) if not d.is_zero() and d.coords in index]
         K = sum(1 << index[k.coords] for k in subgroup_of(dstar, group.zero()))
         assert K.bit_count() == 27
