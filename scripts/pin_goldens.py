@@ -11,8 +11,9 @@ window 100, on ``Z + Z_3`` and ``Z + Z_2`` and on the non-``Z`` carriers,
 the two heaviest subgroup windows of the benchmark's index catalog
 (``Z_10 + Z_10`` and ``Z_3^w`` at m = 4), on code-ordered ``Z + Z``,
 ``Z + Z_4`` and ``Z_4 + Z`` windows, on a set too wide for one
-difference box, on a ``Z + Z`` window whose co-components are not lines
-and on 128 cosets of a two-element subgroup of ``Z_2^w``, and the
+difference box, on a ``Z + Z`` window whose co-components are not lines,
+on 128 cosets of a two-element subgroup of ``Z_2^w`` and on a ``Z``
+window of 511 vertices in one co-component, and the
 window-cap error report of an oversized ``witness --verify``; the
 ``obstruct`` sweeps: the exhaustive ones of acceptance criteria 1 and 2,
 seeded samples of 500 and 2,000 draws on two groups (and of 2,000 on
@@ -99,6 +100,7 @@ INDEX_SETS = [
     ("wide.json", {"window": 6}),
     ("zzdiag.json", {"window": 6}),
     ("z2w_pair.json", {"m": 8}),
+    ("z013.json", {"window": 255}),
 ]
 
 SAMPLED_SWEEPS = [("Z_3^3", 3), ("Z_2^5", 4)]
