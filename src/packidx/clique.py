@@ -11,7 +11,8 @@ its cost:
   still beat the bound (``kmin`` in ``color_sort``); the rest can never pass
   the bound test, so they are colored, in a loop that lists nothing, but not
   listed or branched on there.
-* complement rows: the coloring reads ``nadj[v] = ~(adj[v] | 1 << v)``
+* complement rows: the coloring reads ``nadj[v]``, the non-negative mask
+  of the vertices that are neither v nor its neighbours
   (``complement_rows``), so a colored vertex drops itself and its
   neighbours from its class with one AND. The table is built once per graph
   searched and shared by the size search and every extraction decision.
@@ -36,11 +37,12 @@ its cost:
   search inside K sizes every component.
 
 ``max_clique_size`` and ``exists_clique`` are one search, ``_search``; the
-decision stops at its first clique of the target size and can hand that
-clique back. ``clique_of_size`` picks vertices in the caller's numbering, so
-the lexicographically-first witness is the same under any search schedule,
-but it decides on the graph the size search used, through a ``place`` map,
-and it reuses each clique a decision found as the answer one level down.
+decision stops at its first clique of the target size, and each can hand
+its clique back. ``clique_of_size`` picks vertices in the caller's
+numbering, so the lexicographically-first witness is the same under any
+search schedule, but it decides on the graph the size search used,
+through a ``place`` map, and skips each decision a known clique or a
+mirror already answers (orbit pruning as in McKay, Congr. Numer. 1981).
 On a split graph it keeps its state per component, in one pass. A separate
 subset-DP oracle re-derives the clique number by brute force so the two
 routes can be cross-checked against each other: it decides every one of
@@ -95,9 +97,11 @@ def relabel(adj: list[int], place: list[int]) -> list[int]:
 
 
 def complement_rows(adj: list[int]) -> list[int]:
-    """The table ``nadj[v] = ~(adj[v] | 1 << v)`` that ``color_sort`` reads:
-    ANDed into a color class, one row drops v and its neighbours at once."""
-    return [~(row | 1 << v) for v, row in enumerate(adj)]
+    """The table ``nadj[v] = full & ~(adj[v] | 1 << v)`` that ``color_sort``
+    reads: ANDed into a color class, one row drops v and its neighbours at
+    once. A non-negative row keeps the AND off CPython's negative path."""
+    full = (1 << len(adj)) - 1
+    return [full & ~(row | 1 << v) for v, row in enumerate(adj)]
 
 
 def color_sort(P: int, nadj: list[int], kmin: int) -> tuple[list[int], list[int]]:
@@ -146,9 +150,9 @@ def _search(
 ) -> int:
     """The clique number of the subgraph induced by P if it exceeds ``best``,
     else ``best``; the search ends at the first clique of ``stop`` vertices.
-    When it does, that clique's vertices are appended to ``witness``, if
-    given, on the way back up, so a search that fails pays nothing for it.
-    ``nadj`` is adj's ``complement_rows`` table.
+    Each node holds the clique it extends, so the clique of the last
+    improvement is appended to ``witness``, if given, at the end. ``nadj``
+    is adj's ``complement_rows`` table.
 
     With ``neg`` and ``translate``, adj is a Cayley graph with vertex 0 the
     identity and P is N(0): ``neg[v]`` is the vertex -v, and
@@ -165,10 +169,10 @@ def _search(
     symmetric. A vertex dropped by a rule may sit later in a node's color
     order, so every node skips what has left its candidates.
     """
-    explored = 0
+    explored = found = 0
 
-    def expand(size: int, cand: int, last: int) -> bool:
-        nonlocal best, explored
+    def expand(size: int, cand: int, held: int) -> bool:
+        nonlocal best, explored, found
         order, colors = color_sort(cand, nadj, best - size + 1)
         for i in range(len(order) - 1, -1, -1):
             if size + colors[i] <= best:
@@ -180,28 +184,37 @@ def _search(
             if explored and sub:
                 sub &= ~translate(explored, v)
             if sub and size + 1 < stop:
-                if expand(size + 1, sub, v):
-                    if witness is not None:
-                        witness.append(v)
+                if expand(size + 1, sub, held | 1 << v):
                     return True
             elif size + 1 > best:
                 best = size + 1
+                found = held | 1 << v
                 if best >= stop:
-                    if witness is not None:
-                        witness.append(v)
                     return True
             cand &= ~(1 << v)
-            if neg is not None:
+            if translate is not None:
                 if not size:
                     explored |= 1 << v | 1 << neg[v]
                     cand &= ~explored
                 elif size == 1:
-                    cand &= ~translate(1 << neg[v], last)  # r - v, r = last
+                    cand &= ~translate(1 << neg[v], held.bit_length() - 1)  # r - v, r the one vertex held
         return False
 
     if P:
         expand(0, P, 0)
+    if witness is not None:
+        witness.extend(_vertices(found))
     return best
+
+
+def _vertices(mask: int) -> list[int]:
+    """The vertices of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def max_clique_size(
@@ -210,16 +223,18 @@ def max_clique_size(
     neg: list[int] | None = None,
     translate: Callable[[int, int], int] | None = None,
     nadj: list[int] | None = None,
+    witness: list[int] | None = None,
 ) -> int:
     """Exact clique number of the subgraph induced by the mask P.
 
     On a Cayley graph, P = N(0) with ``neg`` and ``translate`` (see
     ``_search``) prunes the search by translation symmetry. ``nadj`` may
-    hand in adj's ``complement_rows`` table, built here otherwise.
+    hand in adj's ``complement_rows`` table, built here otherwise. A clique
+    of the size returned is appended to ``witness``, if given.
     """
     if nadj is None:
         nadj = complement_rows(adj)
-    return _search(adj, nadj, P, 0, len(adj) + 1, neg, translate)
+    return _search(adj, nadj, P, 0, len(adj) + 1, neg, translate, witness)
 
 
 def exists_clique(
@@ -268,7 +283,9 @@ def clique_of_size(
     P: int | list[int] | None = None,
     place: list[int] | None = None,
     nadj: list[int] | None = None,
-    transitive: bool = False,
+    known: list[int] | None = None,
+    neg: Callable[[int], int] | None = None,
+    translate: Callable[[int, int], int] | None = None,
 ) -> list[int] | None:
     """Lexicographically-first clique of exactly ``target`` vertices, or None.
 
@@ -279,20 +296,31 @@ def clique_of_size(
     v = 0, 1, ...: every vertex scanned before a pick has left P, so the
     picks ascend, and the witness does not depend on any search schedule.
     It also decides feasibility: when the pass ends short, there is none.
+    Every decision reads one ``complement_rows`` table of adj: ``nadj``,
+    else one built here.
 
-    Each decision that picks v yields a clique K of the size still needed
-    inside P ∩ N(v); at the next level the first vertex of K in scan order
-    is then taken without a search, witnessed by the rest of K, so only
-    the vertices scanned before it are searched. Every decision reads one
-    ``complement_rows`` table of adj: ``nadj``, else one built here.
+    The pass keeps a known clique K of the size still needed inside P:
+    the caller's (``known``, one mask per block, 0 for none), then each
+    yes-decision's. A scanned u is taken without a search when it lies in
+    K (K less u is the new K) or when exactly one vertex of K lies
+    outside N(u) (K ∩ N(u) is).
+
+    With ``neg``, x -> -x is an automorphism of adj and ``neg(v)`` is -v.
+    A no proves that u lies in no maximum clique through the picks, so
+    while a reflection x -> c - x fixes the picks, c - u leaves P too:
+    c = 0 while every pick is its own negative.
 
     On a join, ``P`` may list its blocks (``co_components``) and
-    ``target`` the size wanted from each. The pass then keeps P, the size
-    still needed and the known clique per block, and each decision reads
-    its own block alone: that is the whole graph's lexicographically-first
-    clique with those sizes. With ``transitive``, each block's graph is
-    vertex-transitive, so the first vertex scanned in a block lies in one
-    of its maximum cliques and is taken without a decision.
+    ``target`` the size wanted from each. The pass then keeps its state
+    per block, and each decision reads its own block alone: that is the
+    whole graph's lexicographically-first clique with those sizes.
+
+    With ``translate`` as well, adj is a Cayley graph with vertex 0 the
+    identity (see ``_search``), each block a coset of the block of 0, and
+    ``known[0]`` a maximum clique of that block through 0: translated by
+    the first vertex scanned in a block, it is that block's K. Any c gives
+    a reflection there, so also c = 2a after one pick a and c = a + b
+    after two, a and b.
     """
     n = len(adj)
     if P is None:
@@ -308,11 +336,11 @@ def clique_of_size(
         nadj = complement_rows(adj)
     owner = [0] * n  # each vertex's block; one outside every block stays with block 0
     for i, block in enumerate(P[1:], 1):
-        while block:
-            low = block & -block
-            owner[low.bit_length() - 1] = i
-            block ^= low
-    known = [0] * len(P)  # per block, a clique of the size it still needs, once a decision finds one
+        for u in _vertices(block):
+            owner[u] = i
+    known = [0] * len(P) if known is None else list(known)
+    root = known[0]
+    picks: list[list[int]] = [[] for _ in P]
     chosen: list[int] = []
     for v in range(n):
         u = v if place is None else place[v]
@@ -321,21 +349,35 @@ def clique_of_size(
         if not P[i] & bit:
             continue
         sub = P[i] & adj[u]
+        if translate is not None and not picks[i]:
+            known[i] = translate(root, u) if needed[i] > 1 else bit
         if known[i] & bit:
-            # the first vertex of the known clique in scan order
             known[i] ^= bit
-        elif not (transitive and needed[i] == target[i]):
-            found: list[int] = []
-            if not exists_clique(adj, sub, needed[i] - 1, found, nadj):
-                P[i] ^= bit
-                continue
-            known[i] = sum(1 << w for w in found)
+        else:
+            miss = known[i] & nadj[u]
+            if miss and not miss & (miss - 1):
+                known[i] ^= miss
+            else:
+                found: list[int] = []
+                if not exists_clique(adj, sub, needed[i] - 1, found, nadj):
+                    P[i] ^= bit
+                    if neg is not None:
+                        S = picks[i]
+                        if translate is not None and 0 < len(S) < 3:
+                            # c = 2a or a + b, as a vertex
+                            c = translate(1 << S[0], S[-1]).bit_length() - 1
+                            P[i] &= ~translate(1 << neg(u), c)
+                        elif all(neg(a) == a for a in S):
+                            P[i] &= ~(1 << neg(u))
+                    continue
+                known[i] = sum(1 << w for w in found)
         chosen.append(v)
         left -= 1
         if not left:
             return chosen
         needed[i] -= 1
         P[i] = sub if needed[i] else 0
+        picks[i].append(u)
     return None
 
 
@@ -343,7 +385,7 @@ def first_max_clique(
     adj: list[int],
     root: int | None = None,
     place: list[int] | None = None,
-    neg: list[int] | None = None,
+    neg: list[int] | Callable[[int], int] | None = None,
     translate: Callable[[int, int], int] | None = None,
 ) -> tuple[int, list[int] | None]:
     """Exact clique number plus its lexicographically-first witness, in the
@@ -354,37 +396,52 @@ def first_max_clique(
     The graph is split into its complement's components (``co_components``)
     and each block is solved apart: the clique number is the sum of the
     blocks' and the witness is each block's lexicographically-first
-    clique, picked in one extraction pass. The size searches and every
-    extraction decision run on one degree-ordered copy of the graph and
-    share its ``complement_rows`` table. Degree ties go by the caller's
-    numbering, so the copy, and with it every search, is the same
-    whichever numbering adj comes in. A ``root`` vertex of adj that the
-    caller knows to lie in some maximum clique narrows its block's search
-    to one branch: that block's clique number is 1 + ω(N(root) ∩ block).
+    clique, picked in one extraction pass that starts from the clique each
+    block's size search found. The size searches and every extraction
+    decision run on one degree-ordered copy of the graph and share its
+    ``complement_rows`` table. Degree ties go by the caller's numbering,
+    so the copy, and with it every search, is the same whichever
+    numbering adj comes in. A ``root`` vertex of adj that the caller
+    knows to lie in some maximum clique narrows its block's search to one
+    branch: that block's clique number is 1 + ω(N(root) ∩ block). A
+    function ``neg`` gives -v when x -> -x is an automorphism of adj (see
+    ``clique_of_size``).
 
-    With ``neg`` and ``translate`` (see ``_search``), adj is a Cayley graph
-    with vertex 0 the identity and ``root`` is 0. The search then runs on
-    adj as given, with the symmetry rules. The block of 0 is a subgroup K,
-    every other block a coset of it, and each coset's graph is a translate
-    of K's: one root search on N(0) ∩ K gives every block's clique number,
-    and the first vertex scanned in each block is taken without a decision.
+    With ``translate``, ``neg`` is a list (see ``_search``), adj is a
+    Cayley graph with vertex 0 the identity and ``root`` is 0. The search
+    then runs on adj as given, with the symmetry rules. The block of 0 is
+    a subgroup K, every other block a coset of it, and each coset's graph
+    is a translate of K's: one root search on N(0) ∩ K gives every block's
+    clique number, and its clique through 0, moved onto the first vertex
+    scanned in a block, lets that vertex be taken without a decision.
     """
-    if neg is None:
+    if translate is None:
         graph, at = _by_degree(adj, place)
         scan = at if place is None else [at[u] for u in place]
+        mirror = None
+        if neg is not None:
+            back = sorted(range(len(at)), key=at.__getitem__)
+            mirror = lambda v: at[neg(back[v])]  # noqa: E731
     else:
         graph, at, scan = adj, range(len(adj)), place
+        mirror = neg.__getitem__
     nadj = complement_rows(graph)
     blocks = co_components(nadj)
     r = None if root is None else at[root]
 
-    def omega(block: int) -> int:
+    def solve(block: int) -> tuple[int, int]:
+        found: list[int] = []
         if r is None or not block >> r & 1:
-            return max_clique_size(graph, block, None, None, nadj)
-        return 1 + max_clique_size(graph, graph[r] & block, neg, translate, nadj)
+            size = max_clique_size(graph, block, None, None, nadj, found)
+        else:
+            size = 1 + max_clique_size(graph, graph[r] & block, neg, translate, nadj, found)
+            found.append(r)
+        return size, sum(1 << v for v in found)
 
-    sizes = [omega(blocks[0])] * len(blocks) if neg is not None else [omega(b) for b in blocks]
-    return sum(sizes), clique_of_size(graph, sizes, blocks, scan, nadj, neg is not None)
+    solved = [solve(blocks[0])] * len(blocks) if translate is not None else [solve(b) for b in blocks]
+    sizes = [size for size, _ in solved]
+    known = [clique for _, clique in solved]
+    return sum(sizes), clique_of_size(graph, sizes, blocks, scan, nadj, known, mirror, translate)
 
 
 def exhaustive_max_clique_size(adj: list[int]) -> int:

@@ -207,7 +207,8 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     finished depth-1 vertex w, by the reflection x -> r - x. The
     lexicographically-first family is each coset's first family, extracted
     in one pass; each starts at the coset's first vertex in scan order,
-    vertex 0 for K. When A - A covers the window, {0} is a maximum
+    vertex 0 for K, with the root search's family moved onto it as
+    known. When A - A covers the window, {0} is a maximum
     family and no graph is built. The window is the whole of its box
     (``window.box()``, kept with the window, tables and all): the graph is
     built on the box's elements in code order, where each row of a set A
@@ -238,7 +239,8 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     listed in code order, where the corner is vertex 0 and, with ``Z``
     leftmost and A's other coordinates inside the window, each row is a
     shifted translate of D*; the search reads the window's enumeration
-    order through ``place``.
+    order through ``place``. x -> -x is an automorphism of the graph, and
+    the box's ``neg`` hands it to the extraction.
     """
     if not A.elements:
         raise EmptySetError("packing index of the empty set is undefined")
@@ -248,13 +250,14 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     if window.size() > DEFAULT_MAX_VERTICES:
         raise WindowTooLargeError(window.size(), DEFAULT_MAX_VERTICES)
     if group._z_factors:
-        place = window.box().codes(window.bounds)
+        box = window.box()
+        place = box.codes(window.bounds)
         vertices = [None] * len(place)
         for e, c in zip(enumerate_window(window), place):
             vertices[c] = e
         adj = compatibility_graph(A, vertices)
         # with one Z factor the corner has the window's lowest code
-        size, picked = clique.first_max_clique(adj, 0 if group._z_factors == 1 else None, place)
+        size, picked = clique.first_max_clique(adj, 0 if group._z_factors == 1 else None, place, box.neg)
         shifts = _extracted(group, vertices, place, size, picked)
     else:
         region = window.bounds

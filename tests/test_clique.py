@@ -133,8 +133,10 @@ def test_color_sort_matches_reference(density):
 
 def test_complement_rows_drop_the_vertex_and_its_neighbours():
     adj = [0b110, 0b001, 0b001]
-    assert [row & 0b111 for row in complement_rows(adj)] == [0b000, 0b100, 0b010]
-    assert all(row < 0 for row in complement_rows(adj))
+    rows = complement_rows(adj)
+    assert rows == [0b000, 0b100, 0b010]
+    # non-negative n-bit masks, so the coloring's AND takes no negative operand
+    assert all(0 <= row < 1 << len(adj) for row in rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -619,3 +621,177 @@ def test_a_block_list_takes_each_block_alone():
     # a block that has its vertices takes no more, though later ones fit
     assert clique_of_size(adj, [1, 1], blocks) == [0, 3]
     assert clique_of_size(adj, 4) == [0, 1, 4, 5]
+
+
+def cyclic_sum(a, b):
+    elements = [(x, y) for x in range(a) for y in range(b)]
+    return elements, lambda p, q: ((p[0] + q[0]) % a, (p[1] + q[1]) % b)
+
+
+def interval_graph(rng, w):
+    """A distance graph on -w..w, vertex c standing for c - w: two vertices
+    are joined unless their distance lies in a random set, as shifts in a
+    Z window are unless their difference lies in D*. Also returns the
+    reflection x -> -x on vertices."""
+    far = {d for d in range(1, 2 * w + 1) if rng.random() < 0.4}
+    n = 2 * w + 1
+    adj = [sum(1 << v for v in range(n) if v != u and abs(u - v) not in far) for u in range(n)]
+    return adj, lambda c: 2 * w - c
+
+
+def first_in_scan_order(adj, place):
+    """ω by brute force, and the first maximum clique in the caller's
+    numbering (``place[v]`` is the vertex of adj the caller numbers v) in
+    ``itertools.combinations`` order."""
+    omega = exhaustive_max_clique_size(adj)
+    for combo in itertools.combinations(range(len(adj)), omega):
+        if all(adj[place[u]] >> place[v] & 1 for u, v in itertools.combinations(combo, 2)):
+            return omega, list(combo)
+
+
+# the kinds of vertex-symmetric graph the extraction tests draw
+SYMMETRIC_GRAPHS = ["Z_n", "Z_a + Z_b", "interval"]
+# (a, b) for Z_a + Z_b, of at most 16 elements, and larger
+SMALL_SUMS = [(2, 2), (2, 4), (2, 6), (2, 8), (3, 3), (3, 5), (4, 4)]
+LARGE_SUMS = [(2, 10), (3, 6), (3, 8), (4, 6), (5, 5), (4, 8)]
+
+
+def symmetric_graph(kind, rng, large=False):
+    """(adj, root, neg, translate) for ``first_max_clique``: a Cayley graph
+    with its tables, or an interval graph with its reflection and the
+    corner, which lies in a maximum clique, as root. Each has at most 16
+    vertices, or up to 32 if ``large``."""
+    if kind == "interval":
+        adj, neg = interval_graph(rng, rng.randint(1, 15 if large else 7))
+        return adj, 0, neg, None
+    if kind == "Z_n":
+        elements, add = cyclic(rng.randint(4, 32 if large else 16))
+    else:
+        elements, add = cyclic_sum(*rng.choice(LARGE_SUMS if large else SMALL_SUMS))
+    S = random_connection(rng, elements, add, rng.choice([0.3, 0.5, 0.7, 0.85]))
+    adj, neg, translate = cayley_graph(elements, add, S)
+    return adj, 0, neg, translate
+
+
+@pytest.mark.parametrize("seed", range(15))
+@pytest.mark.parametrize("kind", SYMMETRIC_GRAPHS)
+def test_symmetric_graphs_give_the_first_maximum_clique_in_scan_order(kind, seed):
+    rng = random.Random(seed)
+    adj, root, neg, translate = symmetric_graph(kind, rng)
+    n = len(adj)
+    shuffled = list(range(n))
+    rng.shuffle(shuffled)
+    for place in (list(range(n)), shuffled):
+        want = first_in_scan_order(adj, place)
+        assert first_max_clique(adj, root, place, neg, translate) == want
+        if translate is None:
+            assert first_max_clique(adj, None, place, neg) == want
+
+
+def caller_first_clique(adj, place, size):
+    """The reference extraction's clique of ``size`` in the caller's
+    numbering: on the graph renumbered so that the caller's v is place[v]."""
+    at = [0] * len(adj)
+    for v, u in enumerate(place):
+        at[u] = v
+    return reference_clique_of_size(relabel(adj, at), size)
+
+
+@pytest.mark.parametrize("kind", SYMMETRIC_GRAPHS)
+def test_larger_symmetric_graphs_match_the_reference_extraction(kind):
+    # up to 32 vertices, where more decisions fail with two or more picks
+    for seed in range(250):
+        rng = random.Random(seed)
+        adj, root, neg, translate = symmetric_graph(kind, rng, large=True)
+        n = len(adj)
+        place = list(range(n))
+        rng.shuffle(place)
+        omega = max_clique_size(adj, (1 << n) - 1)
+        want = caller_first_clique(adj, place, omega)
+        assert first_max_clique(adj, root, place, neg, translate) == (omega, want)
+        mirror = neg if translate is None else neg.__getitem__
+        assert clique_of_size(adj, omega, None, place, None, None, mirror, translate) == want
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_size_search_records_a_clique_of_its_size(seed):
+    rng = random.Random(seed)
+    adj = random_graph(rng, rng.randint(1, 30), rng.choice([0.3, 0.6, 0.9]))
+    elements, add = cyclic(rng.randint(8, 24))
+    cayley, neg, translate = cayley_graph(elements, add, random_connection(rng, elements, add, 0.7))
+    runs = [(adj, rng.randrange(1 << len(adj)), None, None), (cayley, cayley[0], neg, translate)]
+    for graph, P, neg, translate in runs:
+        found = []
+        size = max_clique_size(graph, P, neg, translate, None, found)
+        assert size == len(found) == len(set(found))
+        assert all(P >> v & 1 for v in found)
+        assert all(graph[u] >> v & 1 for u, v in itertools.combinations(found, 2))
+        assert size == max_clique_size(graph, P)
+
+
+class RowReads(list):
+    """Adjacency rows that remember the last vertex read: the extraction
+    reads the row of the vertex it scans just before deciding it."""
+
+    last = None
+
+    def __getitem__(self, v):
+        self.last = v
+        return super().__getitem__(v)
+
+
+def mirror_of(u, picks, neg, translate):
+    """c - u for the reflection x -> c - x that fixes the picks, or None:
+    c = 2a or a + b after one or two picks on a Cayley graph, else c = 0
+    while every pick is its own negative."""
+    if translate is not None and 0 < len(picks) < 3:
+        c = translate(1 << picks[0], picks[-1]).bit_length() - 1
+        return translate(1 << neg(u), c).bit_length() - 1
+    if all(neg(a) == a for a in picks):
+        return neg(u)
+    return None
+
+
+@pytest.mark.parametrize("kind", SYMMETRIC_GRAPHS)
+def test_no_vertex_is_decided_after_its_mirror_was_ruled_out(kind, monkeypatch):
+    decisions = []
+
+    def spy(adj, P, target, witness=None, nadj=None):
+        u = adj.last
+        result = exists_clique(adj, P, target, witness, nadj)
+        decisions.append((u, result))
+        return result
+
+    monkeypatch.setattr(clique_module, "exists_clique", spy)
+    skipped = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        adj, _, neg, translate = symmetric_graph(kind, rng, large=True)
+        adj = RowReads(adj)
+        n = len(adj)
+        place = list(range(n))
+        rng.shuffle(place)
+        pos = {u: v for v, u in enumerate(place)}
+        omega = max_clique_size(adj, (1 << n) - 1)
+        want = caller_first_clique(adj, place, omega)
+        mirror = neg if translate is None else neg.__getitem__
+        # with no known clique the extraction decides more, the first pick included
+        runs = [(lambda: clique_of_size(adj, omega, None, place, None, None, mirror, translate), False)]
+        if translate is not None:
+            runs.append((lambda: first_max_clique(adj, 0, place, neg, translate)[1], True))
+        for run, transitive in runs:
+            decisions.clear()
+            assert run() == want
+            blocks = clique_module.co_components(complement_rows(adj)) if transitive else [(1 << n) - 1]
+            picks = [place[v] for v in want]
+            decided = [u for u, _ in decisions]
+            for k, (u, result) in enumerate(decisions):
+                block = next(b for b in blocks if b >> u & 1)
+                before = [a for a in picks if pos[a] < pos[u] and block >> a & 1]
+                # a transitive block takes its first vertex without a decision
+                assert before or not transitive
+                w = None if result else mirror_of(u, before, mirror, translate)
+                if w is not None and w != u:
+                    assert w not in decided[k + 1 :]
+                    skipped += pos[w] > pos[u]
+    assert skipped

@@ -384,9 +384,9 @@ def test_sweep_and_cross_check_read_one_set_of_box_tables(monkeypatch):
     searches = []
     search = clique.max_clique_size
 
-    def spy(adj, cand, neg=None, translate=None, nadj=None):
+    def spy(adj, cand, neg=None, translate=None, nadj=None, witness=None):
         searches.append((neg, translate))
-        return search(adj, cand, neg, translate, nadj)
+        return search(adj, cand, neg, translate, nadj, witness)
 
     monkeypatch.setattr(clique, "max_clique_size", spy)
     # the sweep's cross-check of subset {0, 1}; its root search translates

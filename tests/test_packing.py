@@ -307,9 +307,9 @@ class TestCornerRoot:
         adj = compatibility_graph(A, vertices)
         roots = []
 
-        def spy(adj, root=None, place=None):
+        def spy(adj, root=None, place=None, neg=None):
             roots.append((root, place))
-            return first_max_clique(adj, root, place)
+            return first_max_clique(adj, root, place, neg)
 
         monkeypatch.setattr(packidx.clique, "first_max_clique", spy)
         family = max_packing_family(A, window)
@@ -333,9 +333,9 @@ class TestCornerRoot:
         A = ElementSet.parse(group, ["(0,0)", "(1,0)", "(0,2)"])
         roots = []
 
-        def spy(adj, root=None, place=None):
+        def spy(adj, root=None, place=None, neg=None):
             roots.append(root)
-            return first_max_clique(adj, root, place)
+            return first_max_clique(adj, root, place, neg)
 
         monkeypatch.setattr(packidx.clique, "first_max_clique", spy)
         family = max_packing_family(A, window)
