@@ -21,7 +21,7 @@ base set uses.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import lcm
 
 from .errors import (
@@ -60,13 +60,12 @@ KN_DIRECT_SUM = "Kn-DirectSum"
 
 @dataclass(frozen=True)
 class BSet:
-    """A symmetric candidate set with provenance and optional check results."""
+    """A symmetric candidate set with its provenance."""
 
     group: GroupSpec
     kappa: int
     elements: ElementSet
     provenance: str
-    check_results: tuple | None = None
 
 
 def exceptional_family(group: GroupSpec, kappa: int) -> bool:
@@ -138,10 +137,8 @@ def build_bset(group: GroupSpec, kappa: int) -> BSet:
         raise FiniteGroupError("base-set construction requires an infinite group")
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
-    if is_exceptional(group, kappa):
-        raise ExceptionalGroupError(
-            f"index {kappa} is unattainable in {group}"
-        )
+    if exceptional_family(group, kappa):
+        raise ExceptionalGroupError(f"index {kappa} is unattainable in {group}")
     zero = group.zero()
     factors = group.factors
 
@@ -196,23 +193,22 @@ def build_bset(group: GroupSpec, kappa: int) -> BSet:
     return BSet(group, kappa, _symmetric_hull(g, kappa - 2), KN_Z if kind == INFINITE_CYCLIC else KN_PRUFER)
 
 
-def check_property_1(bset: BSet, best: CliqueResult | None = None) -> ElementSet:
+def check_property_1(bset: BSet, best: CliqueResult) -> ElementSet:
     """A (kappa-1)-point witness whose differences all stay inside the set:
-    the first kappa-1 points of the witness of ``best``, the set's one solve
-    (made here when not given), so the lexicographically-first one when the
-    clique number is kappa-1, as on every built base set. Raises when the
-    clique number is smaller than kappa-1 (a construction bug, surfaced).
+    the first kappa-1 points of the witness of ``best``, the set's one
+    solve, so the lexicographically-first one when the clique number is
+    kappa-1, as on every built base set. Raises when the clique number is
+    smaller than kappa-1 (a construction bug, surfaced).
     """
-    if best is None:
-        best = max_clique_in_bset(bset.elements)
     if best.size < bset.kappa - 1:
         raise PropertyCheckFailedError(f"largest difference-compatible set has {best.size} < {bset.kappa - 1} points")
     return ElementSet(bset.group, best.witness.elements[: bset.kappa - 1])
 
 
-def check_property_2(bset: BSet) -> bool:
-    """True iff no kappa-point set keeps all its differences inside the set."""
-    return max_clique_in_bset(bset.elements).size <= bset.kappa - 1
+def check_property_2(bset: BSet, best: CliqueResult) -> bool:
+    """True iff no kappa-point set keeps all its differences inside the set:
+    ``best``, the set's one solve, has fewer than kappa points."""
+    return best.size <= bset.kappa - 1
 
 
 @dataclass(frozen=True)
@@ -245,15 +241,12 @@ def check_property_3(bset: BSet, F: ElementSet, window: Window) -> CoverageCheck
     )
 
 
-def run_checks(bset: BSet) -> BSet:
-    """Attach pass/fail results for the two clique-side properties, read
-    from one solve: property 1 from its witness, property 2 from its size."""
+def run_checks(bset: BSet) -> tuple[tuple, tuple]:
+    """Pass/fail rows ``(name, holds, detail)`` for the two clique-side
+    properties, both read from one solve."""
     best = max_clique_in_bset(bset.elements)
-    rows = []
     try:
-        witness = check_property_1(bset, best)
-        rows.append(("property_1", True, witness.to_texts()))
+        first = ("property_1", True, check_property_1(bset, best).to_texts())
     except PropertyCheckFailedError as exc:
-        rows.append(("property_1", False, str(exc)))
-    rows.append(("property_2", best.size <= bset.kappa - 1, best.size))
-    return replace(bset, check_results=tuple(rows))
+        first = ("property_1", False, str(exc))
+    return first, ("property_2", check_property_2(bset, best), best.size)

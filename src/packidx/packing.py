@@ -313,53 +313,56 @@ class CliqueResult:
 
 
 def _bset_graph(B: ElementSet) -> tuple[list[Element], list[int]]:
-    """B's elements, two joined when their difference lies in B: a clique is a C with C - C in B."""
+    """B's elements, two joined when their difference lies in B: a clique is a C with C - C in B.
+    Pairs i < j are tested on coordinates, with the add and negation ``Element`` subtraction runs."""
+    group = B.group
+    add, neg = group._add, group._neg
     coords = B.coords_set()
-    if B.group.zero().coords not in coords:
+    if group.zero().coords not in coords:
         raise PreconditionError("the base set must contain zero")
-    if any((-e).coords not in coords for e in B.elements):
+    negs = [neg(e.coords) for e in B.elements]
+    if not coords.issuperset(negs):
         raise PreconditionError("the base set must be symmetric")
-    vertices = list(B.elements)
-    adj = [0] * len(vertices)
-    for i, vi in enumerate(vertices):
-        for j in range(i + 1, len(vertices)):
-            if (vi - vertices[j]).coords in coords:
+    adj = [0] * len(negs)
+    for i, a in enumerate(e.coords for e in B.elements):
+        for j in range(i + 1, len(negs)):
+            if add(a, negs[j]) in coords:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return vertices, adj
+    return list(B.elements), adj
 
 
-def _certified_clique(B: ElementSet, vertices: list[Element], picked: list[int]) -> ElementSet:
-    """The picked vertices as a set, once every difference between them is
-    checked to lie in B; a failed check raises ``CertificationError``."""
-    chosen = [vertices[i] for i in picked]
+def _certified_clique(B: ElementSet, vertices: list[Element], size: int, picked: list[int] | None) -> ElementSet:
+    """The picked vertices as a set, once checked to be ``size`` distinct points
+    whose differences lie in B, else ``CertificationError``. ``_bset_graph`` has
+    refused a B without zero or not symmetric, so pairs i < j suffice, on coordinates."""
+    if picked is None or len(picked) != size or len(set(picked)) != size:
+        raise CertificationError(f"the solver found no clique of the {size} points it proved")
+    add, neg = B.group._add, B.group._neg
     coords = B.coords_set()
-    if not all((a - b).coords in coords for a in chosen for b in chosen):
+    chosen = [vertices[i].coords for i in picked]
+    negs = [neg(c) for c in chosen]
+    if not all(add(a, negs[j]) in coords for i, a in enumerate(chosen) for j in range(i + 1, size)):
         raise CertificationError("the solver's clique has a difference outside the base set")
-    return ElementSet.of(B.group, chosen)
+    return ElementSet.of(B.group, (vertices[i] for i in picked))
 
 
 def max_clique_in_bset(B: ElementSet) -> CliqueResult:
-    """Largest C with C - C inside B, searched over subsets of B itself; the
-    witness is the lexicographically-first such C in B's order.
-
-    Any such C can be translated by one of its own points to sit inside
-    B while keeping all differences, so the restriction loses nothing.
-    A witness short of the proven size, missing or with a vertex picked
-    twice, fails its certificate, as does a difference outside B.
-    """
+    """Largest C with C - C inside B, searched over subsets of B itself: any
+    such C, translated by one of its own points, sits inside B with the same
+    differences. The witness is the lexicographically-first such C in B's
+    order, through ``_certified_clique``."""
     vertices, adj = _bset_graph(B)
     size, picked = clique.first_max_clique(adj)
-    if len(set(picked or ())) != size:  # size >= 1, since B holds zero
-        raise CertificationError(f"the solver found no clique of the {size} points it proved")
-    return CliqueResult(size, _certified_clique(B, vertices, picked), True)
+    return CliqueResult(size, _certified_clique(B, vertices, size, picked), True)
 
 
 def clique_in_bset_of_size(B: ElementSet, target: int) -> ElementSet | None:
-    """Lexicographically-first C of exactly ``target`` points with C - C in B."""
+    """Lexicographically-first C of exactly ``target`` points with C - C in
+    B, through ``_certified_clique``; None when there is none."""
     vertices, adj = _bset_graph(B)
     picked = clique.clique_of_size(adj, target)
-    return None if picked is None else _certified_clique(B, vertices, picked)
+    return None if picked is None else _certified_clique(B, vertices, target, picked)
 
 
 # -- set files ----------------------------------------------------------------

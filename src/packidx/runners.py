@@ -103,7 +103,7 @@ def run_bset(cfg: RunConfig):
     }
     summary = [row("build", True, built.provenance)]
     if cfg.check:
-        checked = bsets.run_checks(built).check_results
+        checked = bsets.run_checks(built)
         results["checks"] = {name: {"holds": ok, "detail": detail} for name, ok, detail in checked}
         summary += [row(name, ok, detail) for name, ok, detail in checked]
     return results, summary, {"bset_size": len(built.elements)}

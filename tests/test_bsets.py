@@ -356,29 +356,28 @@ class TestProperties:
     def test_property_1_witness_sizes(self):
         for text, kappa in [("Z", 6), ("Z", 3), ("Z", 2), ("Prufer(2)", 5), ("Z_3^w", 6)]:
             b = build_bset(parse_group(text), kappa)
-            witness = check_property_1(b)
+            witness = check_property_1(b, max_clique_in_bset(b.elements))
             assert len(witness) == kappa - 1
             coords = b.elements.coords_set()
             assert all((x - y).coords in coords for x in witness for y in witness)
 
     def test_property_1_k6_witness_value(self):
         # frozen deterministic witness under the canonical enumeration order
-        assert check_property_1(build_bset(Z, 6)).to_texts() == ["0", "1", "-1", "2", "-2"]
+        b = build_bset(Z, 6)
+        assert check_property_1(b, max_clique_in_bset(b.elements)).to_texts() == ["0", "1", "-1", "2", "-2"]
 
     def test_property_1_failure_surfaces(self):
         fake = BSet(Z, 4, ElementSet.parse(Z, ["0", "1", "-1"]), "K3")
         with pytest.raises(PropertyCheckFailedError):
-            check_property_1(fake)
+            check_property_1(fake, max_clique_in_bset(fake.elements))
 
     def test_property_2_examples(self):
-        assert check_property_2(BSet(Z, 3, ElementSet.parse(Z, ["0", "1", "-1"]), K3))
-        assert check_property_2(
-            BSet(Z, 4, ElementSet.parse(Z, ["0", "1", "-1", "2", "-2"]), K4_ORDER_GT5)
-        )
+        three = ElementSet.parse(Z, ["0", "1", "-1"])
+        five = ElementSet.parse(Z, ["0", "1", "-1", "2", "-2"])
+        assert check_property_2(BSet(Z, 3, three, K3), max_clique_in_bset(three))
+        assert check_property_2(BSet(Z, 4, five, K4_ORDER_GT5), max_clique_in_bset(five))
         # the same 5-element set admits a 3-point configuration: fails at kappa=3
-        assert not check_property_2(
-            BSet(Z, 3, ElementSet.parse(Z, ["0", "1", "-1", "2", "-2"]), K3)
-        )
+        assert not check_property_2(BSet(Z, 3, five, K3), max_clique_in_bset(five))
 
     @pytest.mark.parametrize(
         "text,kappa",
@@ -391,11 +390,10 @@ class TestProperties:
         b = build_bset(parse_group(text), kappa)
         assert max_clique_in_bset(b.elements).size == kappa - 1
 
-    def test_run_checks_attaches_results(self):
-        checked = run_checks(build_bset(Z, 5))
-        names = [row[0] for row in checked.check_results]
-        assert names == ["property_1", "property_2"]
-        assert all(row[1] for row in checked.check_results)
+    def test_run_checks_returns_its_rows(self):
+        rows = run_checks(build_bset(Z, 5))
+        assert [row[0] for row in rows] == ["property_1", "property_2"]
+        assert all(row[1] for row in rows)
 
 
 class TestOneSolve:
@@ -437,18 +435,18 @@ class TestOneSolve:
     def test_property_1_is_the_first_clique_of_kappa_minus_1_points(self, text, kappa):
         b = build_bset(parse_group(text), kappa)
         want = clique_in_bset_of_size(b.elements, kappa - 1)
-        assert check_property_1(b) == want
-        rows = {name: (ok, detail) for name, ok, detail in run_checks(b).check_results}
+        assert check_property_1(b, max_clique_in_bset(b.elements)) == want
+        rows = {name: (ok, detail) for name, ok, detail in run_checks(b)}
         assert rows == {"property_1": (True, want.to_texts()), "property_2": (True, kappa - 1)}
 
     def test_a_clique_larger_than_kappa_minus_1_is_cut(self):
         # ω = 3 > kappa - 1 = 2: the witness is the first two points of {0, 1, -1}
         fake = BSet(Z, 3, ElementSet.parse(Z, ["0", "1", "-1", "2", "-2"]), K3)
-        witness = check_property_1(fake)
+        witness = check_property_1(fake, max_clique_in_bset(fake.elements))
         coords = fake.elements.coords_set()
         assert len(witness) == 2
         assert all((x - y).coords in coords for x in witness for y in witness)
-        rows = {name: (ok, detail) for name, ok, detail in run_checks(fake).check_results}
+        rows = {name: (ok, detail) for name, ok, detail in run_checks(fake)}
         assert rows == {"property_1": (True, ["0", "1"]), "property_2": (False, 3)}
 
 

@@ -1,12 +1,12 @@
 """An answer whose certificate fails is an error, never a number.
 
 ``max_packing_family`` certifies its family (pairwise disjoint translates),
-``max_clique_in_bset`` and ``clique_in_bset_of_size`` their clique (every
-difference inside the base set), and a kappa-3 sweep the order of each
-shift it extends. Each test breaks one certificate, or the solver or table
-behind it, and checks that a caller stops with ``CertificationError``: a
-library call raises it, and a ``pack`` command turns it into an error
-report with exit code 1.
+``max_clique_in_bset`` and ``clique_in_bset_of_size`` their clique (as
+many distinct points as its size, every difference inside the base set),
+and a kappa-3 sweep the order of each shift it extends. Each test breaks
+one certificate, or the solver or table behind it, and checks that a
+caller stops with ``CertificationError``: a library call raises it, and a
+``pack`` command turns it into an error report with exit code 1.
 """
 
 import json
@@ -105,13 +105,15 @@ def test_bset_checks_are_an_error(broken_clique):
 
 
 def test_property_2_raises(broken_clique):
+    b = bsets.build_bset(parse_group("Z"), 4)
     with pytest.raises(CertificationError):
-        bsets.check_property_2(bsets.build_bset(parse_group("Z"), 4))
+        bsets.check_property_2(b, packing.max_clique_in_bset(b.elements))
 
 
 def test_property_1_witness_is_certified(first_vertices_clique):
+    b = bsets.build_bset(parse_group("Prufer(2)"), 5)
     with pytest.raises(CertificationError, match="a difference outside the base set"):
-        bsets.check_property_1(bsets.build_bset(parse_group("Prufer(2)"), 5))
+        bsets.check_property_1(b, packing.max_clique_in_bset(b.elements))
 
 
 @pytest.mark.parametrize(
@@ -149,3 +151,12 @@ def test_a_bset_clique_that_picks_a_vertex_twice_is_an_error(monkeypatch):
         packing.max_clique_in_bset(B)
     error = certification_error_report(["bset", "--group", "Z", "--kappa", "4", "--check"])
     assert error["message"] == "the solver found no clique of the 3 points it proved"
+
+
+@pytest.mark.parametrize("picked", [[0, 1], [0, 1, 1], [0, 1, 1, 2]], ids=["short", "repeated", "repeated-long"])
+def test_a_bset_clique_of_a_given_size_that_is_short_or_repeats_a_point_is_an_error(picked, monkeypatch):
+    # {0, 1, -1} is a 3-point clique of B; a short or repeated pick of it is not
+    monkeypatch.setattr(clique, "clique_of_size", lambda adj, target, *args: picked)
+    B = ElementSet.parse(parse_group("Z"), ["0", "1", "-1", "2", "-2"])
+    with pytest.raises(CertificationError, match="no clique of the 3 points"):
+        packing.clique_in_bset_of_size(B, 3)

@@ -26,6 +26,7 @@ from packidx.clique import (
     relabel,
 )
 from packidx.errors import (
+    CertificationError,
     EmptySetError,
     PreconditionError,
     WindowTooLargeError,
@@ -42,6 +43,8 @@ from packidx.groups import (
 )
 from packidx.packing import (
     ElementSet,
+    _bset_graph,
+    _certified_clique,
     _certify_family,
     clique_in_bset_of_size,
     compatibility_graph,
@@ -826,6 +829,26 @@ class TestMaxCliqueInBset:
             max_clique_in_bset(ElementSet.parse(Z, ["0", "1"]))
         with pytest.raises(PreconditionError):
             max_clique_in_bset(ElementSet.parse(Z, ["1", "-1"]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_graph_and_certificate_match_element_differences(self, data):
+        # Z, Z_n, Z_n^w and Prufer(p) factors, alone and mixed
+        group = parse_group(data.draw(st.sampled_from(CERTIFY_GROUPS)))
+        points = data.draw(st.lists(_small_element(group), max_size=6))
+        B = ElementSet.of(group, [group.zero(), *points, *(-e for e in points)])
+        coords = B.coords_set()
+        vertices, adj = _bset_graph(B)
+        assert vertices == list(B.elements)
+        for i, a in enumerate(vertices):
+            assert adj[i] == sum(1 << j for j, b in enumerate(vertices) if j != i and (a - b).coords in coords)
+        picked = data.draw(st.lists(st.integers(0, len(B) - 1), unique=True, max_size=5))
+        chosen = [vertices[i] for i in picked]
+        if all((a - b).coords in coords for a in chosen for b in chosen):
+            assert _certified_clique(B, vertices, len(picked), picked) == ElementSet.of(group, chosen)
+        else:
+            with pytest.raises(CertificationError, match="a difference outside the base set"):
+                _certified_clique(B, vertices, len(picked), picked)
 
 
 class TestSetFiles:
