@@ -13,7 +13,9 @@ the two heaviest subgroup windows of the benchmark's index catalog
 ``Z + Z_4`` and ``Z_4 + Z`` windows, on a set too wide for one
 difference box, on a ``Z + Z`` window whose co-components are not lines,
 on 128 cosets of a two-element subgroup of ``Z_2^w`` and on a ``Z``
-window of 511 vertices in one co-component, and the
+window of 511 vertices in one co-component, on two sets that leave their
+subgroup window (``Z_2^w`` at m = 1, where D still covers the window, and
+``Prufer(2)`` at level 2, which is solved), and the
 window-cap error report of an oversized ``witness --verify``; the
 ``obstruct`` sweeps: the exhaustive ones of acceptance criteria 1 and 2,
 seeded samples of 500 and 2,000 draws on two groups (and of 2,000 on
@@ -101,6 +103,8 @@ INDEX_SETS = [
     ("zzdiag.json", {"window": 6}),
     ("z2w_pair.json", {"m": 8}),
     ("z013.json", {"window": 255}),
+    ("z2w_leaves.json", {"m": 1}),
+    ("prufer2_leaves.json", {"level": 2}),
 ]
 
 SAMPLED_SWEEPS = [("Z_3^3", 3), ("Z_2^5", 4)]
