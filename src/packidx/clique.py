@@ -144,7 +144,7 @@ def _search(
     P: int,
     best: int,
     stop: int,
-    neg: list[int] | None = None,
+    neg: Callable[[int], int] | None = None,
     translate: Callable[[int, int], int] | None = None,
     witness: list[int] | None = None,
 ) -> int:
@@ -155,7 +155,7 @@ def _search(
     is adj's ``complement_rows`` table.
 
     With ``neg`` and ``translate``, adj is a Cayley graph with vertex 0 the
-    identity and P is N(0): ``neg[v]`` is the vertex -v, and
+    identity and P is N(0): ``neg(v)`` is the vertex -v, and
     ``translate(mask, v)`` is the mask translated by v. Once the root branch
     of v is done, ``best`` bounds every clique through 0 and v, and by
     translation every clique through 0 and -v, so both join the explored
@@ -194,10 +194,10 @@ def _search(
             cand &= ~(1 << v)
             if translate is not None:
                 if not size:
-                    explored |= 1 << v | 1 << neg[v]
+                    explored |= 1 << v | 1 << neg(v)
                     cand &= ~explored
                 elif size == 1:
-                    cand &= ~translate(1 << neg[v], held.bit_length() - 1)  # r - v, r the one vertex held
+                    cand &= ~translate(1 << neg(v), held.bit_length() - 1)  # r - v, r the one vertex held
         return False
 
     if P:
@@ -220,17 +220,18 @@ def _vertices(mask: int) -> list[int]:
 def max_clique_size(
     adj: list[int],
     P: int,
-    neg: list[int] | None = None,
+    neg: Callable[[int], int] | None = None,
     translate: Callable[[int, int], int] | None = None,
     nadj: list[int] | None = None,
     witness: list[int] | None = None,
 ) -> int:
     """Exact clique number of the subgraph induced by the mask P.
 
-    On a Cayley graph, P = N(0) with ``neg`` and ``translate`` (see
-    ``_search``) prunes the search by translation symmetry. ``nadj`` may
-    hand in adj's ``complement_rows`` table, built here otherwise. A clique
-    of the size returned is appended to ``witness``, if given.
+    On a Cayley graph, P = N(0) with the functions ``neg``, v -> -v, and
+    ``translate`` (see ``_search``) prunes the search by translation
+    symmetry. ``nadj`` may hand in adj's ``complement_rows`` table, built
+    here otherwise. A clique of the size returned is appended to
+    ``witness``, if given.
     """
     if nadj is None:
         nadj = complement_rows(adj)
@@ -305,10 +306,10 @@ def clique_of_size(
     K (K less u is the new K) or when exactly one vertex of K lies
     outside N(u) (K ∩ N(u) is).
 
-    With ``neg``, x -> -x is an automorphism of adj and ``neg(v)`` is -v.
-    A no proves that u lies in no maximum clique through the picks, so
-    while a reflection x -> c - x fixes the picks, c - u leaves P too:
-    c = 0 while every pick is its own negative.
+    With ``neg``, x -> -x is an automorphism of adj and ``neg(v)`` is the
+    vertex -v, as in ``_search``. A no proves that u lies in no maximum
+    clique through the picks, so while a reflection x -> c - x fixes the
+    picks, c - u leaves P too: c = 0 while every pick is its own negative.
 
     On a join, ``P`` may list its blocks (``co_components``) and
     ``target`` the size wanted from each. The pass then keeps its state
@@ -385,7 +386,7 @@ def first_max_clique(
     adj: list[int],
     root: int | None = None,
     place: list[int] | None = None,
-    neg: list[int] | Callable[[int], int] | None = None,
+    neg: Callable[[int], int] | None = None,
     translate: Callable[[int, int], int] | None = None,
 ) -> tuple[int, list[int] | None]:
     """Exact clique number plus its lexicographically-first witness, in the
@@ -403,28 +404,27 @@ def first_max_clique(
     so the copy, and with it every search, is the same whichever
     numbering adj comes in. A ``root`` vertex of adj that the caller
     knows to lie in some maximum clique narrows its block's search to one
-    branch: that block's clique number is 1 + ω(N(root) ∩ block). A
-    function ``neg`` gives -v when x -> -x is an automorphism of adj (see
-    ``clique_of_size``).
+    branch: that block's clique number is 1 + ω(N(root) ∩ block).
+    ``neg(v)`` is the vertex -v of adj, when x -> -x is an automorphism
+    of adj (see ``clique_of_size``); it is carried onto the copy.
 
-    With ``translate``, ``neg`` is a list (see ``_search``), adj is a
-    Cayley graph with vertex 0 the identity and ``root`` is 0. The search
-    then runs on adj as given, with the symmetry rules. The block of 0 is
-    a subgroup K, every other block a coset of it, and each coset's graph
-    is a translate of K's: one root search on N(0) ∩ K gives every block's
+    With ``translate`` (see ``_search``), adj is a Cayley graph with
+    vertex 0 the identity and ``root`` is 0. The search then runs on adj
+    as given, with the symmetry rules. The block of 0 is a subgroup K,
+    every other block a coset of it, and each coset's graph is a
+    translate of K's: one root search on N(0) ∩ K gives every block's
     clique number, and its clique through 0, moved onto the first vertex
     scanned in a block, lets that vertex be taken without a decision.
     """
+    mirror = neg
     if translate is None:
         graph, at = _by_degree(adj, place)
         scan = at if place is None else [at[u] for u in place]
-        mirror = None
         if neg is not None:
             back = sorted(range(len(at)), key=at.__getitem__)
             mirror = lambda v: at[neg(back[v])]  # noqa: E731
     else:
         graph, at, scan = adj, range(len(adj)), place
-        mirror = neg.__getitem__
     nadj = complement_rows(graph)
     blocks = co_components(nadj)
     r = None if root is None else at[root]
@@ -434,7 +434,7 @@ def first_max_clique(
         if r is None or not block >> r & 1:
             size = max_clique_size(graph, block, None, None, nadj, found)
         else:
-            size = 1 + max_clique_size(graph, graph[r] & block, neg, translate, nadj, found)
+            size = 1 + max_clique_size(graph, graph[r] & block, mirror, translate, nadj, found)
             found.append(r)
         return size, sum(1 << v for v in found)
 

@@ -411,8 +411,10 @@ def exhaustive_no_index_check(
     sample count is given. With N subsets swept, each subset whose mask is a
     multiple of max(1, N // 128) is also cross-checked against the exact
     solver: all 255 on ``Z_4 + Z_2``, 170 of the 511 on ``Z_3^2``, 128 of
-    the 65,535 on ``Z_2^4``. The family and both size caps are checked on
-    the group's spec before any element is listed.
+    the 65,535 on ``Z_2^4``. The family, both size caps and the sample
+    count, at most 2^``EXHAUSTIVE_LIMIT`` - 1 = 65,535 draws (the most
+    subsets an exhaustive sweep examines), are checked on the group's spec
+    before any element is listed or drawn.
 
     An exhaustive sweep builds every subset's difference mask at once, one
     16-bit lane per subset; a sampled sweep sorts its distinct draws and
@@ -434,6 +436,11 @@ def exhaustive_no_index_check(
         )
     if sample is not None and sample < 1:
         raise PreconditionError("sampled mode needs a positive sample count")
+    if sample is not None and sample >= 1 << EXHAUSTIVE_LIMIT:
+        raise PreconditionError(
+            f"sampled mode draws at most {(1 << EXHAUSTIVE_LIMIT) - 1} subsets, "
+            f"the most an exhaustive sweep examines; got {sample}"
+        )
     t = _GroupTables(group)
 
     if sample is None:

@@ -189,58 +189,43 @@ def _certify_family(A: ElementSet, shifts: Sequence[Element]) -> bool:
 def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     """Exact maximum family of shifts inside the window, ties broken canonically.
 
-    A window with no ``Z`` factor is a subgroup H (a whole ``Z_n``, the first
-    m copies of ``Z_n^w``, ``Prufer(p)`` up to level L). Compatibility of b, b'
-    depends only on b - b' in H, so the graph is the Cayley graph of H with
-    connection set H minus (A - A); translation by h in H is an automorphism,
-    so every vertex lies in a maximum clique. Shifts meet only when their
-    difference lies in D* = (A - A) minus 0, so the graph is the join of
-    its subgraphs on the cosets of K = <D* ∩ H>, each a translate of K's:
-    the clique number is [H : K] times K's, and the one root branch at
-    vertex 0, inside K, proves it (``clique.first_max_clique`` finds K as
-    the complement's component of vertex 0, in the window's codes). That
-    branch also prunes by translation: a neighbour v of 0 whose subtree is
-    done bounds every clique through 0 and v or -v, so both are dropped
-    from the root and, translated by each vertex a deeper node adds, from
-    its candidates.
-    Inside the root branch of r the search also drops r - w with each
-    finished depth-1 vertex w, by the reflection x -> r - x. The
-    lexicographically-first family is each coset's first family, extracted
-    in one pass; each starts at the coset's first vertex in scan order,
-    vertex 0 for K, with the root search's family moved onto it as
-    known. When A - A covers the window, {0} is a maximum
-    family and no graph is built. The window is the whole of its box
-    (``window.box()``, kept with the window, tables and all): the graph is
-    built on the box's elements in code order, where each row of a set A
-    inside the window is a translate of D* with no gather, and the box's
-    tables give ``neg`` and the steps for the rules. The search runs on
-    that graph, and the extraction scans the window's enumeration order
-    through the box's ``place``. A set inside the window gets its D on
-    that box too, with its tables, stored where ``compatibility_graph``
-    finds it; a set that leaves the window gets D on the hull box. When
-    D's box has the window's bounds, the graph and so the family depend on
-    D alone: the window keeps the finished family, the ``ElementSet`` of
-    shifts, by D (``Window._families``), and a later set with the same D
-    on the same window object skips the graph, the search, the extraction
-    and the sort. Its D, its cover test and its certificate on its own
-    coordinates are still worked out. A covered window's {0} is not kept.
+    Each window kind only prepares its vertices, listed by code on the
+    window's own box (``window.box()``), and the negation and translation
+    rules the search may use; one tail then builds the compatibility graph,
+    makes one ``clique.first_max_clique`` call, which also holds every
+    pruning rule, and checks the picks.
 
-    A window with a ``Z`` factor is no subgroup. With exactly one, of bound
-    w, say Z + H, translate any family so that its lowest ``Z`` coordinate
+    A window with a ``Z`` factor is listed by ``box.codes`` and
+    ``enumerate_window`` and hands on ``box.neg``: x -> -x is an
+    automorphism of its graph. With exactly one ``Z`` factor, of bound w,
+    say Z + H, translate any family so that its lowest ``Z`` coordinate
     becomes -w and that shift's H part 0: the ``Z`` span of a family in the
     window is at most 2w and H is a subgroup, so the translate stays inside
     the window, and differences, hence compatibility, do not change. So the
-    corner (-w, 0) lies in a maximum family. The graph is split into its
-    complement's components, each solved apart, and one root branch at
-    the corner proves the size of the corner's component. The family
-    itself is the whole graph's lexicographically-first one, which need
-    not hold the corner. A window with several ``Z`` factors gets a size
-    search per component, with no root. A window with a ``Z`` factor is
-    listed in code order, where the corner is vertex 0 and, with ``Z``
-    leftmost and A's other coordinates inside the window, each row is a
-    shifted translate of D*; the search reads the window's enumeration
-    order through ``place``. x -> -x is an automorphism of the graph, and
-    the box's ``neg`` hands it to the extraction.
+    corner (-w, 0), vertex 0 in code order, roots the search. A window
+    with several ``Z`` factors has no root.
+
+    A window with no ``Z`` factor is a subgroup H (a whole ``Z_n``, the
+    first m copies of ``Z_n^w``, ``Prufer(p)`` up to level L), listed by
+    its box's tables, and its graph is the Cayley graph of H with
+    connection set H minus (A - A). It hands on the tables' negatives and
+    steps as ``neg`` and ``translate``, and roots the search at vertex 0,
+    the identity. A set inside the window gets its D on the window's own
+    box, with its tables, stored where ``compatibility_graph`` finds it; a
+    set that leaves the window gets D on the hull box. When A - A covers
+    the window, {0} is a maximum family and no graph is built. When D's
+    box has the window's bounds, the family depends on D alone: the window
+    keeps the finished ``ElementSet`` of shifts by D
+    (``Window._families``), and a later set with the same D on the same
+    window object skips the tail. Its D, its cover test and its
+    certificate on its own coordinates are still worked out. A covered
+    window's {0} is not kept.
+
+    A root narrows the size search alone: the picks are the whole graph's
+    lexicographically-first family in the window's enumeration order, read
+    through ``place``, which need not hold the root. A family short of the
+    proven size, missing or with a vertex picked twice raises
+    ``CertificationError``, as does one whose translates meet.
     """
     if not A.elements:
         raise EmptySetError("packing index of the empty set is undefined")
@@ -249,20 +234,17 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
         raise GroupMismatchError("window and set belong to different groups")
     if window.size() > DEFAULT_MAX_VERTICES:
         raise WindowTooLargeError(window.size(), DEFAULT_MAX_VERTICES)
+    box = window.box()
+    shifts, own = None, False
     if group._z_factors:
-        box = window.box()
         place = box.codes(window.bounds)
         vertices = [None] * len(place)
         for e, c in zip(enumerate_window(window), place):
             vertices[c] = e
-        adj = compatibility_graph(A, vertices)
-        # with one Z factor the corner has the window's lowest code
-        size, picked = clique.first_max_clique(adj, 0 if group._z_factors == 1 else None, place, box.neg)
-        shifts = _extracted(group, vertices, place, size, picked)
+        neg, translate = box.neg, None
     else:
         region = window.bounds
-        box = window.box()
-        vertices, index, neg, steps, place = box.tables()
+        vertices, index, negs, steps, place = box.tables()
         if region not in A._differences and all(a.coords in index for a in A.elements):
             # A lies inside the window: D on the window's own box, whose
             # tables the graph rows then read
@@ -274,33 +256,20 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
         if diff & inside == inside:
             # D covers the window, so {0} is a maximum family; code 0 is zero
             shifts = ElementSet(group, (vertices[0],))
-        else:
-            shifts = window._families.get(diff) if own else None
-            if shifts is None:
-                adj = compatibility_graph(A, vertices)
-                size, picked = clique.first_max_clique(adj, 0, place, neg, lambda mask, v: apply_steps(mask, steps[v]))
-                shifts = _extracted(group, vertices, place, size, picked)
-                if own:
-                    window._families[diff] = shifts
+        elif own:
+            shifts = window._families.get(diff)
+        neg, translate = negs.__getitem__, lambda mask, v: apply_steps(mask, steps[v])
+    if shifts is None:
+        adj = compatibility_graph(A, vertices)
+        size, picked = clique.first_max_clique(adj, None if group._z_factors > 1 else 0, place, neg, translate)
+        shifts = ElementSet.of(group, (vertices[i if place is None else place[i]] for i in picked or []))
+        if len(shifts) != size:
+            raise CertificationError(f"the solver found no family of the {size} shifts it proved")
+        if own:
+            window._families[diff] = shifts
     if not _certify_family(A, shifts.elements):
         raise CertificationError("the solver's family has intersecting translates")
     return PackingFamily(A, shifts, True)
-
-
-def _extracted(
-    group: GroupSpec, vertices: list[Element], place: list[int] | None, size: int, picked: list[int] | None
-) -> ElementSet:
-    """The solver's family as a set of shifts: ``picked`` indexes the
-    enumeration order, read through ``place`` when that is not code order.
-    A family short of the proven ``size``, missing or with a vertex picked
-    twice, raises ``CertificationError``."""
-    picked = picked or []
-    if place is not None:
-        picked = [place[i] for i in picked]
-    shifts = ElementSet.of(group, (vertices[i] for i in picked))
-    if len(shifts) != size:
-        raise CertificationError(f"the solver found no family of the {size} shifts it proved")
-    return shifts
 
 
 @dataclass(frozen=True)

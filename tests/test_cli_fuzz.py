@@ -2,11 +2,11 @@
 or 2, never in an uncaught exception or a traceback.
 
 Sizes stay small (kappa <= 7, m <= 4, window <= 20, level <= 4, a and
-b <= 6, budget <= 1,000, sample <= 50), so every run is cheap. The
-commands that enumerate a window (``witness``, ``index``) get one-factor
-groups: a window over two factors has no up-front cap on the work (a
-two-element set in ``Z + Z`` at window 15 takes ``index`` about 20 s), so
-multi-factor specs go to ``bset`` and ``obstruct`` only. Prufer factors of
+b <= 6, budget <= 1,000, sample <= 50 or past the 65,535 cap, which is
+refused before any draw), so every run is cheap. The commands that
+enumerate a window (``witness``, ``index``) get one-factor groups: a
+window over two factors has no up-front cap on the work, so multi-factor
+specs go to ``bset`` and ``obstruct`` only. Prufer factors of
 long primes and factors of 24-digit moduli, whose windows are too large to
 list, go to ``bset``, ``obstruct`` and ``witness``, which refuses a window
 past its 1,024-element cap before it lists one.
@@ -84,6 +84,8 @@ def flag(name, values):
 # ``--window``, needed only for a ``Z`` factor, is sometimes left out
 kappa = given_flag("kappa", upto(7, low=2))
 window = (flag("m", upto(4)), flag("level", upto(4)))
+# sample counts past the 2^16 - 1 cap, refused before anything is drawn
+over_cap = st.sampled_from([65_536, 10**6, 10**9])
 
 invocations = st.one_of(
     st.tuples(st.just(["bset"]), given_flag("group", groups), kappa,
@@ -92,7 +94,7 @@ invocations = st.one_of(
               flag("window", upto(20)), st.sampled_from([[], ["--verify"]]), *window),
     st.tuples(st.just(["index", "--set", "SETFILE"]), flag("window", upto(20)), *window),
     st.tuples(st.just(["obstruct"]), given_flag("group", groups), kappa,
-              flag("sample", upto(50)), flag("seed", st.integers(-3, 3))),
+              flag("sample", upto(50) | over_cap), flag("seed", st.integers(-3, 3))),
     st.tuples(st.just(["pairmap"]), given_flag("a", upto(6, low=2)), given_flag("b", upto(6, low=2)),
               flag("budget", st.sampled_from([1000, 100, 10, 1, 0, -1]))),
 )
@@ -115,3 +117,16 @@ def test_cli_never_crashes(set_path, parts, fmt, set_text):
     assert "Traceback" not in result.output, args
     # a number too long for int() is a syntax error, not Python's own message
     assert "integer string conversion" not in result.output, args
+
+
+# specs that parse: in the sweeps' family or not, small or past 32 elements
+SWEEP_GROUPS = ["Z_2^5", "Z_3^3", "Z_4 + Z_2", "Z_2^4", "Z_3", "Z_2^6", "Z_7", "Z", "Z_2^w", "Prufer(2)"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SWEEP_GROUPS), st.sampled_from([3, 4]), over_cap, st.integers(-3, 3))
+def test_obstruct_refuses_a_sample_past_the_cap(group, kappa, sample, seed):
+    args = ["obstruct", "--group", group, "--kappa", str(kappa), "--sample", str(sample), "--seed", str(seed)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1, (args, result.output)
+    assert "Traceback" not in result.output, args

@@ -293,7 +293,8 @@ def test_relabel_keeps_every_edge(seed):
 
 def cayley_graph(elements, add, connection):
     """Adjacency of Cay(G, S) on G's elements, numbered as listed; u ~ v
-    iff v - u lies in S. Also returns neg and translate for the root rule."""
+    iff v - u lies in S. Also returns the functions neg and translate for
+    the root rule."""
     index = {g: i for i, g in enumerate(elements)}
     adj = [0] * len(elements)
     for i, g in enumerate(elements):
@@ -309,7 +310,7 @@ def cayley_graph(elements, add, connection):
                 out |= 1 << index[add(g, elements[v])]
         return out
 
-    return adj, neg, translate
+    return adj, neg.__getitem__, translate
 
 
 def random_connection(rng, elements, add, density):
@@ -385,7 +386,7 @@ def coded_window(text, window_args):
     group = parse_group(text)
     window = Window.for_group(group, **window_args)
     elements, _, neg, steps, _ = window.box().tables()
-    return group, elements, neg, lambda mask, v: apply_steps(mask, steps[v])
+    return group, elements, neg.__getitem__, lambda mask, v: apply_steps(mask, steps[v])
 
 
 # subgroup windows of 64 to 100 vertices, past the oracle's cap
@@ -533,7 +534,7 @@ def test_window_extraction_matches_reference(text, elements, window_args):
         elements, _, neg, steps, place = window.box().tables()
         assert (place is not None) == (text == "Prufer(2)")
         coded = compatibility_graph(A, elements)
-        assert max_clique_size(coded, coded[0], neg, lambda mask, v: apply_steps(mask, steps[v])) == root
+        assert max_clique_size(coded, coded[0], neg.__getitem__, lambda mask, v: apply_steps(mask, steps[v])) == root
         assert clique_of_size(coded, root + 1, coded[0], place) is None
     assert family.shifts == ElementSet.of(group, [vertices[i] for i in picked])
 
@@ -709,8 +710,7 @@ def test_larger_symmetric_graphs_match_the_reference_extraction(kind):
         omega = max_clique_size(adj, (1 << n) - 1)
         want = caller_first_clique(adj, place, omega)
         assert first_max_clique(adj, root, place, neg, translate) == (omega, want)
-        mirror = neg if translate is None else neg.__getitem__
-        assert clique_of_size(adj, omega, None, place, None, None, mirror, translate) == want
+        assert clique_of_size(adj, omega, None, place, None, None, neg, translate) == want
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -774,9 +774,8 @@ def test_no_vertex_is_decided_after_its_mirror_was_ruled_out(kind, monkeypatch):
         pos = {u: v for v, u in enumerate(place)}
         omega = max_clique_size(adj, (1 << n) - 1)
         want = caller_first_clique(adj, place, omega)
-        mirror = neg if translate is None else neg.__getitem__
         # with no known clique the extraction decides more, the first pick included
-        runs = [(lambda: clique_of_size(adj, omega, None, place, None, None, mirror, translate), False)]
+        runs = [(lambda: clique_of_size(adj, omega, None, place, None, None, neg, translate), False)]
         if translate is not None:
             runs.append((lambda: first_max_clique(adj, 0, place, neg, translate)[1], True))
         for run, transitive in runs:
@@ -790,7 +789,7 @@ def test_no_vertex_is_decided_after_its_mirror_was_ruled_out(kind, monkeypatch):
                 before = [a for a in picks if pos[a] < pos[u] and block >> a & 1]
                 # a transitive block takes its first vertex without a decision
                 assert before or not transitive
-                w = None if result else mirror_of(u, before, mirror, translate)
+                w = None if result else mirror_of(u, before, neg, translate)
                 if w is not None and w != u:
                     assert w not in decided[k + 1 :]
                     skipped += pos[w] > pos[u]

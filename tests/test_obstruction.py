@@ -177,6 +177,22 @@ class TestSweeps:
         assert a != c
         assert not a.violations
 
+    @pytest.mark.parametrize("sample", [65_536, 10**9])
+    def test_sample_count_past_the_exhaustive_limit_is_refused_first(self, sample, monkeypatch):
+        # 2^16 - 1 draws at most, the subsets an exhaustive sweep examines;
+        # refused before the group's tables are built or anything is drawn
+        def no_tables(group):
+            raise AssertionError("the sweep got past its checks")
+
+        monkeypatch.setattr(obstruction, "_GroupTables", no_tables)
+        with pytest.raises(PreconditionError, match="at most 65535 subsets"):
+            exhaustive_no_index_check(parse_group("Z_2^5"), 4, sample=sample)
+
+    def test_the_largest_sample_count_is_accepted(self):
+        report = exhaustive_no_index_check(parse_group("Z_2^5"), 4, sample=65_535, seed=0)
+        assert report.sample == 65_535 and report.mode == "sampled"
+        assert not report.violations
+
     @pytest.mark.parametrize(
         "text", ["Z_3", "Z_2^2", "Z_4", "Z_2^3", "Z_3^2", "Z_2^4", "Z_4 + Z_2", "Z_4 + Z_2^2"]
     )
@@ -395,7 +411,7 @@ def test_sweep_and_cross_check_read_one_set_of_box_tables(monkeypatch):
     assert max_packing_family(A, t.window).size == 4
     assert searches
     for neg, translate in searches:
-        assert neg is t.neg
+        assert neg.__self__ is t.neg
         assert any(cell.cell_contents is t.steps for cell in translate.__closure__)
 
 

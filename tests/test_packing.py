@@ -310,9 +310,9 @@ class TestCornerRoot:
         adj = compatibility_graph(A, vertices)
         roots = []
 
-        def spy(adj, root=None, place=None, neg=None):
+        def spy(adj, root=None, place=None, neg=None, translate=None):
             roots.append((root, place))
-            return first_max_clique(adj, root, place, neg)
+            return first_max_clique(adj, root, place, neg, translate)
 
         monkeypatch.setattr(packidx.clique, "first_max_clique", spy)
         family = max_packing_family(A, window)
@@ -336,9 +336,9 @@ class TestCornerRoot:
         A = ElementSet.parse(group, ["(0,0)", "(1,0)", "(0,2)"])
         roots = []
 
-        def spy(adj, root=None, place=None, neg=None):
+        def spy(adj, root=None, place=None, neg=None, translate=None):
             roots.append(root)
-            return first_max_clique(adj, root, place, neg)
+            return first_max_clique(adj, root, place, neg, translate)
 
         monkeypatch.setattr(packidx.clique, "first_max_clique", spy)
         family = max_packing_family(A, window)
@@ -387,7 +387,7 @@ def test_pruned_root_matches_whole_graph_search(index):
     elements, _, neg, steps, place = window.box().tables()
     coded = compatibility_graph(A, elements)
     assert coded == (adj if place is None else relabel(adj, place))
-    assert 1 + max_clique_size(coded, coded[0], neg, lambda mask, v: apply_steps(mask, steps[v])) == omega
+    assert 1 + max_clique_size(coded, coded[0], neg.__getitem__, lambda mask, v: apply_steps(mask, steps[v])) == omega
     family = max_packing_family(A, window)
     assert family.size == omega and family.certified
     assert family.shifts == ElementSet.of(group, [vertices[i] for i in picked])
@@ -522,7 +522,7 @@ def test_pruned_root_matches_oracle_on_the_oracle_pool(text, opts, seed):
         A = ElementSet.of(group, rng.sample(elements, size))
         adj = compatibility_graph(A, elements)
         translate = lambda mask, v: apply_steps(mask, steps[v])  # noqa: E731
-        assert 1 + max_clique_size(adj, adj[0], neg, translate) == exhaustive_max_clique_size(adj)
+        assert 1 + max_clique_size(adj, adj[0], neg.__getitem__, translate) == exhaustive_max_clique_size(adj)
 
 
 def _enumeration_order_family(A, window):
