@@ -302,9 +302,10 @@ def clique_of_size(
 
     The pass keeps a known clique K of the size still needed inside P:
     the caller's (``known``, one mask per block, 0 for none), then each
-    yes-decision's. A scanned u is taken without a search when it lies in
-    K (K less u is the new K) or when exactly one vertex of K lies
-    outside N(u) (K ∩ N(u) is).
+    yes-decision's. A scanned u is taken without a search when K is not
+    empty and at most one vertex of K lies outside u and N(u): every u in
+    K, and no u outside K that misses none, as K and u would then be a
+    clique past the size still needed. K ∩ N(u) is the new K.
 
     With ``neg``, x -> -x is an automorphism of adj and ``neg(v)`` is the
     vertex -v, as in ``_search``. A no proves that u lies in no maximum
@@ -351,27 +352,24 @@ def clique_of_size(
             continue
         sub = P[i] & adj[u]
         if translate is not None and not picks[i]:
-            known[i] = translate(root, u) if needed[i] > 1 else bit
-        if known[i] & bit:
-            known[i] ^= bit
+            known[i] = translate(root, u)
+        miss = known[i] & nadj[u]
+        if known[i] and not miss & (miss - 1):
+            known[i] &= adj[u]
         else:
-            miss = known[i] & nadj[u]
-            if miss and not miss & (miss - 1):
-                known[i] ^= miss
-            else:
-                found: list[int] = []
-                if not exists_clique(adj, sub, needed[i] - 1, found, nadj):
-                    P[i] ^= bit
-                    if neg is not None:
-                        S = picks[i]
-                        if translate is not None and 0 < len(S) < 3:
-                            # c = 2a or a + b, as a vertex
-                            c = translate(1 << S[0], S[-1]).bit_length() - 1
-                            P[i] &= ~translate(1 << neg(u), c)
-                        elif all(neg(a) == a for a in S):
-                            P[i] &= ~(1 << neg(u))
-                    continue
-                known[i] = sum(1 << w for w in found)
+            found: list[int] = []
+            if not exists_clique(adj, sub, needed[i] - 1, found, nadj):
+                P[i] ^= bit
+                if neg is not None:
+                    S = picks[i]
+                    if translate is not None and 0 < len(S) < 3:
+                        # c = 2a or a + b, as a vertex
+                        c = translate(1 << S[0], S[-1]).bit_length() - 1
+                        P[i] &= ~translate(1 << neg(u), c)
+                    elif all(neg(a) == a for a in S):
+                        P[i] &= ~(1 << neg(u))
+                continue
+            known[i] = sum(1 << w for w in found)
         chosen.append(v)
         left -= 1
         if not left:

@@ -36,10 +36,11 @@ class EmptySetError(PackError):
 
 
 class WindowTooLargeError(PackError):
-    """Window enumeration exceeds the configured resource limit."""
+    """Window enumeration exceeds the configured resource limit (``size`` None: not counted)."""
 
-    def __init__(self, size: int, limit: int):
-        super().__init__(f"window has {size} elements, limit is {limit}")
+    def __init__(self, size: int | None, limit: int):
+        count = f"more than {limit}" if size is None else size
+        super().__init__(f"window has {count} elements, limit is {limit}")
         self.size = size
         self.limit = limit
 

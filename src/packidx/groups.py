@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ElementSyntaxError, GroupMismatchError, GroupSyntaxError
+from .errors import ElementSyntaxError, GroupMismatchError, GroupSyntaxError, WindowTooLargeError
 
 INFINITE_CYCLIC = "infinite_cyclic"
 CYCLIC = "cyclic"
@@ -52,6 +52,8 @@ PRIME_DIGITS = 24
 # with the count; on a 2-vCPU host `pack bset --group "Z_2^4095 + Prufer(3)"
 # --kappa 9 --check` takes 0.6 s, and `--group Z^4096 --kappa 3` 0.01 s.
 MAX_FACTORS = 4096
+# A window has at most this many elements for an index solve or a witness build.
+DEFAULT_MAX_VERTICES = 1024
 
 
 def _is_prime(n: int) -> bool:
@@ -463,8 +465,9 @@ class Window:
     shifts: the family depends on D alone, so a later set with the same D
     is solved without a graph, an extraction or a sort. It lives as long
     as this window object, as does the window's :class:`DenseBox`, which
-    ``box()`` makes on its first call. ``size()`` is worked out once, when
-    the window is made. None of them takes part in equality or hashing.
+    ``box()`` makes on its first call. The count ``size()`` reads is worked
+    out once, when the window is made. None of them takes part in equality
+    or hashing.
     """
 
     group: GroupSpec
@@ -475,13 +478,17 @@ class Window:
     def __post_init__(self):
         if len(self.bounds) != len(self.group.factors):
             raise ValueError("one bound per factor required")
+        size = 1
         for f, b in zip(self.group.factors, self.bounds):
             if f.kind == CYCLIC:
                 if b is not None:
                     raise ValueError("finite cyclic factors take no bound")
             elif b is None or b <= 0:
                 raise ValueError("window bound must be a positive integer")
-        object.__setattr__(self, "_size", prod(count_coords(f, b) for f, b in zip(self.group.factors, self.bounds)))
+            # past the cap no count is formed (None): 2b + 1 passes it once b does, n^b once b passes its bit length
+            big = b is not None and b > (DEFAULT_MAX_VERTICES if f.kind == INFINITE_CYCLIC else DEFAULT_MAX_VERTICES.bit_length())
+            size = None if big or size is None or size > DEFAULT_MAX_VERTICES else size * count_coords(f, b)
+        object.__setattr__(self, "_size", size)
 
     @classmethod
     def for_group(
@@ -506,6 +513,9 @@ class Window:
         return cls(group, tuple(bounds))
 
     def size(self) -> int:
+        """The element count; past ``DEFAULT_MAX_VERTICES``, ``WindowTooLargeError``."""
+        if self._size is None or self._size > DEFAULT_MAX_VERTICES:
+            raise WindowTooLargeError(self._size, DEFAULT_MAX_VERTICES)
         return self._size
 
     def box(self) -> DenseBox:
@@ -625,7 +635,6 @@ class DenseBox:
         self._offset = [0 if w else r // 2 for w, r in zip(wraps, radix)]
         self._stride = [prod(radix[i + 1 :]) for i in range(len(radix))]
         self.size = prod(radix)
-        self._below_cache: dict[tuple[int, int], int] = {}
         self._tables: BoxTables | None = None
 
     def _factor_code(self, i: int, x) -> int | None:
@@ -677,10 +686,9 @@ class DenseBox:
         return Element(self.group, tuple(coords))
 
     def mask_of(self, elements: Iterable[Element]) -> int:
-        index = None if self._tables is None else self._tables.index
         mask = 0
         for e in elements:
-            code = self.encode(e) if index is None else index.get(e.coords)
+            code = self.encode(e)
             if code is None:
                 raise ValueError(f"{e} lies outside the box {self.bounds} of {self.group}")
             mask |= 1 << code
@@ -748,14 +756,11 @@ class DenseBox:
         run = (1 << c * self._stride[j]) - 1
         if j == 0:
             return run
-        mask = self._below_cache.get((j, c))
-        if mask is None:
-            mask, width = run, self._radix[j] * self._stride[j]
-            while width < self.size:
-                mask |= mask << width
-                width *= 2
-            mask = self._below_cache[(j, c)] = mask & ((1 << self.size) - 1)
-        return mask
+        mask, width = run, self._radix[j] * self._stride[j]
+        while width < self.size:
+            mask |= mask << width
+            width *= 2
+        return mask & ((1 << self.size) - 1)
 
     def neg(self, c: int) -> int:
         """Code of the negative of the element with code c: each digit d

@@ -21,7 +21,6 @@ from .errors import (
     EmptySetError,
     GroupMismatchError,
     PreconditionError,
-    WindowTooLargeError,
 )
 from .groups import (
     DenseBox,
@@ -39,7 +38,6 @@ from .groups import (
     sum_bounds,
 )
 
-DEFAULT_MAX_VERTICES = 1024
 # Largest box, in bits, that difference_mask builds around a set; a set
 # spread wider gets its differences one pair at a time instead.
 MAX_BOX_BITS = 1 << 20
@@ -232,8 +230,7 @@ def max_packing_family(A: ElementSet, window: Window) -> PackingFamily:
     group = A.group
     if window.group is not group and window.group != group:
         raise GroupMismatchError("window and set belong to different groups")
-    if window.size() > DEFAULT_MAX_VERTICES:
-        raise WindowTooLargeError(window.size(), DEFAULT_MAX_VERTICES)
+    window.size()  # refuses a window past the cap, before any work
     box = window.box()
     shifts, own = None, False
     if group._z_factors:

@@ -99,6 +99,34 @@ class TestFailFast:
             "message": f"window has {size} elements, limit is 1024",
         }
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["witness", "--group", "Z^4096", "--kappa", "3", "--window", "10"],
+            ["witness", "--group", "Z_2^w", "--kappa", "3", "--m", "100000000"],
+            ["witness", "--group", "Prufer(2)", "--kappa", "3", "--level", "1000000000"],
+            ["index", "--m", "100000000"],
+            ["witness", "--group", "Z", "--kappa", "3", "--window", "5" + "0" * 4299],
+        ],
+        ids=["Z^4096", "Z_2^w", "Prufer(2)", "index Z_2^w", "Z radius 5*10^4299"],
+    )
+    def test_a_window_count_too_long_to_print_is_refused_unformed(self, runner, tmp_path, args):
+        # the exact counts, 21^4096, 2^(10^8), 2^(10^9) and 10^4300 + 1, have
+        # more than the 4,300 digits an int prints; 2^(10^9) took seconds to form
+        if args[0] == "index":
+            set_path = tmp_path / "z2w.json"
+            set_path.write_text('{"group": "Z_2^w", "elements": ["0", "[1]"]}')
+            args = [*args, "--set", str(set_path)]
+        start = time.process_time()
+        result = runner.invoke(main, args)
+        assert time.process_time() - start < 1
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
+        assert payload(result)["results"]["error"] == {
+            "type": "WindowTooLarge",
+            "message": "window has more than 1024 elements, limit is 1024",
+        }
+
     def test_obstruct_element_cap_is_checked_before_enumerating(self, runner, monkeypatch):
         from packidx.groups import DenseBox
 

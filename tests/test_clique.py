@@ -498,6 +498,72 @@ def test_extraction_reuses_the_clique_a_decision_found(monkeypatch):
     assert len(calls) == 1
 
 
+def graph_of(n, edges):
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+# vertex 0, scanned first, against the known maximum clique K: in K, one
+# vertex of K outside its neighbours, two outside with no clique through 0,
+# and two outside with the clique {0, 1, 4}. In the last case 0 misses 4 of
+# K = {2, 3, 4}, then 1 misses 3 of K ∩ N(0) = {2, 3}, though 4 too.
+TRIANGLE = [(1, 2), (1, 3), (2, 3)]
+KNOWN_CLIQUE_CASES = [
+    ("in K", 4, [(0, 1), (0, 2), (1, 2)], 0b111, [0, 1, 2], 0),
+    ("one miss", 4, TRIANGLE + [(0, 1), (0, 2)], 0b1110, [0, 1, 2], 0),
+    ("two misses, no", 4, TRIANGLE + [(0, 1)], 0b1110, [1, 2, 3], 1),
+    ("two misses, yes", 5, TRIANGLE + [(0, 1), (0, 4), (1, 4)], 0b1110, [0, 1, 4], 1),
+    ("one miss, twice", 5, [(2, 3), (2, 4), (3, 4), (0, 2), (0, 3), (0, 1), (1, 2)], 0b11100, [0, 1, 2], 0),
+]
+
+
+@pytest.mark.parametrize("name,n,edges,K,want,decisions", KNOWN_CLIQUE_CASES, ids=[c[0] for c in KNOWN_CLIQUE_CASES])
+def test_the_known_clique_answers_at_most_one_miss(name, n, edges, K, want, decisions, monkeypatch):
+    calls = []
+
+    def spy(adj, P, target, witness=None, nadj=None):
+        calls.append(P)
+        return exists_clique(adj, P, target, witness, nadj)
+
+    monkeypatch.setattr(clique_module, "exists_clique", spy)
+    adj = graph_of(n, edges)
+    assert clique_of_size(adj, 3, None, None, None, [K]) == want
+    # the one decision, if any, is vertex 0's, on its neighbours
+    assert calls == [adj[0]] * decisions
+
+
+# Cayley graphs on Z_n whose blocks are the even and the odd vertices, the
+# cosets of K = 2Z_n, with the maximum clique of K through 0, one vertex
+# per block ({0}) or two ({0, 4}); each scanned in order and in another
+COSET_GRAPHS = [
+    (6, {1, 3, 5}, [1, 1], 0b1, None),
+    (6, {1, 3, 5}, [1, 1], 0b1, [3, 2, 1, 0, 5, 4]),
+    (8, {1, 3, 4, 5, 7}, [2, 2], 0b10001, None),
+    (8, {1, 3, 4, 5, 7}, [2, 2], 0b10001, [7, 6, 5, 4, 3, 2, 1, 0]),
+]
+
+
+@pytest.mark.parametrize("n,connection,sizes,root,place", COSET_GRAPHS)
+def test_a_coset_takes_its_first_vertex_and_its_clique_with_no_decision(n, connection, sizes, root, place, monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return exists_clique(*args)
+
+    monkeypatch.setattr(clique_module, "exists_clique", spy)
+    elements, add = cyclic(n)
+    adj, neg, translate = cayley_graph(elements, add, connection)
+    blocks = clique_module.co_components(complement_rows(adj))
+    assert blocks == [int("01" * (n // 2), 2), int("10" * (n // 2), 2)]
+    want = [0, 1, 4, 5][: sum(sizes)]
+    assert clique_of_size(adj, sizes, blocks, place, None, [root, 0], neg, translate) == want
+    assert calls == []
+
+
 # windows the solver meets: a Z window, a subgroup window searched in
 # enumeration order, a Prufer window searched in code order and scanned
 # through the box's place, and a dense Z + Z window where the clique is half

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packidx.errors import ElementSyntaxError, GroupMismatchError, GroupSyntaxError
+from packidx.errors import ElementSyntaxError, GroupMismatchError, GroupSyntaxError, WindowTooLargeError
 from packidx.groups import (
     CYCLIC,
+    DEFAULT_MAX_VERTICES,
     INFINITE_CYCLIC,
     MAX_FACTORS,
     PRIME_DIGITS,
@@ -413,6 +414,37 @@ def test_fields_worked_out_once_take_no_part_in_equality(text, kw, zs):
     assert window.size() == again.size() == want == len(list(enumerate_window(window)))
     window._families[1] = None  # a kept family changes neither
     assert window == again and hash(window) == hash(again)
+
+
+@pytest.mark.parametrize(
+    "text,kw,size",
+    [
+        ("Z_2^w", {"repeated_m": 10}, 1024),
+        ("Prufer(2)", {"prufer_level": 10}, 1024),
+        ("Z_32 + Z_32", {}, 1024),
+        ("Z_2^w", {"repeated_m": 11}, 2048),
+        ("Z_3^w", {"repeated_m": 11}, 3**11),
+        ("Z + Z", {"bound": 20}, 41**2),
+        ("Z", {"bound": 1024}, 2049),
+        ("Z", {"bound": 1025}, None),
+        ("Z_2^w", {"repeated_m": 12}, None),
+        ("Prufer(3)", {"prufer_level": 12}, None),
+        ("Z + Z", {"bound": 600}, None),
+        ("Z_2^w + Z_3", {"repeated_m": 11}, None),
+    ],
+)
+def test_a_window_count_is_formed_up_to_the_cap(text, kw, size):
+    # a count is exact until it passes the cap with factors left, or meets a
+    # Z radius past the cap or an exponent past its bit length, 11: then it
+    # is not formed
+    window = Window.for_group(parse_group(text), **kw)
+    if size is not None and size <= DEFAULT_MAX_VERTICES:
+        assert window.size() == size
+        return
+    with pytest.raises(WindowTooLargeError) as caught:
+        window.size()
+    assert caught.value.size == size
+    assert str(caught.value).startswith("window has more than 1024" if size is None else f"window has {size} ")
 
 
 class TestElementSyntax:
