@@ -148,11 +148,10 @@ class _GroupTables:
     """Index arithmetic for one small finite group. Its elements, their
     codes and negatives and the translation steps are the tables of the
     box of ``window``, the group's one window, which the sweep's solver
-    cross-checks read too; ``add`` is worked out on coordinates, with the
-    group's per-factor add that :class:`Element` addition calls. The
-    exhaustive difference masks (one 16-bit lane per subset) and
-    ``_family_disjoint`` read ``add``; the sampled difference masks (one
-    32-bit lane per draw) and ``_find_triple`` read the box's steps. Every solver cross-check of the
+    cross-checks read too. Every sum the sweep forms is a translate by the
+    box's steps: the difference masks, exhaustive (one 16-bit lane per
+    subset) and sampled (one 32-bit lane per draw), ``_find_triple``,
+    ``_family_disjoint`` and the kappa-3 family. Every solver cross-check of the
     sweep runs on the one ``window`` made here, so the families it keeps by
     difference mask last one sweep, as its box and the tables do.
 
@@ -168,9 +167,6 @@ class _GroupTables:
         assert tables.place is None
         self.elements, self.index, self.neg, self.steps, _ = tables
         self.n = len(self.elements)
-        add, index = group._add, self.index
-        coords = [a.coords for a in self.elements]
-        self.add = [[index[add(a, b)] for b in coords] for a in coords]
         self.order = [a.order() for a in self.elements]
         self.order4 = sum(1 << i for i, o in enumerate(self.order) if o == 4)
         self.full = (1 << self.n) - 1
@@ -184,15 +180,18 @@ class _GroupTables:
         where E_x(m') holds 0 and x - i, i - x for each i in m'. Each table is
         one int with a 16-bit lane per subset, lane m' at bit 16 m': E_x's
         table doubles once per element i below x, each new lane the old lane
-        OR i's two bits, and D's doubles once per x. The int becomes an
-        ``array`` once, at the end.
+        OR i's two bits, and D's doubles once per x. The bit of i - x is i's
+        bit translated by -x's steps, and x - i is its negative. The int
+        becomes an ``array`` once, at the end.
         """
-        add, neg = self.add, self.neg
+        neg, steps = self.neg, self.steps
         diffs = 0  # D's lanes for the subsets of the elements below x
         for x in range(self.n):
             e = ones = 1  # E_x's lanes, and a 1 in each of them
+            back = steps[neg[x]]
             for i in range(x):
-                b = (1 << add[i][neg[x]]) | (1 << add[x][neg[i]])
+                d = apply_steps(1 << i, back)
+                b = d | (1 << neg[d.bit_length() - 1])
                 shift = 16 << i  # 16 bits a lane, 2^i lanes
                 e |= (e | b * ones) << shift
                 ones |= ones << shift
@@ -269,13 +268,12 @@ class SweepReport:
 
 
 def _family_disjoint(t: _GroupTables, dstar: int, family: tuple[int, ...]) -> bool:
-    if len(set(family)) != len(family):
-        return False
-    add, neg = t.add, t.neg
-    for i, u in enumerate(family):
-        for v in family[i + 1 :]:
-            if (1 << add[u][neg[v]]) & dstar:
-                return False
+    """No member repeats, and no earlier member sits at a difference in D* from a later one."""
+    members = 0
+    for u in family:
+        if members >> u & 1 or apply_steps(dstar, t.steps[u]) & members:
+            return False
+        members |= 1 << u
     return True
 
 
@@ -297,7 +295,8 @@ def _verdict(t: _GroupTables, kappa: int, d: int) -> tuple[tuple[str, bool], ...
             b = (compat0 & -compat0).bit_length() - 1
             if t.order[b] != 3:
                 raise CertificationError(f"shift {t.elements[b]} has order {t.order[b]}, not 3")
-            families.append(("Exponent3", (0, b, t.add[b][b])))
+            two_b = apply_steps(1 << b, t.steps[b]).bit_length() - 1
+            families.append(("Exponent3", (0, b, two_b)))
     else:
         hit = _find_triple(t, dstar, compat0)
         if hit is not None:

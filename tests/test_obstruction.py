@@ -15,7 +15,7 @@ from packidx.errors import (
     NotApplicableError,
     PreconditionError,
 )
-from packidx.groups import Window, enumerate_window, parse_group
+from packidx.groups import Window, apply_steps, enumerate_window, parse_group
 from packidx.obstruction import (
     OPPOSITE_G,
     ORDER_TWO,
@@ -236,9 +236,27 @@ class TestSweeps:
         assert all(d == 1 for m, d in zip(masks, diffs) if m.bit_count() == 1)
 
     @pytest.mark.parametrize("text", ["Z_3^2", "Z_4 + Z_2", "Z_2^5", "Z_3^3", "Z_4 + Z_2^2"])
-    def test_add_table_matches_element_addition(self, text):
+    def test_translation_steps_match_element_addition(self, text):
+        # every sum the sweep forms is a translate by these steps
         t = _GroupTables(parse_group(text))
-        assert t.add == [[t.index[(a + b).coords] for b in t.elements] for a in t.elements]
+        for a, x in enumerate(t.elements):
+            for b, y in enumerate(t.elements):
+                assert apply_steps(1 << a, t.steps[b]) == 1 << t.index[(x + y).coords], (a, b)
+
+    def test_the_tables_are_built_with_no_coordinate_addition(self):
+        group = parse_group("Z_2^5")
+        add, calls = group._add, []
+
+        def spy(xs, ys):
+            calls.append((xs, ys))
+            return add(xs, ys)
+
+        object.__setattr__(group, "_add", spy)
+        try:
+            t = _GroupTables(group)
+        finally:
+            object.__setattr__(group, "_add", add)
+        assert t.n == 32 and calls == []
 
     def test_exhaustive_refuses_large_groups(self):
         with pytest.raises(NotApplicableError):
@@ -307,7 +325,7 @@ def reference_sweep(group, kappa, sample=None, seed=0):
                 b = (compat0 & -compat0).bit_length() - 1
                 if t.order[b] != 3:
                     raise CertificationError(f"shift {t.elements[b]} has order {t.order[b]}, not 3")
-                families.append(("Exponent3", (0, b, t.add[b][b])))
+                families.append(("Exponent3", (0, b, t.index[(t.elements[b] + t.elements[b]).coords])))
         else:
             hit = _find_triple(t, dstar, compat0)
             if hit is not None:
@@ -504,3 +522,17 @@ def test_planted_faults_keep_every_subsets_violations_in_order(text, kappa, monk
     assert reasons[0].endswith("not disjoint") and reasons[-1].startswith("solver max")
     solver_listed = {v["subset"] for v in report.violations if v["reason"].startswith("solver")}
     assert solver_listed == {both, alone}
+
+
+@pytest.mark.parametrize("text,opposite,same", [("Z_4 + Z_2", 20, 4), ("Z_4 + Z_2^2", 1028, 452)])
+def test_a_wrong_fourth_shift_is_caught_by_the_certificate(text, opposite, same, monkeypatch):
+    # b1 + b2 is the lemma's shift in the OrderTwo case only; with both
+    # shifts of order 4 it can meet a translate, which the disjointness
+    # certificate must list
+    monkeypatch.setattr(obstruction, "_fourth_shift", lambda case: case.b1 + case.b2)
+    report = exhaustive_no_index_check(parse_group(text), 4)
+    reasons = Counter(v["reason"] for v in report.violations)
+    assert reasons == {
+        "OppositeG extension not disjoint": opposite,
+        "SameG extension not disjoint": same,
+    }
